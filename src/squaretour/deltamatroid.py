@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Protocol, Sequence
 
-from .graphcore import MultiGraph, connected_without, is_two_edge_connected
+from .graphcore import MultiGraph, connected_without, is_two_edge_connected, walk_cycle
 
 __all__ = [
     "SquareGraph",
@@ -227,29 +227,6 @@ def greedy(oracle: DeltaMatroidOracle, cost: dict[int, int]) -> frozenset[int]:
     return frozenset(include)
 
 
-def _cycle_order(g: MultiGraph, hedges: frozenset[int]) -> tuple[int, ...]:
-    """Node order of a Hamiltonian cycle given by its edge ids.
-
-    Starts at node 0 and leaves along the incident cycle edge with the lower
-    id, which makes the order canonical.
-    """
-    inc: dict[int, list[int]] = {v: [] for v in range(g.node_count)}
-    for e in sorted(hedges):
-        u, v = g.edges[e]
-        inc[u].append(e)
-        inc[v].append(e)
-    order = [0]
-    used: set[int] = set()
-    cur = 0
-    for _ in range(len(hedges) - 1):
-        e = next(ei for ei in inc[cur] if ei not in used)
-        used.add(e)
-        u, v = g.edges[e]
-        cur = v if u == cur else u
-        order.append(cur)
-    return tuple(order)
-
-
 def ham_min_cost(sg: SquareGraph, cost: Sequence[int]) -> HamCycle:
     """Minimum-cost Hamiltonian cycle containing the matching M.
 
@@ -285,7 +262,10 @@ def ham_min_cost(sg: SquareGraph, cost: Sequence[int]) -> HamCycle:
         else:  # pragma: no cover - contradicts the exchange structure
             raise RuntimeError("no matching choice keeps the graph connected")
     hedges = frozenset(range(g.edge_count)) - removed
-    return HamCycle(hedges, _cycle_order(g, hedges), sum(cost[e] for e in hedges))
+    # canonical order: from node 0 along its lower-id cycle edge
+    first = next(d >> 1 for d in g.darts_at(0) if d >> 1 in hedges)
+    _, order = walk_cycle(g, hedges, 0, first)
+    return HamCycle(hedges, tuple(order), sum(cost[e] for e in hedges))
 
 
 def verify_ham(sg: SquareGraph, hedges: frozenset[int]) -> bool:

@@ -26,6 +26,7 @@ __all__ = [
     "path_edges_to",
     "metric_closure",
     "eulerian_circuit",
+    "walk_cycle",
 ]
 
 
@@ -342,3 +343,21 @@ def eulerian_circuit(g: MultiGraph, start: int = 0) -> list[int]:
         raise ValueError("edges not all reachable from start")
     walk.reverse()
     return walk
+
+
+def walk_cycle(
+    g: MultiGraph, cycle: frozenset[int], start: int, first: int
+) -> tuple[list[int], list[int]]:
+    """Walk the cycle formed by the given edge ids: leave start along edge
+    first, then leave every node along its other cycle edge.  Returns the
+    edge ids in walk order and, for each, the node it is left from."""
+    edges: list[int] = []
+    nodes: list[int] = []
+    e, v = first, start
+    for _ in range(len(cycle)):
+        edges.append(e)
+        nodes.append(v)
+        a, b = g.edges[e]
+        v = b if a == v else a
+        e = next(d >> 1 for d in g.darts_at(v) if d >> 1 in cycle and d >> 1 != e)
+    return edges, nodes

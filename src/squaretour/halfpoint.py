@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable
 
 from .deltamatroid import SquareGraph
 from .graphcore import MultiGraph, WeightedGraph, global_min_cut, is_connected
@@ -22,12 +24,15 @@ __all__ = [
     "SquareCycle",
     "OnePath",
     "SupportDecomposition",
+    "SquarePoint",
     "ContractedPoint",
     "edge_key",
     "support_graph",
     "validate_subtour",
+    "validate_and_classify",
     "classify",
     "decompose",
+    "square_point",
     "contract_one_paths",
 ]
 
@@ -109,12 +114,45 @@ class SubtourReport:
         return f"cut S={{{side}}} x2={self.cut_value_x2}"
 
 
+def _series_reduced(wg: WeightedGraph) -> WeightedGraph:
+    """Suppress every node of degree 2: a-v-b becomes one a-b edge of weight
+    min(w_av, w_vb), the series rule of Padberg & Rinaldi (Math. Prog. 47,
+    1990).  Every cut separating two kept nodes keeps its minimum value."""
+    g = wg.graph
+    kept = [v for v in range(g.node_count) if g.degree(v) != 2]
+    new = [-1] * g.node_count
+    for i, v in enumerate(kept):
+        new[v] = i
+    used = bytearray(g.edge_count)
+    edges: list[tuple[int, int]] = []
+    weight: list[int] = []
+    for a in kept:
+        for d in g.darts_at(a):
+            if used[d >> 1]:
+                continue
+            used[d >> 1] = 1
+            w = wg.weight[d >> 1]
+            v = g.dart_other_node(d)
+            while new[v] < 0:
+                d1, d2 = g.darts_at(v)
+                d = d2 if d1 >> 1 == d >> 1 else d1
+                used[d >> 1] = 1
+                w = min(w, wg.weight[d >> 1])
+                v = g.dart_other_node(d)
+            edges.append((new[a], new[v]))
+            weight.append(w)
+    return WeightedGraph(MultiGraph(len(kept), edges), tuple(weight))
+
+
 def validate_subtour(x: HalfIntegerPoint) -> SubtourReport:
     """Check degree-2 equalities and all cut constraints, exactly.
 
     Degrees are doubled (must equal 4 at every node); the cut condition
     x(delta(S)) >= 2 becomes a doubled global min cut of at least 4, computed
-    by Stoer-Wagner on the support.
+    by Stoer-Wagner.  Once the degrees hold, a node of support degree 2 has
+    two 1-edges, so every cut that no series-reduced cut covers is worth at
+    least 4: the reduced support has a cut below 4 exactly when the support
+    has one.  Only then is the full support cut, for the witness.
     """
     deg = [0] * x.n
     for (u, v), x2 in x.support.items():
@@ -126,10 +164,11 @@ def validate_subtour(x: HalfIntegerPoint) -> SubtourReport:
     g, keys = support_graph(x)
     if not is_connected(g):
         return SubtourReport(False, "disconnected")
-    if x.n >= 2:
-        val, side = global_min_cut(WeightedGraph(g, tuple(x.support[k] for k in keys)))
-        if val < 4:
-            return SubtourReport(False, "cut", cut_side=side, cut_value_x2=val)
+    wg = WeightedGraph(g, tuple(x.support[k] for k in keys))
+    reduced = _series_reduced(wg)
+    if reduced.graph.node_count >= 2 and global_min_cut(reduced)[0] < 4:
+        val, side = global_min_cut(wg)
+        return SubtourReport(False, "cut", cut_side=side, cut_value_x2=val)
     return SubtourReport(True)
 
 
@@ -144,32 +183,75 @@ class PointClass(enum.Enum):
         return self.value
 
 
-def _half_cycles(x: HalfIntegerPoint) -> list[list[int]] | None:
-    """Node-disjoint cycles formed by the 1/2-edges, or None if they do not
-    decompose that way (some node has half-degree other than 0 or 2)."""
-    half_adj: dict[int, list[int]] = {}
-    for u, v in x.half_edges():
-        half_adj.setdefault(u, []).append(v)
-        half_adj.setdefault(v, []).append(u)
-    for v, nb in half_adj.items():
-        if len(nb) != 2:
-            return None
-    cycles = []
+SQUARE_CLASSES = (PointClass.SQUARE, PointClass.BOYD_CARR)
+
+Chain = tuple[tuple[int, ...], bool]
+
+
+def _chains(edges: Iterable[EdgeKey]) -> list[Chain] | None:
+    """Maximal paths, then cycles, of the simple graph on the given edges, as
+    (nodes, closed) pairs; None if some node has degree above 2.  A path
+    starts at its lower end, a cycle at its lowest node and heads to that
+    node's lower neighbour."""
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    if any(len(nb) > 2 for nb in adj.values()):
+        return None
+    chains: list[Chain] = []
     seen: set[int] = set()
-    for start in sorted(half_adj):
-        if start in seen:
-            continue
-        nb = sorted(half_adj[start])
-        cycle = [start]
-        seen.add(start)
-        prev, cur = start, nb[0]
-        while cur != start:
-            cycle.append(cur)
-            seen.add(cur)
-            a, b = half_adj[cur]
-            prev, cur = cur, (b if a == prev else a)
-        cycles.append(cycle)
-    return cycles
+    for closed in (False, True):
+        for start in sorted(adj):
+            if start in seen or (len(adj[start]) == 2) != closed:
+                continue
+            nodes = [start]
+            seen.add(start)
+            prev, cur = start, min(adj[start])
+            while cur != start:
+                nodes.append(cur)
+                seen.add(cur)
+                nb = adj[cur]
+                if len(nb) == 1:
+                    break
+                prev, cur = cur, (nb[1] if nb[0] == prev else nb[0])
+            chains.append((tuple(nodes), closed))
+    return chains
+
+
+def _checked(x: HalfIntegerPoint) -> tuple[SubtourReport, PointClass | None, list[Chain] | None]:
+    """One validation pass and, for a feasible point, one walk of the
+    1/2-edges: the report, the class and the 1/2-edge cycles.
+
+    A feasible point has even 1/2-degree everywhere, so the 1/2-edges form
+    node-disjoint cycles unless some node has four of them.
+    """
+    report = validate_subtour(x)
+    if not report:
+        return report, None, None
+    cycles = _chains(x.half_edges())
+    cls = PointClass.OTHER_HALF_INTEGER
+    if cycles is not None:
+        if all(len(nodes) == 4 for nodes, _ in cycles):
+            # squares on all n nodes: cubic support, one 1-edge per node
+            cls = PointClass.BOYD_CARR if 4 * len(cycles) == x.n else PointClass.SQUARE
+        elif len(cycles) == 1 and len(cycles[0][0]) == x.n:
+            cls = PointClass.CARR_VEMPALA
+    return report, cls, cycles
+
+
+def _classified(x: HalfIntegerPoint) -> tuple[PointClass, list[Chain] | None]:
+    report, cls, cycles = _checked(x)
+    if cls is None:
+        raise ValueError(f"not a feasible point: {report.witness()}")
+    return cls, cycles
+
+
+def validate_and_classify(x: HalfIntegerPoint) -> tuple[SubtourReport, PointClass | None]:
+    """validate_subtour and, for a feasible point, classify, in one
+    validation pass; the class is None for an infeasible point."""
+    report, cls, _ = _checked(x)
+    return report, cls
 
 
 def classify(x: HalfIntegerPoint) -> PointClass:
@@ -181,26 +263,7 @@ def classify(x: HalfIntegerPoint) -> PointClass:
     all nodes.  On n = 4 both square and fractional-cycle conditions can hold
     at once and the square class wins.
     """
-    report = validate_subtour(x)
-    if not report:
-        raise ValueError(f"not a feasible point: {report.witness()}")
-    cycles = _half_cycles(x)
-    if cycles is not None:
-        if all(len(c) == 4 for c in cycles):
-            one_deg = [0] * x.n
-            half_deg = [0] * x.n
-            for u, v in x.one_edges():
-                one_deg[u] += 1
-                one_deg[v] += 1
-            for u, v in x.half_edges():
-                half_deg[u] += 1
-                half_deg[v] += 1
-            if all(one_deg[v] == 1 and half_deg[v] == 2 for v in range(x.n)):
-                return PointClass.BOYD_CARR
-            return PointClass.SQUARE
-        if len(cycles) == 1 and len(cycles[0]) == x.n:
-            return PointClass.CARR_VEMPALA
-    return PointClass.OTHER_HALF_INTEGER
+    return _classified(x)[0]
 
 
 @dataclass(frozen=True)
@@ -253,61 +316,49 @@ def decompose(x: HalfIntegerPoint) -> SupportDecomposition:
     The pair partition holds the two perfect matchings of every square, in
     square order, matching containing the square's lowest edge first.
     """
-    cls = classify(x)
-    if cls not in (PointClass.SQUARE, PointClass.BOYD_CARR):
+    cls, cycles = _classified(x)
+    if cls not in SQUARE_CLASSES:
         raise ValueError("not a square point")
-    cycles = _half_cycles(x) or []
-    squares = []
-    for cyc in cycles:
-        a = cyc[0]
-        nb = (cyc[1], cyc[-1])
-        if nb[0] < nb[1]:
-            nodes = (a, cyc[1], cyc[2], cyc[3])
-        else:
-            nodes = (a, cyc[3], cyc[2], cyc[1])
-        squares.append(SquareCycle(nodes))
+    squares = tuple(SquareCycle(nodes) for nodes, _ in cycles)
+    paths = tuple(OnePath(nodes, closed) for nodes, closed in _chains(x.one_edges()))
+    pairs = tuple(m for sq in squares for m in sq.matchings)
+    return SupportDecomposition(squares, paths, pairs)
 
-    one_adj: dict[int, list[int]] = {}
-    for u, v in x.one_edges():
-        one_adj.setdefault(u, []).append(v)
-        one_adj.setdefault(v, []).append(u)
-    paths: list[OnePath] = []
-    visited: set[int] = set()
-    endpoints = sorted(v for v, nb in one_adj.items() if len(nb) == 1)
-    for start in endpoints:
-        if start in visited:
-            continue
-        nodes = [start]
-        visited.add(start)
-        prev, cur = start, one_adj[start][0]
-        while True:
-            nodes.append(cur)
-            visited.add(cur)
-            nb = one_adj[cur]
-            if len(nb) == 1:
-                break
-            a, b = nb
-            prev, cur = cur, (b if a == prev else a)
-        paths.append(OnePath(tuple(nodes)))
-    for start in sorted(one_adj):
-        # anything left over is a closed 1-cycle (degenerate integral point)
-        if start in visited:
-            continue
-        nodes = [start]
-        visited.add(start)
-        nb = sorted(one_adj[start])
-        prev, cur = start, nb[0]
-        while cur != start:
-            nodes.append(cur)
-            visited.add(cur)
-            a, b = one_adj[cur]
-            prev, cur = cur, (b if a == prev else a)
-        paths.append(OnePath(tuple(nodes), closed=True))
 
-    pairs: list[frozenset[EdgeKey]] = []
-    for sq in squares:
-        pairs.extend(sq.matchings)
-    return SupportDecomposition(tuple(squares), tuple(paths), tuple(pairs))
+@dataclass(frozen=True)
+class SquarePoint:
+    """A feasible square point with a nonnegative cost on every support edge,
+    as square_point checked it.
+
+    graph is the support with edge id i for keys[i] (keys sorted); weighted
+    carries the costs on it.  The pipeline stages take this object, so a
+    point is validated once however many stages use it.
+    """
+
+    point: HalfIntegerPoint
+    costs: dict[EdgeKey, int]
+    decomposition: SupportDecomposition
+    graph: MultiGraph
+    keys: tuple[EdgeKey, ...]
+
+    @cached_property
+    def weighted(self) -> WeightedGraph:
+        return WeightedGraph(self.graph, tuple(self.costs[k] for k in self.keys))
+
+
+def square_point(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> SquarePoint:
+    """Every check the pipeline needs, run once: x is feasible (one subtour
+    validation), x is a square point, and every support edge has a
+    nonnegative cost."""
+    dec = decompose(x)
+    for e in x.support:
+        c = costs.get(e)
+        if c is None:
+            raise ValueError(f"missing cost for edge {e}")
+        if c < 0:
+            raise ValueError(f"negative cost on edge {e}")
+    g, keys = support_graph(x)
+    return SquarePoint(x, costs, dec, g, tuple(keys))
 
 
 @dataclass(frozen=True)
@@ -326,18 +377,22 @@ class ContractedPoint:
 
 
 def contract_one_paths(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> ContractedPoint:
-    """Contract 1-paths of a square point into matching edges.
+    """Contract 1-paths of a square point into matching edges; checks x and
+    costs with square_point first (see contract)."""
+    return contract(square_point(x, costs))
+
+
+def contract(sp: SquarePoint) -> ContractedPoint:
+    """Contract 1-paths of a checked square point into matching edges.
 
     Every 1-path is replaced by a single edge of summed cost joining its two
     square corners; square edges keep their own costs.  Requires at least one
-    square: an integral point has no square graph.
+    square: an integral point has no square graph.  A feasible point with a
+    square has no closed 1-cycle, which would be a component of its own.
     """
-    dec = decompose(x)
+    dec, costs = sp.decomposition, sp.costs
     if not dec.squares:
         raise ValueError(DEGENERATE_MSG)
-    for e in x.support:
-        if e not in costs:
-            raise ValueError(f"missing cost for edge {e}")
 
     corner_orig: list[int] = []
     corner_new: dict[int, int] = {}
@@ -363,8 +418,6 @@ def contract_one_paths(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> Contra
         return (min(a, b), max(a, b))
 
     for p in sorted(dec.one_paths, key=path_sort_key):
-        if p.closed:
-            raise ValueError(DEGENERATE_MSG)
         a, b = corner_new[p.nodes[0]], corner_new[p.nodes[-1]]
         nodes = p.nodes if a <= b else tuple(reversed(p.nodes))
         eid = len(edges)

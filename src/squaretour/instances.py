@@ -13,14 +13,7 @@ from typing import Iterable
 
 from .deltamatroid import SquareGraph
 from .graphcore import MultiGraph, WeightedGraph, global_min_cut, is_connected
-from .halfpoint import (
-    EdgeKey,
-    HalfIntegerPoint,
-    PointClass,
-    classify,
-    edge_key,
-    validate_subtour,
-)
+from .halfpoint import SQUARE_CLASSES, EdgeKey, HalfIntegerPoint, edge_key, validate_and_classify
 from .kotzig import BitransitionSystem, blow_up, check_system
 
 __all__ = [
@@ -214,8 +207,9 @@ def random_square_point(
         if not ok:
             continue
         x = HalfIntegerPoint(nxt, support)
-        if validate_subtour(x):
-            if classify(x) not in (PointClass.SQUARE, PointClass.BOYD_CARR):
+        report, cls = validate_and_classify(x)
+        if report:
+            if cls not in SQUARE_CLASSES:
                 raise AssertionError("generator produced a non-square point")
             return x
     raise ValueError("generation failed")

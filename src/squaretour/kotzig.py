@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .deltamatroid import SquareGraph, ham_min_cost
-from .graphcore import MultiGraph, is_connected
+from .graphcore import MultiGraph, is_connected, walk_cycle
 
 __all__ = [
     "BitransitionSystem",
@@ -117,30 +117,15 @@ def find_trail(sys: BitransitionSystem) -> Trail:
     ham = ham_min_cost(sg, [1] * sg.graph.edge_count)
 
     corner_dart = {c: d for d, c in corner.items()}
-    bg = sg.graph
-    # walk the Hamiltonian cycle starting along the matching edge of dart 0
-    start = corner[0]
+    # walk the Hamiltonian cycle from dart 0's corner along the matching edge
+    # of original edge 0; each matching edge walked is one trail step
+    first = 4 * g.node_count
+    edges, nodes = walk_cycle(sg.graph, ham.edges, corner[0], first)
     darts: list[int] = []
-    used: set[int] = set()
-    cur = start
-    inc: dict[int, list[int]] = {v: [] for v in range(bg.node_count)}
-    for e in sorted(ham.edges):
-        u, v = bg.edges[e]
-        inc[u].append(e)
-        inc[v].append(e)
-    first = 4 * g.node_count  # matching edge of original edge 0
-    e = first
-    for _ in range(len(ham.edges)):
-        used.add(e)
-        u, v = bg.edges[e]
-        nxt = v if u == cur else u
-        if e >= 4 * g.node_count:
-            darts.append(corner_dart[cur])
-            darts.append(corner_dart[nxt])
-        cur = nxt
-        candidates = [f for f in inc[cur] if f not in used]
-        if candidates:
-            e = candidates[0]
+    for i, e in enumerate(edges):
+        if e >= first:
+            darts.append(corner_dart[nodes[i]])
+            darts.append(corner_dart[nodes[(i + 1) % len(nodes)]])
     return Trail(tuple(darts))
 
 

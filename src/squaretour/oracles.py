@@ -30,8 +30,9 @@ def held_karp(d: Sequence[Sequence[int]], n: int | None = None) -> int:
     """Exact TSP value on nodes 0..n-1 with distance matrix d.
 
     Bitmask DP over subsets of 1..n-1, vectorized per popcount layer.  The
-    table dtype shrinks to uint16 above 21 nodes, where an int64 table would
-    not fit in memory; that bounds tour values by 60000 there.
+    table dtype shrinks to uint16 or int32 above 21 nodes, where an int64
+    table would not fit in memory.  Distances whose tour bound n * max d
+    does not fit the table raise SizeCapError.
     """
     if n is None:
         n = len(d)
@@ -44,23 +45,24 @@ def held_karp(d: Sequence[Sequence[int]], n: int | None = None) -> int:
     for row in d:
         if len(row) != n:
             raise ValueError("distance matrix must be square")
-    dm = np.asarray(d, dtype=np.int64)
-    if (dm < 0).any():
+    if any(v < 0 for row in d for v in row):
         raise ValueError("distances must be nonnegative")
     if n == 1:
         return 0
     if n == 2:
-        return int(dm[0, 1]) + int(dm[1, 0])
+        return int(d[0][1]) + int(d[1][0])
     r = n - 1
-    bound = int(dm.max()) * n + 1
+    # no tour costs more than n * max d; the table must hold that below inf
+    bound = max(int(v) for row in d for v in row) * n + 1
     if r <= 20:
         dtype, inf = np.int64, np.iinfo(np.int64).max // 4
     elif bound < 60000:
         dtype, inf = np.uint16, 60000
-    elif bound < 2**30:
-        dtype, inf = np.int32, np.iinfo(np.int32).max // 4
     else:
-        raise SizeCapError("costs too large for the wide DP table")
+        dtype, inf = np.int32, np.iinfo(np.int32).max // 4
+    if bound > inf:
+        raise SizeCapError(f"costs too large for the {np.dtype(dtype).name} DP table")
+    dm = np.asarray(d, dtype=np.int64)
 
     size = 1 << r
     masks_all = np.arange(size, dtype=np.int64)

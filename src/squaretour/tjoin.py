@@ -20,6 +20,8 @@ from .graphcore import WeightedGraph, is_connected, path_edges_to, shortest_path
 __all__ = ["min_weight_perfect_matching", "min_t_join"]
 
 DP_CAP = 24
+# the DP's "unmatched" value; each DP value, a sum of p/2 distances, stays below
+DP_INF = np.iinfo(np.int64).max // 4
 
 
 def _match_dp(d: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
@@ -28,8 +30,7 @@ def _match_dp(d: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     p = len(d)
     dm = np.asarray(d, dtype=np.int64)
     full = (1 << p) - 1
-    inf = np.iinfo(np.int64).max // 4
-    dp = np.full(1 << p, inf, dtype=np.int64)
+    dp = np.full(1 << p, DP_INF, dtype=np.int64)
     dp[0] = 0
     masks_all = np.arange(1 << p, dtype=np.int64)
     pc = np.zeros(1 << p, dtype=np.uint8)
@@ -41,7 +42,7 @@ def _match_dp(d: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     for s in range(2, p + 1, 2):
         masks = np.flatnonzero(pc == s)
         i0 = low[masks]
-        best = np.full(len(masks), inf, dtype=np.int64)
+        best = np.full(len(masks), DP_INF, dtype=np.int64)
         for j in range(1, p):
             sel = (((masks >> j) & 1) == 1) & (i0 != j)
             if not sel.any():
@@ -85,8 +86,9 @@ def min_weight_perfect_matching(
 ) -> tuple[list[tuple[int, int]], int]:
     """Minimum-weight perfect matching on points 0..p-1 with distance d.
 
-    Returns (pairs, total weight).  engine: "dp" (exact subset DP, p <= 24),
-    "blossom" (networkx, integer-exact), or "auto" (DP up to 16 points).
+    Returns (pairs, total weight).  engine: "dp" (exact subset DP in int64,
+    p <= 24 and (p/2) * max |d| below DP_INF), "blossom" (networkx,
+    integer-exact), or "auto" (DP up to 16 points when its sums fit).
     """
     p = len(d)
     if p % 2:
@@ -96,11 +98,14 @@ def min_weight_perfect_matching(
     for row in d:
         if len(row) != p:
             raise ValueError("distance matrix must be square")
+    fits = p // 2 * max(abs(v) for row in d for v in row) < DP_INF
     if engine == "auto":
-        engine = "dp" if p <= 16 else "blossom"
+        engine = "dp" if p <= 16 and fits else "blossom"
     if engine == "dp":
         if p > DP_CAP:
             raise SizeCapError(f"matching DP capped at {DP_CAP} points, got {p}")
+        if not fits:
+            raise SizeCapError(f"matching DP needs (p/2) * max distance below {DP_INF}")
         pairs = _match_dp(d)
     elif engine == "blossom":
         pairs = _match_blossom(d)

@@ -11,22 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .deltamatroid import ham_min_cost
-from .graphcore import MultiGraph, WeightedGraph, eulerian_circuit, metric_closure
-from .halfpoint import (
-    EdgeKey,
-    HalfIntegerPoint,
-    PointClass,
-    classify,
-    contract_one_paths,
-    edge_key,
-    support_graph,
-)
+from .graphcore import MultiGraph, eulerian_circuit, metric_closure, walk_cycle
+from .halfpoint import EdgeKey, HalfIntegerPoint, SquarePoint, contract, edge_key, square_point
 from .tjoin import min_t_join
-from .treesel import rainbow_one_tree
+from .treesel import rainbow
 
 __all__ = ["SupportHam", "TourReport", "hamiltonian_with_ones", "compute_y", "run_tour"]
-
-SQUARE_CLASSES = (PointClass.SQUARE, PointClass.BOYD_CARR)
 
 
 @dataclass(frozen=True)
@@ -52,63 +42,39 @@ class TourReport:
     final_cost: int
 
 
-def _check_costs(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> None:
-    for e in x.support:
-        c = costs.get(e)
-        if c is None:
-            raise ValueError(f"missing cost for edge {e}")
-        if c < 0:
-            raise ValueError(f"negative cost on edge {e}")
-
-
-def _cycle_order(n: int, edges: frozenset[EdgeKey]) -> tuple[int, ...]:
-    """Node order of a Hamiltonian cycle, from node 0 toward its smaller
-    neighbour."""
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    order = [0]
-    prev, cur = -1, 0
-    for _ in range(n - 1):
-        a, b = sorted(adj[cur])
-        nxt = b if a == prev else a
-        order.append(nxt)
-        prev, cur = cur, nxt
-    return tuple(order)
-
-
 def hamiltonian_with_ones(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> SupportHam:
-    """Minimum-cost Hamiltonian cycle of the support containing every 1-edge.
+    """Minimum-cost Hamiltonian cycle of the support containing every 1-edge;
+    checks x and costs with square_point first (see hamiltonian)."""
+    return hamiltonian(square_point(x, costs))
+
+
+def hamiltonian(sp: SquarePoint) -> SupportHam:
+    """Minimum-cost Hamiltonian cycle of a checked square point's support
+    containing every 1-edge.
 
     An integral point is its own answer; otherwise contract the 1-paths,
     solve on the square graph, and expand the chosen matching edges back to
-    the paths they stand for.
+    the paths they stand for.  The order starts at node 0 and heads to its
+    smaller cycle neighbour: on the support graph, edge ids follow the sorted
+    keys, so that is node 0's lower-id cycle edge.
     """
-    cls = classify(x)
-    if cls not in SQUARE_CLASSES:
-        raise ValueError("not a square point")
-    _check_costs(x, costs)
-    if not x.half_edges():
-        edges = frozenset(x.support)
-        cost = sum(costs[e] for e in edges)
-        return SupportHam(edges, _cycle_order(x.n, edges), cost)
-    cp = contract_one_paths(x, costs)
-    ham = ham_min_cost(cp.square_graph, list(cp.cost))
-    g = cp.square_graph.graph
-    hedges: set[EdgeKey] = set()
-    for eid in sorted(ham.edges):
-        path = cp.expansion.get(eid)
-        if path is None:
-            u, v = g.edges[eid]
-            hedges.add(edge_key(cp.corner_orig[u], cp.corner_orig[v]))
-        else:
-            for u, v in zip(path, path[1:]):
-                hedges.add(edge_key(u, v))
-    cost = sum(costs[e] for e in hedges)
-    if cost != ham.cost:
-        raise AssertionError("expansion changed the cycle cost")
-    return SupportHam(frozenset(hedges), _cycle_order(x.n, frozenset(hedges)), cost)
+    if not sp.decomposition.squares:
+        hedges = frozenset(sp.point.support)
+    else:
+        cp = contract(sp)
+        ham = ham_min_cost(cp.square_graph, list(cp.cost))
+        expanded: set[EdgeKey] = set()
+        for eid in ham.edges:
+            u, v = cp.square_graph.graph.edges[eid]
+            path = cp.expansion.get(eid, (cp.corner_orig[u], cp.corner_orig[v]))
+            expanded.update(edge_key(a, b) for a, b in zip(path, path[1:]))
+        hedges = frozenset(expanded)
+        if sum(sp.costs[e] for e in hedges) != ham.cost:
+            raise AssertionError("expansion changed the cycle cost")
+    index = {k: i for i, k in enumerate(sp.keys)}
+    ids = frozenset(index[e] for e in hedges)
+    _, order = walk_cycle(sp.graph, ids, 0, min(index[e] for e in hedges if e[0] == 0))
+    return SupportHam(hedges, tuple(order), sum(sp.costs[e] for e in hedges))
 
 
 def compute_y(x: HalfIntegerPoint, ham_edges: frozenset[EdgeKey]) -> dict[EdgeKey, int]:
@@ -135,21 +101,18 @@ def _tour_multigraph(n: int, mult: dict[EdgeKey, int]) -> MultiGraph:
     return MultiGraph(n, edges)
 
 
-def _shortcut(
-    x: HalfIntegerPoint, costs: dict[EdgeKey, int], mult: dict[EdgeKey, int]
-) -> tuple[tuple[int, ...], int]:
+def _shortcut(sp: SquarePoint, mult: dict[EdgeKey, int]) -> tuple[tuple[int, ...], int]:
     """Walk the tour along its canonical Eulerian circuit, skip nodes already
     visited, and price consecutive survivors by shortest-path distance."""
-    walk = eulerian_circuit(_tour_multigraph(x.n, mult), 0)
-    seen = [False] * x.n
+    n = sp.point.n
+    walk = eulerian_circuit(_tour_multigraph(n, mult), 0)
+    seen = [False] * n
     cycle: list[int] = []
     for v in walk[:-1]:
         if not seen[v]:
             seen[v] = True
             cycle.append(v)
-    g, keys = support_graph(x)
-    wg = WeightedGraph(g, tuple(costs[k] for k in keys))
-    dist = metric_closure(wg)
+    dist = metric_closure(sp.weighted)
     total = 0
     for i, u in enumerate(cycle):
         total += dist[u][cycle[(i + 1) % len(cycle)]]
@@ -161,33 +124,30 @@ def run_tour(
 ) -> TourReport:
     """Run the full pipeline on a square point with nonnegative costs.
 
-    The returned report always satisfies 14*min(c_H, c_J) <= 10*c_x2; a
-    violation raises instead, since it can only mean a bug here.  engine
-    selects the perfect-matching method for the T-join step.
+    The point and costs are checked once, by square_point, and every stage
+    works on the checked point.  The returned report always satisfies
+    14*min(c_H, c_J) <= 10*c_x2; a violation raises instead, since it can
+    only mean a bug here.  engine selects the perfect-matching method for the
+    T-join step.
     """
-    cls = classify(x)
-    if cls not in SQUARE_CLASSES:
-        raise ValueError("not a square point")
-    _check_costs(x, costs)
-    ham = hamiltonian_with_ones(x, costs)
+    sp = square_point(x, costs)
+    ham = hamiltonian(sp)
     c_x2 = x.cost_x2(costs)
 
-    if not x.half_edges():
+    if not sp.decomposition.squares:
         j_star = {e: 1 for e in ham.edges}
         c_j = ham.cost
     else:
-        f_star = rainbow_one_tree(x, costs)
+        f_star = rainbow(sp)
         deg = [0] * x.n
         for u, v in f_star.edges:
             deg[u] += 1
             deg[v] += 1
         t_set = [v for v in range(x.n) if deg[v] % 2]
-        g, keys = support_graph(x)
-        wg = WeightedGraph(g, tuple(costs[k] for k in keys))
-        join = min_t_join(wg, t_set, engine=engine)
+        join = min_t_join(sp.weighted, t_set, engine=engine)
         j_star = {e: 1 for e in f_star.edges}
         for eid in join:
-            j_star[keys[eid]] = j_star.get(keys[eid], 0) + 1
+            j_star[sp.keys[eid]] = j_star.get(sp.keys[eid], 0) + 1
         c_j = sum(costs[e] * m for e, m in j_star.items())
 
     best = min(ham.cost, c_j)
@@ -195,7 +155,7 @@ def run_tour(
     if not bound_holds:
         raise RuntimeError("theorem violated")
     chosen = {e: 1 for e in ham.edges} if ham.cost <= c_j else j_star
-    final_cycle, final_cost = _shortcut(x, costs, chosen)
+    final_cycle, final_cost = _shortcut(sp, chosen)
     return TourReport(
         hamiltonian=ham,
         j_star=j_star,

@@ -16,12 +16,7 @@ from typing import Hashable, Iterable, Protocol, Sequence
 from dataclasses import dataclass
 
 from .graphcore import DisjointSet, MultiGraph
-from .halfpoint import (
-    DEGENERATE_MSG,
-    EdgeKey,
-    HalfIntegerPoint,
-    decompose,
-)
+from .halfpoint import DEGENERATE_MSG, EdgeKey, HalfIntegerPoint, SquarePoint, square_point
 
 __all__ = [
     "MatroidOracle",
@@ -269,21 +264,23 @@ class RainbowOneTree:
 
 
 def rainbow_one_tree(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> RainbowOneTree:
-    """Minimum-cost rainbow 1-tree of a square point.
+    """Minimum-cost rainbow 1-tree of a square point; checks x and costs with
+    square_point first (see rainbow)."""
+    return rainbow(square_point(x, costs))
+
+
+def rainbow(sp: SquarePoint) -> RainbowOneTree:
+    """Minimum-cost rainbow 1-tree of a checked square point.
 
     The common-basis computation runs with the 1-edges contracted out of both
     matroids: every common basis contains each singleton class, so forcing
     them first is cost-neutral and keeps the exchange graph small.
     """
-    dec = decompose(x)
+    x, costs, dec = sp.point, sp.costs, sp.decomposition
     if not dec.squares:
         raise ValueError(DEGENERATE_MSG)
-    for e in x.support:
-        if e not in costs:
-            raise ValueError(f"missing cost for edge {e}")
-    keys = sorted(x.support)
-    one_edges = frozenset(e for e in keys if x.support[e] == 2)
-    one_tree = OneTreeMatroid(x.n, keys)
+    one_edges = frozenset(e for e in sp.keys if x.support[e] == 2)
+    one_tree = OneTreeMatroid(x.n, sp.keys)
     m1 = ContractedMatroid(one_tree, one_edges)
     m2 = PartitionMatroid(dec.pair_partition)
     sol = weighted_matroid_intersection(m1, m2, costs)

@@ -1,7 +1,14 @@
 import io
 
 from squaretour.cli import main
-from squaretour.instances import make_donut, parse_bts, parse_point, serialize_point
+from squaretour.instances import (
+    make_donut,
+    parse_bts,
+    parse_point,
+    random_costs,
+    random_square_point,
+    serialize_point,
+)
 from squaretour.kotzig import Trail, verify_trail
 
 BANANA_BTS = """BTS 2
@@ -124,3 +131,21 @@ def test_missing_file_exits_2(tmp_path, capsys, monkeypatch):
     code, _, err = run(["validate", str(tmp_path / "nope.point")], capsys, monkeypatch)
     assert code == 2
     assert err.startswith("error: ")
+
+
+def test_tour_exact_at_any_cost_scale(capsys, monkeypatch):
+    # path distances past int64 (x 2^58) used to overflow the matching DP's
+    # table, and ones near it (x 2^61 // 50) to pass its sentinel
+    x = random_square_point(4, 2, 7)
+    costs = random_costs(x, 7)
+    code, out, _ = run(["tour"], capsys, monkeypatch, stdin=serialize_point(x, costs))
+    assert code == 0
+    assert out == "cx=1593/2 cH=701 cJ=905 tour=687 bound=OK\n"
+    for scale in (2**58, 2**61 // 50):
+        scaled = {e: c * scale for e, c in costs.items()}
+        code, out, err = run(["tour"], capsys, monkeypatch, stdin=serialize_point(x, scaled))
+        assert (code, err) == (0, "")
+        assert out == (
+            f"cx={1593 * scale}/2 cH={701 * scale} cJ={905 * scale} "
+            f"tour={687 * scale} bound=OK\n"
+        )

@@ -15,6 +15,7 @@ from squaretour.graphcore import (
     metric_closure,
     path_edges_to,
     shortest_paths_from,
+    walk_cycle,
 )
 
 
@@ -202,3 +203,12 @@ def test_weighted_graph_rejects_negative():
         WeightedGraph(g, (-1,))
     with pytest.raises(ValueError):
         WeightedGraph(g, (1, 2))
+
+
+def test_walk_cycle_leaves_along_first_edge():
+    # 4-cycle 0-1-2-3 with the chord 0-2 outside the cycle
+    g = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    cycle = frozenset({0, 1, 2, 3})
+    assert walk_cycle(g, cycle, 0, 0) == ([0, 1, 2, 3], [0, 1, 2, 3])
+    assert walk_cycle(g, cycle, 0, 3) == ([3, 2, 1, 0], [0, 3, 2, 1])
+    assert walk_cycle(g, cycle, 2, 1) == ([1, 0, 3, 2], [2, 1, 0, 3])

@@ -1,7 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from squaretour import halfpoint
 from squaretour.graphcore import WeightedGraph, global_min_cut, metric_closure
 from squaretour.halfpoint import (
     DEGENERATE_MSG,
@@ -71,7 +75,7 @@ def test_validate_disconnected():
     assert rep.reason in ("degree", "disconnected")
 
 
-def test_validate_cut_witness_adjacent_corner_paths():
+def single_square_point_adjacent_paths():
     # square 0-1-2-3, paths 0-4-1 and 2-5-3 join adjacent corners: cut x=1
     support = {
         (0, 1): 1,
@@ -83,7 +87,11 @@ def test_validate_cut_witness_adjacent_corner_paths():
         (2, 5): 2,
         (3, 5): 2,
     }
-    rep = validate_subtour(HalfIntegerPoint(6, support))
+    return HalfIntegerPoint(6, support)
+
+
+def test_validate_cut_witness_adjacent_corner_paths():
+    rep = validate_subtour(single_square_point_adjacent_paths())
     assert not rep
     assert rep.reason == "cut"
     assert rep.cut_value_x2 == 2
@@ -117,6 +125,70 @@ def test_min_cut_brute_equality_on_invalid_point():
     val, side = brute_cuts(x)
     rep = validate_subtour(x)
     assert val == rep.cut_value_x2 == 2
+
+
+def test_min_cut_runs_on_series_reduced_support(monkeypatch):
+    sizes = []
+
+    def recording(wg):
+        sizes.append(wg.graph.node_count)
+        return global_min_cut(wg)
+
+    monkeypatch.setattr(halfpoint, "global_min_cut", recording)
+    # a donut keeps only its square corners: 4 per square
+    assert validate_subtour(make_donut(12).point)
+    assert sizes == [4 * 12]
+    # a Boyd-Carr point has no node of support degree 2 to suppress
+    x = random_square_point(3, 1, 5)
+    sizes.clear()
+    assert validate_subtour(x)
+    assert sizes == [x.n]
+    # a violated cut is found on the reduced support, then cut again on the
+    # full support for its witness
+    sizes.clear()
+    assert not validate_subtour(single_square_point_adjacent_paths())
+    assert sizes == [4, 6]
+
+
+@st.composite
+def perturbed_square_points(draw):
+    """A small random square point, then one to three swaps of two
+    equal-valued edges a-b, c-d for a-c, b-d: doubled degrees stay 4, while
+    cuts may fall below 4 and the support may fall apart."""
+    x = random_square_point(draw(st.integers(1, 2)), draw(st.integers(1, 2)),
+                            draw(st.integers(0, 10**6)))
+    support = dict(x.support)
+    for _ in range(draw(st.integers(1, 3))):
+        swaps = [
+            (e, f, new)
+            for e, f in combinations(sorted(support), 2)
+            if support[e] == support[f] and len({*e, *f}) == 4
+            for new in ((edge_key(e[0], f[0]), edge_key(e[1], f[1])),
+                        (edge_key(e[0], f[1]), edge_key(e[1], f[0])))
+            if not set(new) & set(support)
+        ]
+        if not swaps:
+            break
+        e, f, new = draw(st.sampled_from(swaps))
+        x2 = support.pop(e)
+        del support[f]
+        support.update(dict.fromkeys(new, x2))
+    return HalfIntegerPoint(x.n, support)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(perturbed_square_points())
+def test_validate_agrees_with_brute_cuts_on_perturbed_points(x):
+    val, _ = brute_cuts(x)
+    rep = validate_subtour(x)
+    assert bool(rep) == (val >= 4)
+    if rep.reason == "cut":
+        assert rep.cut_value_x2 == val
+        side = rep.cut_side
+        crossing = sum(x2 for (u, v), x2 in x.support.items() if (u in side) != (v in side))
+        assert crossing == rep.cut_value_x2
+    elif not rep:
+        assert (rep.reason, val) == ("disconnected", 0)
 
 
 def test_donut_min_cut_is_two():
@@ -284,6 +356,9 @@ def test_contract_checks_costs():
     costs = dict(inst.costs)
     costs.pop((0, 1))
     with pytest.raises(ValueError, match="missing cost"):
+        contract_one_paths(inst.point, costs)
+    costs[(0, 1)] = -1
+    with pytest.raises(ValueError, match="negative cost"):
         contract_one_paths(inst.point, costs)
 
 

@@ -66,6 +66,9 @@ def test_held_karp_input_checks():
     big = [[1] * (HELD_KARP_CAP + 1) for _ in range(HELD_KARP_CAP + 1)]
     with pytest.raises(SizeCapError, match="instance too large for exact oracle"):
         held_karp(big)
+    # a tour of 2^64 does not fit the int64 table
+    with pytest.raises(SizeCapError, match="costs too large"):
+        held_karp([[2**62] * 4 for _ in range(4)])
 
 
 def test_brute_ham_donut_and_cap():

@@ -110,6 +110,11 @@ def test_matching_dp_cap():
     pairs, w = min_weight_perfect_matching(d, engine="auto")
     assert w == 13
     assert len(pairs) == 13
+    # sums past the DP's int64 range: auto falls back to blossom, dp refuses
+    d = [[2**62 * abs(i - j) for j in range(4)] for i in range(4)]
+    with pytest.raises(SizeCapError):
+        min_weight_perfect_matching(d, engine="dp")
+    assert min_weight_perfect_matching(d) == ([(0, 1), (2, 3)], 2**63)
 
 
 def test_t_join_path_endpoints():

@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from squaretour.graphcore import DisjointSet, MultiGraph, is_connected
+from squaretour import halfpoint
+from squaretour.graphcore import DisjointSet, MultiGraph, global_min_cut, is_connected
 from squaretour.halfpoint import HalfIntegerPoint, decompose, edge_key
 from squaretour.instances import (
     everywhere_instance,
@@ -192,6 +193,22 @@ def test_run_tour_structural_invariants():
         join_cost = rep.c_j - f_star.cost
         y = compute_y(x, rep.hamiltonian.edges)
         assert 6 * join_cost <= sum(costs[e] * v for e, v in y.items()), seed
+
+
+def test_run_tour_validates_once(monkeypatch):
+    calls = []
+
+    def counting(wg):
+        calls.append(wg)
+        return global_min_cut(wg)
+
+    monkeypatch.setattr(halfpoint, "global_min_cut", counting)
+    inst = make_donut(3)
+    x = random_square_point(3, 2, 11)
+    for point, costs in ((inst.point, inst.costs), (x, random_costs(x, 11))):
+        calls.clear()
+        run_tour(point, costs)
+        assert len(calls) == 1
 
 
 def test_run_tour_engines_agree():
