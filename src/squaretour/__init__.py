@@ -10,16 +10,7 @@ objective).  A forbidden-bitransition Eulerian trail solver and the donut
 instance family round out the toolbox.
 """
 
-from .deltamatroid import (
-    ExplicitDeltaMatroid,
-    HamCycle,
-    SquareDeltaMatroid,
-    SquareGraph,
-    check_square_graph,
-    greedy,
-    ham_min_cost,
-    verify_ham,
-)
+from .deltamatroid import HamCycle, SquareGraph, check_square_graph, ham_min_cost, verify_ham
 from .errors import SizeCapError
 from .graphcore import (
     DisjointSet,
@@ -32,12 +23,15 @@ from .graphcore import (
 from .halfpoint import (
     HalfIntegerPoint,
     PointClass,
+    SquarePoint,
     SubtourReport,
     classify,
     contract_one_paths,
     decompose,
     edge_key,
+    square_point,
     support_graph,
+    validate_and_classify,
     validate_subtour,
 )
 from .instances import (
@@ -55,17 +49,19 @@ from .instances import (
     serialize_point,
 )
 from .kotzig import BitransitionSystem, Trail, blow_up, check_system, find_trail, verify_trail
-from .oracles import brute_cuts, brute_ham, brute_rainbow, brute_t_join, held_karp
+from .oracles import (
+    ExplicitDeltaMatroid,
+    SquareDeltaMatroid,
+    brute_cuts,
+    brute_ham,
+    brute_rainbow,
+    brute_t_join,
+    greedy,
+    held_karp,
+)
 from .tjoin import min_t_join, min_weight_perfect_matching
 from .tour import SupportHam, TourReport, compute_y, hamiltonian_with_ones, run_tour
-from .treesel import (
-    GraphicMatroid,
-    OneTreeMatroid,
-    PartitionMatroid,
-    RainbowOneTree,
-    rainbow_one_tree,
-    weighted_matroid_intersection,
-)
+from .treesel import RainbowOneTree, rainbow_one_tree
 
 __version__ = "0.1.0"
 
@@ -74,17 +70,15 @@ __all__ = [
     "DisjointSet",
     "DonutInstance",
     "ExplicitDeltaMatroid",
-    "GraphicMatroid",
     "HalfIntegerPoint",
     "HamCycle",
     "MultiGraph",
-    "OneTreeMatroid",
-    "PartitionMatroid",
     "PointClass",
     "RainbowOneTree",
     "SizeCapError",
     "SquareDeltaMatroid",
     "SquareGraph",
+    "SquarePoint",
     "SubtourReport",
     "SupportHam",
     "TourReport",
@@ -125,9 +119,10 @@ __all__ = [
     "run_tour",
     "serialize_bts",
     "serialize_point",
+    "square_point",
     "support_graph",
+    "validate_and_classify",
     "validate_subtour",
     "verify_ham",
     "verify_trail",
-    "weighted_matroid_intersection",
 ]

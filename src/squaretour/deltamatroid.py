@@ -5,14 +5,15 @@ into a perfect matching M and a disjoint union of 4-cycles (squares).  Every
 Hamiltonian cycle containing M picks exactly one of the two perfect matchings
 of each square, and the traces H & R on a reference set R (one non-matching
 edge per square) form a delta-matroid.  That structure is what makes the
-greedy choices below optimal.
+greedy choices below optimal; the oracle form of that greedy is kept in
+oracles as a reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Protocol, Sequence
+from typing import Sequence
 
 from .graphcore import MultiGraph, connected_without, is_two_edge_connected, walk_cycle
 
@@ -20,10 +21,6 @@ __all__ = [
     "SquareGraph",
     "check_square_graph",
     "HamCycle",
-    "DeltaMatroidOracle",
-    "SquareDeltaMatroid",
-    "ExplicitDeltaMatroid",
-    "greedy",
     "ham_min_cost",
     "verify_ham",
 ]
@@ -115,116 +112,6 @@ class HamCycle:
     edges: frozenset[int]
     node_order: tuple[int, ...]
     cost: int
-
-
-class DeltaMatroidOracle(Protocol):
-    """Extendability oracle for a delta-matroid over a finite ground set.
-
-    query(include, exclude) answers whether some member D of the family
-    satisfies D >= include and D & exclude == empty.
-    """
-
-    @property
-    def ground_set(self) -> tuple[int, ...]: ...
-
-    def query(self, include: Iterable[int], exclude: Iterable[int]) -> bool: ...
-
-
-class ExplicitDeltaMatroid:
-    """Oracle backed by an explicit set family; intended for tests."""
-
-    def __init__(self, ground: Iterable[int], family: Iterable[Iterable[int]]):
-        self._ground = tuple(sorted(ground))
-        gs = set(self._ground)
-        fam = []
-        for member in family:
-            member = frozenset(member)
-            if not member <= gs:
-                raise ValueError("family member outside ground set")
-            fam.append(member)
-        self.family = tuple(fam)
-
-    @property
-    def ground_set(self) -> tuple[int, ...]:
-        return self._ground
-
-    def query(self, include: Iterable[int], exclude: Iterable[int]) -> bool:
-        inc, exc = frozenset(include), frozenset(exclude)
-        return any(inc <= d and not (exc & d) for d in self.family)
-
-
-class SquareDeltaMatroid:
-    """Oracle for the family {H & R : H Hamiltonian cycle containing M}.
-
-    The feasibility test forces the matching containing r for r in include,
-    the matching avoiding r for r in exclude, checks connectivity with all
-    free squares left intact, and then settles the free squares one by one,
-    each time keeping a matching that preserves connectivity (one always
-    exists once the forced graph is connected).
-    """
-
-    def __init__(self, sg: SquareGraph):
-        check_square_graph(sg)
-        self.sg = sg
-
-    @property
-    def ground_set(self) -> tuple[int, ...]:
-        return self.sg.reference
-
-    def query(self, include: Iterable[int], exclude: Iterable[int]) -> bool:
-        sg = self.sg
-        inc, exc = frozenset(include), frozenset(exclude)
-        allowed = set(sg.reference)
-        if not (inc <= allowed and exc <= allowed):
-            raise ValueError("query outside the reference set")
-        if inc & exc:
-            return False
-        removed: set[int] = set()
-        forced: set[int] = set()
-        for r in inc:
-            removed |= sg.matching_without(r)
-            forced.add(sg.square_of[r])
-        for r in exc:
-            removed |= sg.matching_with(r)
-            forced.add(sg.square_of[r])
-        if not connected_without(sg.graph, frozenset(removed)):
-            return False
-        for si in range(len(sg.squares)):
-            if si in forced:
-                continue
-            m1, m2 = sg.square_matchings(si)
-            if connected_without(sg.graph, frozenset(removed | m2)):
-                removed |= m2
-            elif connected_without(sg.graph, frozenset(removed | m1)):
-                removed |= m1
-            else:  # pragma: no cover - contradicts the exchange structure
-                raise RuntimeError("no matching choice keeps the graph connected")
-        return True
-
-
-def greedy(oracle: DeltaMatroidOracle, cost: dict[int, int]) -> frozenset[int]:
-    """Minimum-cost member of a delta-matroid via extendability queries.
-
-    Elements are scanned by decreasing |cost| (ties by ascending element id).
-    A nonpositive element is taken if some member allows it, a positive one is
-    avoided if some member allows that; the final include set is optimal.
-    """
-    if not oracle.query((), ()):
-        raise ValueError("empty delta-matroid")
-    include: set[int] = set()
-    exclude: set[int] = set()
-    for e in sorted(oracle.ground_set, key=lambda e: (-abs(cost[e]), e)):
-        if cost[e] <= 0:
-            if oracle.query(include | {e}, exclude):
-                include.add(e)
-            else:
-                exclude.add(e)
-        else:
-            if oracle.query(include, exclude | {e}):
-                exclude.add(e)
-            else:
-                include.add(e)
-    return frozenset(include)
 
 
 def ham_min_cost(sg: SquareGraph, cost: Sequence[int]) -> HamCycle:

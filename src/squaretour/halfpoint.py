@@ -9,6 +9,7 @@ the contraction of 1-paths down to a square graph all live here.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -154,11 +155,13 @@ def validate_subtour(x: HalfIntegerPoint) -> SubtourReport:
     least 4: the reduced support has a cut below 4 exactly when the support
     has one.  Only then is the full support cut, for the witness.
     """
-    deg = [0] * x.n
+    deg: Counter[int] = Counter()
     for (u, v), x2 in x.support.items():
         deg[u] += x2
         deg[v] += x2
-    for v in range(x.n):
+    # the support touches at most 2|support| nodes, so when n is larger an
+    # untouched node, and thus the first failing one, lies below this bound
+    for v in range(min(x.n, 2 * len(x.support) + 1)):
         if deg[v] != 4:
             return SubtourReport(False, "degree", node=v)
     g, keys = support_graph(x)

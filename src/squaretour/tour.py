@@ -119,16 +119,13 @@ def _shortcut(sp: SquarePoint, mult: dict[EdgeKey, int]) -> tuple[tuple[int, ...
     return tuple(cycle), total
 
 
-def run_tour(
-    x: HalfIntegerPoint, costs: dict[EdgeKey, int], engine: str = "auto"
-) -> TourReport:
+def run_tour(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> TourReport:
     """Run the full pipeline on a square point with nonnegative costs.
 
     The point and costs are checked once, by square_point, and every stage
     works on the checked point.  The returned report always satisfies
     14*min(c_H, c_J) <= 10*c_x2; a violation raises instead, since it can
-    only mean a bug here.  engine selects the perfect-matching method for the
-    T-join step.
+    only mean a bug here.
     """
     sp = square_point(x, costs)
     ham = hamiltonian(sp)
@@ -144,7 +141,7 @@ def run_tour(
             deg[u] += 1
             deg[v] += 1
         t_set = [v for v in range(x.n) if deg[v] % 2]
-        join = min_t_join(sp.weighted, t_set, engine=engine)
+        join = min_t_join(sp.weighted, t_set)
         j_star = {e: 1 for e in f_star.edges}
         for eid in join:
             j_star[sp.keys[eid]] = j_star.get(sp.keys[eid], 0) + 1

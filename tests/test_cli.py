@@ -30,6 +30,14 @@ E 0 3 1 5
 END
 """
 
+# a triangle of 1-edges under a node count no list could hold
+HUGE_N = """POINT 99999999999999999999
+E 0 1 2 1
+E 1 2 2 1
+E 0 2 2 1
+END
+"""
+
 
 def run(argv, capsys, monkeypatch, stdin=None):
     if stdin is not None:
@@ -64,6 +72,13 @@ def test_validate_invalid_point_exits_2(capsys, monkeypatch):
     code, out, _ = run(["validate"], capsys, monkeypatch, stdin=DEGREE_BAD)
     assert code == 2
     assert out == "INVALID degree node=0\n"
+    code, out, _ = run(["validate"], capsys, monkeypatch, stdin=HUGE_N)
+    assert code == 2
+    assert out == "INVALID degree node=3\n"
+    for cmd in ("ham", "tour"):
+        code, out, err = run([cmd], capsys, monkeypatch, stdin=HUGE_N)
+        assert (code, out) == (2, "")
+        assert err == "error: not a feasible point: degree node=3\n"
 
 
 def test_ham_output_shape(capsys, monkeypatch):

@@ -3,19 +3,11 @@ from itertools import combinations, product
 
 import pytest
 
-from squaretour.deltamatroid import (
-    ExplicitDeltaMatroid,
-    SquareDeltaMatroid,
-    SquareGraph,
-    check_square_graph,
-    greedy,
-    ham_min_cost,
-    verify_ham,
-)
+from squaretour.deltamatroid import SquareGraph, check_square_graph, ham_min_cost, verify_ham
 from squaretour.graphcore import MultiGraph, connected_without
 from squaretour.halfpoint import contract_one_paths
 from squaretour.instances import make_donut, random_square_graph
-from squaretour.oracles import brute_ham
+from squaretour.oracles import ExplicitDeltaMatroid, SquareDeltaMatroid, brute_ham, greedy
 
 
 def k4_square_graph():

@@ -211,16 +211,6 @@ def test_run_tour_validates_once(monkeypatch):
         assert len(calls) == 1
 
 
-def test_run_tour_engines_agree():
-    for seed in (3, 14, 27):
-        x = random_square_point(3, 2, seed)
-        costs = random_costs(x, seed)
-        a = run_tour(x, costs, engine="dp")
-        b = run_tour(x, costs, engine="blossom")
-        assert a.c_j == b.c_j
-        assert a.c_h == b.c_h
-
-
 def test_run_tour_rejects_bad_inputs():
     x = prism_point()
     with pytest.raises(ValueError, match="not a square point"):
