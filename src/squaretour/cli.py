@@ -91,6 +91,9 @@ def _cmd_random_square(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     x, costs = parse_point(_read(args.file))
+    if x.n > 2 * len(x.support):
+        # some node meets no edge; checked before any n-sized structure
+        raise ValueError("disconnected graph")
     g, keys = support_graph(x)
     wg = WeightedGraph(g, tuple(costs[k] for k in keys))
     dist = metric_closure(wg)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .graphcore import MultiGraph, connected_without, is_two_edge_connected, walk_cycle
+from .graphcore import MultiGraph, connected_without, is_connected, walk_cycle
 
 __all__ = [
     "SquareGraph",
@@ -103,7 +103,10 @@ def check_square_graph(sg: SquareGraph) -> None:
     non_matching = set(range(g.edge_count)) - set(sg.matching)
     if seen != non_matching:
         bad("squares do not partition the non-matching edges")
-    if not is_two_edge_connected(g):
+    # A bridge lies on no square, so it is a matching edge with whole squares
+    # on each side; one side would hold 4k nodes of which 4k - 1 are matched
+    # among themselves.  So a connected square graph is 2-edge-connected.
+    if not is_connected(g):
         bad("graph is not 2-edge-connected")
 
 

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from numbers import Integral
+from typing import Iterable
 
 __all__ = [
     "MultiGraph",
@@ -19,8 +18,6 @@ __all__ = [
     "DisjointSet",
     "is_connected",
     "connected_without",
-    "bridges",
-    "is_two_edge_connected",
     "global_min_cut",
     "shortest_paths_from",
     "path_edges_to",
@@ -86,7 +83,7 @@ class WeightedGraph:
         if len(self.weight) != self.graph.edge_count:
             raise ValueError("weight vector length must equal edge count")
         for w in self.weight:
-            if not isinstance(w, (int, np.integer)) or w < 0:
+            if not isinstance(w, Integral) or w < 0:
                 raise ValueError("weights must be nonnegative integers")
         object.__setattr__(self, "weight", tuple(int(w) for w in self.weight))
 
@@ -151,63 +148,12 @@ def connected_without(g: MultiGraph, removed: frozenset[int]) -> bool:
     return len(_reach(g, 0, removed)) == g.node_count
 
 
-def bridges(g: MultiGraph) -> set[int]:
-    """Edge ids whose removal disconnects their component.
-
-    Iterative lowpoint DFS; parallel edges and loops are never bridges.
-    """
-    n = g.node_count
-    disc = [-1] * n
-    low = [0] * n
-    out: set[int] = set()
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        # stack holds (node, incoming dart, iterator index over darts)
-        stack: list[list[int]] = [[root, -1, 0]]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            frame = stack[-1]
-            v, in_dart, idx = frame
-            darts = g.darts_at(v)
-            if idx < len(darts):
-                frame[2] += 1
-                d = darts[idx]
-                if in_dart != -1 and (d >> 1) == (in_dart >> 1):
-                    # do not walk back through the tree edge itself; a second
-                    # parallel copy has a different edge id and is traversed
-                    continue
-                w = g.dart_other_node(d)
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append([w, d, 0])
-                else:
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            else:
-                stack.pop()
-                if in_dart != -1:
-                    p = g.dart_node(in_dart)  # parent end of the tree dart
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if low[v] > disc[p]:
-                        out.add(in_dart >> 1)
-    return out
-
-
-def is_two_edge_connected(g: MultiGraph) -> bool:
-    return is_connected(g) and not bridges(g)
-
-
 def global_min_cut(wg: WeightedGraph) -> tuple[int, frozenset[int]]:
     """Global minimum cut by the Stoer-Wagner maximum-adjacency scheme.
 
     Deterministic: phases start at the lowest active node id and break
     adjacency ties by node id.  Returns (cut value, one side of the cut).
-    Weights are summed in int64; loops never cross a cut and are dropped.
+    Loops never cross a cut and are dropped.
     """
     g = wg.graph
     n = g.node_count
@@ -215,58 +161,60 @@ def global_min_cut(wg: WeightedGraph) -> tuple[int, frozenset[int]]:
         raise ValueError("min cut needs at least 2 nodes")
     if not is_connected(g):
         raise ValueError("disconnected graph")
-    w = np.zeros((n, n), dtype=np.int64)
-    for eid, (u, v) in enumerate(g.edges):
+    # adj[v][u]: total weight between the merged nodes v and u
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for (u, v), w in zip(g.edges, wg.weight):
         if u != v:
-            w[u, v] += wg.weight[eid]
-            w[v, u] += wg.weight[eid]
-    active = np.ones(n, dtype=bool)
-    groups: list[set[int]] = [{i} for i in range(n)]
-    best_val: int | None = None
-    best_side: frozenset[int] = frozenset()
-    for _ in range(n - 1):
-        idx = np.flatnonzero(active)
-        if len(idx) < 2:
-            break
-        start = int(idx[0])
-        in_a = np.zeros(n, dtype=bool)
-        in_a[start] = True
-        conn = w[start].copy()
-        prev = start
-        last = start
-        for _ in range(len(idx) - 1):
-            cand = np.where(active & ~in_a, conn, np.int64(-1))
-            nxt = int(np.argmax(cand))
-            prev, last = last, nxt
-            cut_of_phase = int(conn[nxt])
-            in_a[nxt] = True
-            conn += w[nxt]
-        if best_val is None or cut_of_phase < best_val:
-            best_val = cut_of_phase
-            best_side = frozenset(groups[last])
+            adj[u][v] = adj[u].get(v, 0) + w
+            adj[v][u] = adj[v].get(u, 0) + w
+    groups = {v: {v} for v in range(n)}  # active node -> nodes merged into it
+    best: tuple[int, frozenset[int]] | None = None
+    while len(groups) > 1:
+        # lazy max-heap on (-connectivity, node id); the ids ascend, so the
+        # list is a heap and the phase starts at the lowest active id
+        conn = dict.fromkeys(groups, 0)
+        heap = [(0, v) for v in conn]
+        prev = last = -1
+        while conn:
+            key, v = heapq.heappop(heap)
+            if conn.get(v) != -key:
+                continue  # already added, or a stale entry
+            prev, last = last, v
+            cut_of_phase = conn.pop(v)
+            for u, w in adj[v].items():
+                if u in conn:
+                    conn[u] += w
+                    heapq.heappush(heap, (-conn[u], u))
+        if best is None or cut_of_phase < best[0]:
+            best = (cut_of_phase, frozenset(groups[last]))
         # merge last into prev
-        w[prev] += w[last]
-        w[:, prev] += w[:, last]
-        w[prev, prev] = 0
-        w[last, :] = 0
-        w[:, last] = 0
-        active[last] = False
-        groups[prev] |= groups[last]
-    assert best_val is not None
-    return best_val, best_side
+        adj[prev].pop(last, None)
+        for u, w in adj[last].items():
+            if u != prev:
+                adj[u][prev] = adj[prev][u] = adj[prev].get(u, 0) + w
+                del adj[u][last]
+        groups[prev] |= groups.pop(last)
+    assert best is not None
+    return best
 
 
-def shortest_paths_from(wg: WeightedGraph, source: int) -> tuple[list[int], list[int]]:
+def shortest_paths_from(
+    wg: WeightedGraph, source: int, targets: Iterable[int] | None = None
+) -> tuple[list[int], list[int]]:
     """Dijkstra from source.  Returns (dist, parent dart) per node.
 
     parent[v] is the dart of the edge used to enter v (-1 at the source and
-    for unreachable nodes); dist is -1 for unreachable nodes.
+    for unreachable nodes); dist is -1 for unreachable nodes.  With targets,
+    the search stops once every target is settled: dist and parent are then
+    final only for settled nodes, which include the targets and every node
+    on their shortest paths, and equal those of the full search there.
     """
     g = wg.graph
     n = g.node_count
     dist = [-1] * n
     parent = [-1] * n
     seen = [False] * n
+    pending = None if targets is None else set(targets)
     pq: list[tuple[int, int]] = [(0, source)]
     dist[source] = 0
     while pq:
@@ -274,6 +222,10 @@ def shortest_paths_from(wg: WeightedGraph, source: int) -> tuple[list[int], list
         if seen[v]:
             continue
         seen[v] = True
+        if pending is not None:
+            pending.discard(v)
+            if not pending:
+                break
         for d in g.darts_at(v):
             w = g.dart_other_node(d)
             if w == v:

@@ -404,22 +404,24 @@ def parse_bts(text: str) -> BitransitionSystem:
     m = len(edge_rows)
     if sorted(edge_rows) != list(range(m)):
         raise ValueError("edge ids must be exactly 0..m-1")
-    g = MultiGraph(n, [edge_rows[e] for e in range(m)])
-    forbidden: list[tuple[tuple[int, int], tuple[int, int]] | None] = [None] * n
+    forbidden: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
     for lineno, toks in f_rows:
         if len(toks) != 6:
             raise ValueError(f"line {lineno}: expected 'F <v> <d1> <d2> <d3> <d4>'")
         v = _parse_int(toks[1], lineno, "node id")
         if not 0 <= v < n:
             raise ValueError(f"line {lineno}: node id out of range 0..{n - 1}")
-        if forbidden[v] is not None:
+        if v in forbidden:
             raise ValueError(f"line {lineno}: duplicate forbidden pairing for node {v}")
         d1, d2, d3, d4 = (_parse_dart(t, lineno, m) for t in toks[2:])
         forbidden[v] = ((d1, d2), (d3, d4))
-    missing = [v for v in range(n) if forbidden[v] is None]
-    if missing:
-        raise ValueError(f"missing forbidden pairing for node {missing[0]}")
-    sys = BitransitionSystem(g, tuple(forbidden))  # type: ignore[arg-type]
+    # the first gap comes at the latest after len(forbidden) nodes, so a huge
+    # header is rejected here, before anything n-sized is built
+    missing = next((v for v in range(n) if v not in forbidden), None)
+    if missing is not None:
+        raise ValueError(f"missing forbidden pairing for node {missing}")
+    g = MultiGraph(n, [edge_rows[e] for e in range(m)])
+    sys = BitransitionSystem(g, tuple(forbidden[v] for v in range(n)))
     check_system(sys)
     return sys
 

@@ -2,9 +2,10 @@
 
 For nonnegative weights a minimum T-join is the symmetric difference of
 shortest paths between the pairs of a minimum-weight perfect matching on T,
-with distances from the metric closure.  Two interchangeable matching
-engines: a subset dynamic program (exact, up to 24 points) and the
-blossom-based integer-exact matching from networkx for larger inputs.
+with distances from one shortest-path search per T node.  Two
+interchangeable matching engines: a subset dynamic program (exact, up to 24
+points) and the blossom-based integer-exact matching from networkx for
+larger inputs.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ def min_t_join(wg: WeightedGraph, t_set: Iterable[int], engine: str = "auto") ->
     dists = []
     parents = []
     for v in t_nodes:
-        dist, parent = shortest_paths_from(wg, v)
+        dist, parent = shortest_paths_from(wg, v, t_nodes)
         dists.append(dist)
         parents.append(parent)
     d = [[dists[a][t_nodes[b]] for b in range(len(t_nodes))] for a in range(len(t_nodes))]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .deltamatroid import ham_min_cost
-from .graphcore import MultiGraph, eulerian_circuit, metric_closure, walk_cycle
+from .graphcore import MultiGraph, eulerian_circuit, shortest_paths_from, walk_cycle
 from .halfpoint import EdgeKey, HalfIntegerPoint, SquarePoint, contract, edge_key, square_point
 from .tjoin import min_t_join
 from .treesel import rainbow
@@ -103,7 +103,8 @@ def _tour_multigraph(n: int, mult: dict[EdgeKey, int]) -> MultiGraph:
 
 def _shortcut(sp: SquarePoint, mult: dict[EdgeKey, int]) -> tuple[tuple[int, ...], int]:
     """Walk the tour along its canonical Eulerian circuit, skip nodes already
-    visited, and price consecutive survivors by shortest-path distance."""
+    visited, and price each consecutive survivor pair by a shortest-path
+    search from the first that stops at the second."""
     n = sp.point.n
     walk = eulerian_circuit(_tour_multigraph(n, mult), 0)
     seen = [False] * n
@@ -112,10 +113,10 @@ def _shortcut(sp: SquarePoint, mult: dict[EdgeKey, int]) -> tuple[tuple[int, ...
         if not seen[v]:
             seen[v] = True
             cycle.append(v)
-    dist = metric_closure(sp.weighted)
     total = 0
     for i, u in enumerate(cycle):
-        total += dist[u][cycle[(i + 1) % len(cycle)]]
+        v = cycle[(i + 1) % len(cycle)]
+        total += shortest_paths_from(sp.weighted, u, (v,))[0][v]
     return tuple(cycle), total
 
 

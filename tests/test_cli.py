@@ -38,6 +38,14 @@ E 0 2 2 1
 END
 """
 
+# BANANA_BTS's node 0 under a node count no list could hold
+HUGE_BTS = """BTS 99999999999999999999
+E 0 0 0
+E 1 0 0
+F 0 0.0 0.1 1.0 1.1
+END
+"""
+
 
 def run(argv, capsys, monkeypatch, stdin=None):
     if stdin is not None:
@@ -100,6 +108,13 @@ def test_oracle_opt_and_size_cap(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_huge_header_fails_before_allocating(capsys, monkeypatch):
+    code, out, err = run(["oracle", "opt"], capsys, monkeypatch, stdin=HUGE_N)
+    assert (code, out, err) == (2, "", "error: disconnected graph\n")
+    code, out, err = run(["kotzig"], capsys, monkeypatch, stdin=HUGE_BTS)
+    assert (code, out, err) == (2, "", "error: missing forbidden pairing for node 1\n")
 
 
 def test_kotzig_prints_verifiable_trail(capsys, monkeypatch):

@@ -4,7 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from squaretour.deltamatroid import SquareGraph, check_square_graph, ham_min_cost, verify_ham
-from squaretour.graphcore import MultiGraph, connected_without
+from squaretour.graphcore import MultiGraph, connected_without, is_connected
 from squaretour.halfpoint import contract_one_paths
 from squaretour.instances import make_donut, random_square_graph
 from squaretour.oracles import ExplicitDeltaMatroid, SquareDeltaMatroid, brute_ham, greedy
@@ -14,6 +14,17 @@ def k4_square_graph():
     # square 0-1-2-3 with both diagonals as the matching
     g = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)])
     return SquareGraph(g, frozenset({4, 5}), ((0, 1, 2, 3),))
+
+
+def random_matched_squares(rng, s):
+    """s squares on nodes 4i..4i+3 plus a uniformly random perfect matching
+    of all 4s nodes, which may double a square edge or add a diagonal."""
+    edges = [(4 * i + j, 4 * i + (j + 1) % 4) for i in range(s) for j in range(4)]
+    nodes = list(range(4 * s))
+    rng.shuffle(nodes)
+    edges += [(min(a, b), max(a, b)) for a, b in zip(nodes[0::2], nodes[1::2])]
+    squares = tuple(tuple(range(4 * i, 4 * i + 4)) for i in range(s))
+    return SquareGraph(MultiGraph(4 * s, edges), frozenset(range(4 * s, 6 * s)), squares)
 
 
 def enumerate_hams(sg):
@@ -39,11 +50,33 @@ def test_check_square_graph_rejects_bad_inputs():
         check_square_graph(SquareGraph(g, frozenset({4}), ((0, 1, 2, 3),)))
     with pytest.raises(ValueError, match="not a square graph"):
         check_square_graph(SquareGraph(g, frozenset({0, 2}), ((0, 1, 2, 3),)))
-    # cubic but with a bridge between two K4 blobs is not 2-edge-connected;
-    # simplest violation here: drop a square edge so degrees break
+    # a square edge dropped: degrees break
     g2 = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
     with pytest.raises(ValueError, match="not a square graph"):
         check_square_graph(SquareGraph(g2, frozenset({3, 4}), ((0, 1, 2, 3),)))
+
+
+def test_connected_square_graphs_have_no_bridge():
+    # check_square_graph tests connectivity alone for 2-edge-connectivity
+    connected = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        sg = random_matched_squares(rng, rng.randint(1, 6))
+        g = sg.graph
+        if not is_connected(g):
+            with pytest.raises(ValueError, match="not a square graph"):
+                check_square_graph(sg)
+            continue
+        connected += 1
+        check_square_graph(sg)
+        assert all(connected_without(g, frozenset({e})) for e in range(g.edge_count)), seed
+    assert 50 <= connected < 300
+    # two K4 squares side by side: cubic, matched, but disconnected
+    square = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    edges = square + [(u + 4, v + 4) for u, v in square] + [(0, 2), (1, 3), (4, 6), (5, 7)]
+    sg = SquareGraph(MultiGraph(8, edges), frozenset(range(8, 12)), ((0, 1, 2, 3), (4, 5, 6, 7)))
+    with pytest.raises(ValueError, match="not a square graph"):
+        check_square_graph(sg)
 
 
 def test_square_matchings_pair_opposite_edges():

@@ -4,8 +4,15 @@ from itertools import combinations
 import pytest
 
 from squaretour import halfpoint
-from squaretour.graphcore import DisjointSet, MultiGraph, global_min_cut, is_connected
-from squaretour.halfpoint import HalfIntegerPoint, decompose, edge_key
+from squaretour.graphcore import (
+    DisjointSet,
+    MultiGraph,
+    WeightedGraph,
+    global_min_cut,
+    is_connected,
+    metric_closure,
+)
+from squaretour.halfpoint import HalfIntegerPoint, decompose, edge_key, support_graph
 from squaretour.instances import (
     everywhere_instance,
     make_donut,
@@ -193,6 +200,21 @@ def test_run_tour_structural_invariants():
         join_cost = rep.c_j - f_star.cost
         y = compute_y(x, rep.hamiltonian.edges)
         assert 6 * join_cost <= sum(costs[e] * v for e, v in y.items()), seed
+
+
+def test_final_cost_is_metric_closure_price():
+    # the shortcut prices each step by a search stopped at its successor
+    cases = [(inst.point, inst.costs) for inst in map(make_donut, range(2, 7))]
+    for seed in range(30):
+        rng = random.Random(seed)
+        x = random_square_point(rng.randint(1, 6), rng.randint(1, 3), 70 + seed)
+        cases.append((x, random_costs(x, seed)))
+    for x, costs in cases:
+        rep = run_tour(x, costs)
+        g, keys = support_graph(x)
+        dist = metric_closure(WeightedGraph(g, tuple(costs[k] for k in keys)))
+        cyc = rep.final_cycle
+        assert rep.final_cost == sum(dist[u][v] for u, v in zip(cyc, cyc[1:] + cyc[:1])), x.n
 
 
 def test_run_tour_validates_once(monkeypatch):
