@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 invalid input, 3 exact-engine size cap.  Output is
-deterministic for a fixed input and seed, so commands can be piped, e.g.
+Exit codes: 0 success, 2 invalid input, 3 exact-engine size cap, 4 failed
+internal check (one ``error: internal:`` line).  Output is deterministic for
+a fixed input and seed, so commands can be piped, e.g.
 ``squaretour donut --k 2 | squaretour tour``.
 """
 
@@ -11,7 +12,7 @@ import argparse
 import sys
 
 from .errors import SizeCapError
-from .graphcore import WeightedGraph, metric_closure
+from .graphcore import WeightedGraph, is_connected, metric_closure
 from .halfpoint import support_graph, validate_and_classify
 from .instances import (
     make_donut,
@@ -22,7 +23,7 @@ from .instances import (
     serialize_point,
 )
 from .kotzig import find_trail
-from .oracles import held_karp
+from .oracles import HELD_KARP_CAP, held_karp
 from .tour import hamiltonian_with_ones, run_tour
 
 
@@ -96,8 +97,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         raise ValueError("disconnected graph")
     g, keys = support_graph(x)
     wg = WeightedGraph(g, tuple(costs[k] for k in keys))
-    dist = metric_closure(wg)
-    print(f"OPT={held_karp(dist)}")
+    if not is_connected(g):
+        raise ValueError("disconnected graph")
+    if x.n > HELD_KARP_CAP:  # held_karp's own cap, checked before n searches
+        raise SizeCapError("instance too large for exact oracle")
+    print(f"OPT={held_karp(metric_closure(wg))}")
     return 0
 
 
@@ -154,6 +158,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, AssertionError) as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -256,20 +256,7 @@ def everywhere_instance(g: MultiGraph, ham_edges: Iterable[int]) -> HalfIntegerP
         deg[v] += 1
     if any(d != 2 for d in deg):
         raise ValueError("cycle edges must cover every node twice")
-    reach = {0}
-    frontier = [0]
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for e in ham:
-        u, v = g.edges[e]
-        adj[u].append(v)
-        adj[v].append(u)
-    while frontier:
-        u = frontier.pop()
-        for w in adj[u]:
-            if w not in reach:
-                reach.add(w)
-                frontier.append(w)
-    if len(reach) != n:
+    if not is_connected(MultiGraph(n, [g.edges[e] for e in ham])):
         raise ValueError("cycle edges are not connected")
     support = {
         edge_key(u, v): (1 if e in ham else 2) for e, (u, v) in enumerate(g.edges)

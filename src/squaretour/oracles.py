@@ -11,8 +11,6 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Protocol, Sequence
 
-import numpy as np
-
 from .deltamatroid import SquareGraph, check_square_graph
 from .errors import SizeCapError
 from .graphcore import DisjointSet, WeightedGraph, connected_without
@@ -62,6 +60,7 @@ def held_karp(d: Sequence[Sequence[int]], n: int | None = None) -> int:
         return 0
     if n == 2:
         return int(d[0][1]) + int(d[1][0])
+    import numpy as np  # imported here so that importing the package stays light
     r = n - 1
     # no tour costs more than n * max d; the table must hold that below inf
     bound = max(int(v) for row in d for v in row) * n + 1
@@ -142,6 +141,7 @@ def brute_t_join(wg: WeightedGraph, t_set) -> frozenset[int]:
     t_mask = 0
     for v in t_nodes:
         t_mask |= 1 << v
+    import numpy as np
     subsets = np.arange(1 << m, dtype=np.int64)
     parity = np.zeros(1 << m, dtype=np.int64)
     total = np.zeros(1 << m, dtype=np.int64)

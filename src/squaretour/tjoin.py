@@ -2,120 +2,246 @@
 
 For nonnegative weights a minimum T-join is the symmetric difference of
 shortest paths between the pairs of a minimum-weight perfect matching on T,
-with distances from one shortest-path search per T node.  Two
-interchangeable matching engines: a subset dynamic program (exact, up to 24
-points) and the blossom-based integer-exact matching from networkx for
-larger inputs.
+with distances from one shortest-path search per T node.  The matching is
+Edmonds' primal-dual blossom algorithm on the dense distance matrix, in
+Python integers, so it is exact at any cost magnitude.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-import networkx as nx
-import numpy as np
-
-from .errors import SizeCapError
 from .graphcore import WeightedGraph, is_connected, path_edges_to, shortest_paths_from
 
 __all__ = ["min_weight_perfect_matching", "min_t_join"]
 
-DP_CAP = 24
-# the DP's "unmatched" value; each DP value, a sum of p/2 distances, stays below
-DP_INF = np.iinfo(np.int64).max // 4
+
+def _match(d: Sequence[Sequence[int]]) -> list[int]:
+    """Mate of every point in a minimum-weight perfect matching of d (p >= 2).
+
+    Edmonds (Canad. J. Math. 17, 1965) in the dense O(p^3) primal-dual form
+    of Galil (ACM Comput. Surv. 18, 1986): a maximum-weight perfect matching
+    on w(i, j) = -2 d[i][j] from the upper triangle.  Points are vertices
+    0..p-1, blossoms p..2p-1; edge uv between top-level blossoms has slack
+    dual[u] + dual[v] - w(u, v).  The duals start equal, then each free point
+    lowers its own to a tight edge (matching a free tight partner), so free
+    points' duals share a parity and every dual step is an integer.  Labels:
+    0 outer, 1 inner, -1 none.  rep[b][x] is b's point on the least-slack
+    edge to a vertex x outside b: b's points move their duals together.
+    """
+    p, m = len(d), 2 * len(d)
+    w = [[-2 * int(d[i][j] if i < j else d[j][i]) for j in range(p)] for i in range(p)]
+    dual = [max(map(max, w)) // 2] * p + [0] * p  # the diagonal is never read after this
+    mate = [-1] * m  # the point matched to x's base
+    pred = [-1] * m  # for inner x: the outer point across its tree edge
+    best = [-1] * m  # the outer point on the least-slack edge to x
+    label = [-1] * m
+    top_of = list(range(p)) + [-1] * p  # -1: an unused blossom id
+    kids: list[list[int]] = [[] for _ in range(m)]  # odd cycle, base first
+    kid_of: list[dict[int, int]] = [{} for _ in range(m)]  # point -> kid
+    leaves = [[v] for v in range(p)] + [[] for _ in range(p)]
+    rep = [[v] * m for v in range(p)] + [[-1] * m for _ in range(p)]  # rep[v][x] = v for a point v
+    queue: list[int] = []
+    used = p  # blossom ids in use are below this
+
+    def slack(u: int, x: int) -> int:
+        v = rep[x][u]
+        return dual[u] + dual[v] - w[u][v]
+
+    def set_best(x: int) -> None:
+        outer = [u for u in range(p) if top_of[u] != x and label[top_of[u]] == 0]
+        best[x] = min(outer, key=lambda u: slack(u, x), default=-1)
+
+    def set_top(x: int, b: int) -> None:
+        top_of[x] = b
+        for k in kids[x]:
+            set_top(k, b)
+
+    def even_side(b: int, k: int) -> int:
+        """Orient b's cycle so that kid k sits at an even position; return it."""
+        ks = kids[b]
+        i = ks.index(k)
+        if i % 2:
+            ks[1:] = ks[:0:-1]
+            return len(ks) - i
+        return i
+
+    def set_mate(u: int, v: int) -> None:
+        mate[u] = rep[v][u]
+        if u >= p:
+            k = kid_of[u][rep[u][v]]
+            i = even_side(u, k)
+            ks = kids[u]
+            for j in range(i):
+                set_mate(ks[j], ks[j ^ 1])
+            set_mate(k, v)
+            kids[u] = ks[i:] + ks[:i]
+
+    def augment(u: int, v: int) -> None:
+        while True:
+            was = mate[u]
+            set_mate(u, v)
+            if was < 0:
+                return
+            v = top_of[was]
+            u = top_of[pred[v]]
+            set_mate(v, u)
+
+    def to_root(x: int) -> Iterator[int]:
+        """The outer vertices on x's alternating path to its tree's root."""
+        while x >= 0:
+            yield x
+            x = top_of[pred[top_of[mate[x]]]] if mate[x] >= 0 else -1
+
+    def add_blossom(u: int, base: int, v: int) -> None:
+        nonlocal used
+        b = next(b for b in range(p, m) if top_of[b] < 0)
+        used = max(used, b + 1)
+        dual[b], label[b], mate[b] = 0, 0, mate[base]
+        halves = []
+        for x in (u, v):
+            path = []
+            while x != base:
+                y = top_of[mate[x]]
+                path += (x, y)
+                queue.extend(leaves[y])
+                x = top_of[pred[y]]
+            halves.append(path)
+        ks = kids[b] = [base, *halves[0][::-1], *halves[1]]
+        leaves[b] = [v for k in ks for v in leaves[k]]
+        kid_of[b] = {v: k for k in ks for v in leaves[k]}
+        set_top(b, b)
+        for x in range(used):
+            if top_of[x] >= 0 and top_of[x] != b:
+                ends = [(rep[k][x], rep[x][k]) for k in ks]
+                _, rep[b][x], rep[x][b] = min((dual[a] + dual[z] - w[a][z], a, z) for a, z in ends)
+        set_best(b)
+
+    def expand(b: int) -> None:
+        ks = kids[b]
+        for k in ks:
+            set_top(k, k)
+        kr = kid_of[b][rep[b][pred[b]]]
+        i = even_side(b, kr)
+        for j in range(0, i, 2):
+            k, nk = ks[j], ks[j + 1]
+            pred[k] = rep[nk][k]
+            label[k], label[nk], best[k] = 1, 0, -1
+            set_best(nk)
+            queue.extend(leaves[nk])
+        label[kr], pred[kr] = 1, pred[b]
+        for k in ks[i + 1 :]:
+            label[k] = -1
+            set_best(k)
+        top_of[b] = -1
+
+    def found(eu: int, ev: int) -> bool:
+        """Handle the tight edge eu-ev from an outer point; True on augment."""
+        u, v = top_of[eu], top_of[ev]
+        if label[v] == -1:
+            nu = top_of[mate[v]]
+            pred[v], label[v], label[nu] = eu, 1, 0
+            best[v] = best[nu] = -1
+            queue.extend(leaves[nu])
+        elif label[v] == 0:
+            on_u = set(to_root(u))
+            base = next((x for x in to_root(v) if x in on_u), -1)
+            if base < 0:
+                augment(u, v)
+                augment(v, u)
+                return True
+            add_blossom(u, base, v)
+        return False
+
+    def phase() -> bool:
+        """Grow alternating trees from every free vertex until one
+        augmentation; False once the matching is perfect."""
+        queue.clear()
+        label[:used] = [-1] * used
+        best[:used] = [-1] * used
+        for x in range(used):
+            if top_of[x] == x and mate[x] < 0:
+                pred[x], label[x] = -1, 0
+                queue.extend(leaves[x])
+        if not queue:
+            return False
+        while True:
+            while queue:
+                u = queue.pop()
+                bu = top_of[u]
+                if label[bu] == 1:
+                    continue
+                du, wu = dual[u], w[u]
+                done = set()  # blossoms whose least-slack edge from u is known
+                for v in range(p):
+                    bv = top_of[v]
+                    if bv == bu:
+                        continue
+                    if du + dual[v] == wu[v]:
+                        if found(u, v):
+                            return True
+                        bu = top_of[u]
+                    elif bv == v:
+                        b = best[v]
+                        if b < 0 or du - wu[v] < dual[b] - w[b][v]:
+                            best[v] = u
+                    elif bv not in done:
+                        done.add(bv)
+                        if best[bv] < 0 or slack(u, bv) < slack(best[bv], bv):
+                            best[bv] = u
+            step = min(
+                [dual[b] // 2 for b in range(p, used) if top_of[b] == b and label[b] == 1]
+                + [slack(best[x], x) // (2 if label[x] == 0 else 1) for x in range(used)
+                   if top_of[x] == x and best[x] >= 0 and label[x] != 1]
+            )
+            # outer points lose step and inner ones gain it; blossoms twice that, reversed
+            for u in range(p):
+                dual[u] += (-step, step, 0)[label[top_of[u]]]
+            for b in range(p, used):
+                if top_of[b] == b:
+                    dual[b] += (2 * step, -2 * step, 0)[label[b]]
+            for x in range(used):
+                u = best[x]
+                if top_of[x] == x and u >= 0 and top_of[u] != x and slack(u, x) == 0:
+                    if found(u, rep[x][u]):
+                        return True
+            for b in range(p, used):
+                if top_of[b] == b and label[b] == 1 and dual[b] == 0:
+                    expand(b)
+
+    for u in range(p):
+        if mate[u] < 0:
+            dual[u] = max(w[u][v] - dual[v] for v in range(p) if v != u)
+            for v in range(p):
+                if v != u and mate[v] < 0 and dual[u] + dual[v] == w[u][v]:
+                    mate[u], mate[v] = v, u
+                    break
+    while phase():
+        pass
+    return mate[:p]
 
 
-def _match_dp(d: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
-    """Subset DP over even masks; layer-vectorized so the 2^p table stays in
-    numpy.  dp[mask] = cost of perfectly matching the points in mask."""
-    p = len(d)
-    dm = np.asarray(d, dtype=np.int64)
-    full = (1 << p) - 1
-    dp = np.full(1 << p, DP_INF, dtype=np.int64)
-    dp[0] = 0
-    masks_all = np.arange(1 << p, dtype=np.int64)
-    pc = np.zeros(1 << p, dtype=np.uint8)
-    for j in range(p):
-        pc += ((masks_all >> j) & 1).astype(np.uint8)
-    low = np.zeros(1 << p, dtype=np.int64)
-    if p:
-        low[1:] = np.round(np.log2((masks_all[1:] & -masks_all[1:]).astype(np.float64))).astype(np.int64)
-    for s in range(2, p + 1, 2):
-        masks = np.flatnonzero(pc == s)
-        i0 = low[masks]
-        best = np.full(len(masks), DP_INF, dtype=np.int64)
-        for j in range(1, p):
-            sel = (((masks >> j) & 1) == 1) & (i0 != j)
-            if not sel.any():
-                continue
-            sub = masks[sel] ^ (1 << i0[sel]) ^ (1 << j)
-            cand = dm[i0[sel], j] + dp[sub]
-            best[sel] = np.minimum(best[sel], cand)
-        dp[masks] = best
-
-    pairs: list[tuple[int, int]] = []
-    mask = full
-    while mask:
-        i = int(low[mask])
-        rest = mask ^ (1 << i)
-        for j in range(i + 1, p):
-            if rest >> j & 1 and dp[mask] == dm[i, j] + dp[rest ^ (1 << j)]:
-                pairs.append((i, j))
-                mask = rest ^ (1 << j)
-                break
-        else:  # pragma: no cover
-            raise RuntimeError("matching DP reconstruction failed")
-    return pairs
-
-
-def _match_blossom(d: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
-    p = len(d)
-    g = nx.Graph()
-    g.add_nodes_from(range(p))
-    for i in range(p):
-        for j in range(i + 1, p):
-            g.add_edge(i, j, weight=-int(d[i][j]))
-    mate = nx.max_weight_matching(g, maxcardinality=True)
-    pairs = sorted(tuple(sorted(e)) for e in mate)
-    if 2 * len(pairs) != p:  # pragma: no cover
-        raise RuntimeError("matching is not perfect")
-    return pairs
-
-
-def min_weight_perfect_matching(
-    d: Sequence[Sequence[int]], engine: str = "auto"
-) -> tuple[list[tuple[int, int]], int]:
+def min_weight_perfect_matching(d: Sequence[Sequence[int]]) -> tuple[list[tuple[int, int]], int]:
     """Minimum-weight perfect matching on points 0..p-1 with distance d.
 
-    Returns (pairs, total weight).  engine: "dp" (exact subset DP in int64,
-    p <= 24 and (p/2) * max |d| below DP_INF), "blossom" (networkx,
-    integer-exact), or "auto" (DP up to 16 points when its sums fit).
+    Returns (pairs, total weight), pairs ascending with i < j in each.  Only
+    the upper triangle of d counts.
     """
     p = len(d)
     if p % 2:
         raise ValueError("odd number of points has no perfect matching")
     if p == 0:
         return [], 0
-    for row in d:
-        if len(row) != p:
-            raise ValueError("distance matrix must be square")
-    fits = p // 2 * max(abs(v) for row in d for v in row) < DP_INF
-    if engine == "auto":
-        engine = "dp" if p <= 16 and fits else "blossom"
-    if engine == "dp":
-        if p > DP_CAP:
-            raise SizeCapError(f"matching DP capped at {DP_CAP} points, got {p}")
-        if not fits:
-            raise SizeCapError(f"matching DP needs (p/2) * max distance below {DP_INF}")
-        pairs = _match_dp(d)
-    elif engine == "blossom":
-        pairs = _match_blossom(d)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    if any(len(row) != p for row in d):
+        raise ValueError("distance matrix must be square")
+    mate = _match(d)
+    if any(v < 0 or mate[v] != u for u, v in enumerate(mate)):
+        raise RuntimeError("matching is not perfect")
+    pairs = [(u, v) for u, v in enumerate(mate) if u < v]
     return pairs, sum(int(d[i][j]) for i, j in pairs)
 
 
-def min_t_join(wg: WeightedGraph, t_set: Iterable[int], engine: str = "auto") -> frozenset[int]:
+def min_t_join(wg: WeightedGraph, t_set: Iterable[int]) -> frozenset[int]:
     """Minimum-weight T-join as a set of edge ids.
 
     The symmetric difference of shortest paths between optimally matched
@@ -140,7 +266,7 @@ def min_t_join(wg: WeightedGraph, t_set: Iterable[int], engine: str = "auto") ->
         dists.append(dist)
         parents.append(parent)
     d = [[dists[a][t_nodes[b]] for b in range(len(t_nodes))] for a in range(len(t_nodes))]
-    pairs, _ = min_weight_perfect_matching(d, engine=engine)
+    pairs, _ = min_weight_perfect_matching(d)
     join: set[int] = set()
     for a, b in pairs:
         join ^= set(path_edges_to(parents[a], g, t_nodes[b]))

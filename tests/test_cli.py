@@ -1,5 +1,13 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import squaretour
+from squaretour import cli
 from squaretour.cli import main
 from squaretour.instances import (
     make_donut,
@@ -108,6 +116,31 @@ def test_oracle_opt_and_size_cap(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ")
+    # the cap is checked before the n shortest-path searches of the closure
+    closures = []
+    monkeypatch.setattr(cli, "metric_closure", lambda wg: closures.append(wg))
+    code, out, err = run(["oracle", "opt"], capsys, monkeypatch, stdin=donut_text(12))
+    assert (code, out, err) == (3, "", "error: instance too large for exact oracle\n")
+    assert closures == []
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("theorem violated"),
+                                 AssertionError("matching is not perfect")])
+def test_internal_error_exits_4(exc, capsys, monkeypatch):
+    def broken(x, costs):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_tour", broken)
+    code, out, err = run(["tour"], capsys, monkeypatch, stdin=donut_text(2))
+    assert (code, out, err) == (4, "", f"error: internal: {exc}\n")
+
+
+def test_import_leaves_out_numpy_and_networkx():
+    probe = "import squaretour, squaretour.cli, sys; print(sorted({'numpy', 'networkx'} & set(sys.modules)))"
+    src = str(Path(squaretour.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout == "[]\n"
 
 
 def test_huge_header_fails_before_allocating(capsys, monkeypatch):

@@ -1,9 +1,11 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from squaretour.errors import SizeCapError
 from squaretour.graphcore import MultiGraph, WeightedGraph
 from squaretour.oracles import brute_t_join
 from squaretour.tjoin import min_t_join, min_weight_perfect_matching
@@ -35,6 +37,12 @@ def test_matching_four_points_on_a_line():
     pairs, w = min_weight_perfect_matching(d)
     assert w == 2
     assert sorted(pairs) == [(0, 1), (2, 3)]
+    # sums past 2^63 stay exact
+    d = [[2**62 * abs(i - j) for j in range(4)] for i in range(4)]
+    assert min_weight_perfect_matching(d) == ([(0, 1), (2, 3)], 2**63)
+    # 26 points on a line: neighbours pair up
+    d = [[abs(i - j) for j in range(26)] for i in range(26)]
+    assert min_weight_perfect_matching(d) == ([(i, i + 1) for i in range(0, 26, 2)], 13)
 
 
 def test_matching_empty_and_odd():
@@ -43,8 +51,6 @@ def test_matching_empty_and_odd():
         min_weight_perfect_matching([[0]])
     with pytest.raises(ValueError, match="square"):
         min_weight_perfect_matching([[0, 1], [1]])
-    with pytest.raises(ValueError, match="unknown engine"):
-        min_weight_perfect_matching([[0, 1], [1, 0]], engine="magic")
 
 
 def brute_matching_weight(d):
@@ -70,11 +76,9 @@ def test_matching_engines_agree_with_enumeration():
         p = rng.choice((2, 4, 6, 8))
         pts = [rng.randint(0, 50) for _ in range(p)]
         d = [[abs(a - b) for b in pts] for a in pts]
-        want = brute_matching_weight(d)
-        for engine in ("dp", "blossom", "auto"):
-            pairs, w = min_weight_perfect_matching(d, engine=engine)
-            assert w == want, (seed, engine)
-            assert sorted(v for ij in pairs for v in ij) == list(range(p))
+        pairs, w = min_weight_perfect_matching(d)
+        assert w == brute_matching_weight(d), seed
+        assert sorted(v for ij in pairs for v in ij) == list(range(p))
 
 
 def test_matching_six_random_vs_fifteen_matchings():
@@ -102,19 +106,38 @@ def all_matchings(points):
             yield [(i, j)] + m
 
 
-def test_matching_dp_cap():
-    p = 26
-    d = [[abs(i - j) for j in range(p)] for i in range(p)]
-    with pytest.raises(SizeCapError):
-        min_weight_perfect_matching(d, engine="dp")
-    pairs, w = min_weight_perfect_matching(d, engine="auto")
-    assert w == 13
-    assert len(pairs) == 13
-    # sums past the DP's int64 range: auto falls back to blossom, dp refuses
-    d = [[2**62 * abs(i - j) for j in range(4)] for i in range(4)]
-    with pytest.raises(SizeCapError):
-        min_weight_perfect_matching(d, engine="dp")
-    assert min_weight_perfect_matching(d) == ([(0, 1), (2, 3)], 2**63)
+@st.composite
+def cost_matrices(draw, max_points):
+    """Square matrices on an even number of points; only the upper triangle
+    is read, so the lower one is left random."""
+    p = 2 * draw(st.integers(1, max_points // 2))
+    costs = draw(st.sampled_from([st.integers(0, 2), st.integers(0, 100),
+                                  st.integers(2**63, 2**63 + 2**20)]))
+    return [[draw(costs) if i != j else 0 for j in range(p)] for i in range(p)]
+
+
+def checked_matching_weight(d):
+    pairs, w = min_weight_perfect_matching(d)
+    assert all(i < j for i, j in pairs)
+    assert sorted(v for ij in pairs for v in ij) == list(range(len(d)))
+    assert w == sum(d[i][j] for i, j in pairs)
+    return w
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(cost_matrices(10))
+def test_matching_agrees_with_enumeration_on_drawn_costs(d):
+    assert checked_matching_weight(d) == brute_matching_weight(d)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(cost_matrices(40))
+def test_matching_agrees_with_networkx_on_drawn_costs(d):
+    g = nx.Graph()
+    for i, j in combinations(range(len(d)), 2):
+        g.add_edge(i, j, weight=d[i][j])
+    want = sum(d[min(e)][max(e)] for e in nx.min_weight_matching(g))
+    assert checked_matching_weight(d) == want
 
 
 def test_t_join_path_endpoints():
@@ -174,15 +197,3 @@ def test_t_join_matches_brute_force():
         join = min_t_join(wg, t_nodes)
         brute = brute_t_join(wg, t_nodes)
         assert join_weight(wg, join) == join_weight(wg, brute), seed
-
-
-def test_t_join_engines_agree():
-    for seed in range(40):
-        rng = random.Random(seed)
-        n = rng.randint(4, 16)
-        wg = random_connected_weighted(rng, n, rng.randint(2, 10))
-        t_size = 2 * rng.randint(1, n // 2)
-        t_nodes = set(rng.sample(range(n), t_size))
-        a = min_t_join(wg, t_nodes, engine="dp")
-        b = min_t_join(wg, t_nodes, engine="blossom")
-        assert join_weight(wg, a) == join_weight(wg, b), seed
