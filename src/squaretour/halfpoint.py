@@ -115,34 +115,37 @@ class SubtourReport:
         return f"cut S={{{side}}} x2={self.cut_value_x2}"
 
 
-def _series_reduced(wg: WeightedGraph) -> WeightedGraph:
-    """Suppress every node of degree 2: a-v-b becomes one a-b edge of weight
-    min(w_av, w_vb), the series rule of Padberg & Rinaldi (Math. Prog. 47,
-    1990).  Every cut separating two kept nodes keeps its minimum value."""
-    g = wg.graph
+def _series_reduced(g: MultiGraph) -> tuple[list[int], MultiGraph, list[tuple[int, ...]]]:
+    """Suppress every node of degree 2, the series rule of Padberg & Rinaldi
+    (Math. Prog. 47, 1990): each path a-...-b through degree-2 nodes becomes
+    one a-b edge.  Returns the kept nodes (ascending), the reduced graph and,
+    per reduced edge, its chain of g's edge ids walked from the kept node it
+    is first met at; kept nodes, then their darts, ascending number the
+    edges.  Weighted by the minimum over each chain, every cut separating two
+    kept nodes keeps its minimum value.  Parts without a kept node vanish."""
     kept = [v for v in range(g.node_count) if g.degree(v) != 2]
     new = [-1] * g.node_count
     for i, v in enumerate(kept):
         new[v] = i
     used = bytearray(g.edge_count)
     edges: list[tuple[int, int]] = []
-    weight: list[int] = []
+    chains: list[tuple[int, ...]] = []
     for a in kept:
         for d in g.darts_at(a):
             if used[d >> 1]:
                 continue
             used[d >> 1] = 1
-            w = wg.weight[d >> 1]
+            chain = [d >> 1]
             v = g.dart_other_node(d)
             while new[v] < 0:
                 d1, d2 = g.darts_at(v)
                 d = d2 if d1 >> 1 == d >> 1 else d1
                 used[d >> 1] = 1
-                w = min(w, wg.weight[d >> 1])
+                chain.append(d >> 1)
                 v = g.dart_other_node(d)
             edges.append((new[a], new[v]))
-            weight.append(w)
-    return WeightedGraph(MultiGraph(len(kept), edges), tuple(weight))
+            chains.append(tuple(chain))
+    return kept, MultiGraph(len(kept), edges), chains
 
 
 def validate_subtour(x: HalfIntegerPoint) -> SubtourReport:
@@ -167,10 +170,11 @@ def validate_subtour(x: HalfIntegerPoint) -> SubtourReport:
     g, keys = support_graph(x)
     if not is_connected(g):
         return SubtourReport(False, "disconnected")
-    wg = WeightedGraph(g, tuple(x.support[k] for k in keys))
-    reduced = _series_reduced(wg)
-    if reduced.graph.node_count >= 2 and global_min_cut(reduced)[0] < 4:
-        val, side = global_min_cut(wg)
+    x2 = [x.support[k] for k in keys]
+    _, reduced, chains = _series_reduced(g)
+    low = tuple(min(x2[e] for e in c) for c in chains)
+    if reduced.node_count >= 2 and global_min_cut(WeightedGraph(reduced, low))[0] < 4:
+        val, side = global_min_cut(WeightedGraph(g, tuple(x2)))
         return SubtourReport(False, "cut", cut_side=side, cut_value_x2=val)
     return SubtourReport(True)
 
@@ -368,15 +372,17 @@ def square_point(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> SquarePoint:
 class ContractedPoint:
     """Square graph obtained by contracting every 1-path to a single edge.
 
-    corner_orig[i] is the original node id of square-graph node i, expansion
-    maps each matching edge id to the full original node path it replaced
-    (endpoints included, oriented from the edge's first endpoint).
+    The square graph is the series-reduced support.  corner_orig[i] is the
+    original node id of square-graph node i, the corners in ascending order;
+    chains[e] holds the support edge ids that square-graph edge e stands for
+    (one for a square edge, the whole 1-path for a matching edge), and
+    cost[e] is their summed cost.
     """
 
     square_graph: SquareGraph
     cost: tuple[int, ...]
     corner_orig: tuple[int, ...]
-    expansion: dict[int, tuple[int, ...]]
+    chains: tuple[tuple[int, ...], ...]
 
 
 def contract_one_paths(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> ContractedPoint:
@@ -393,42 +399,14 @@ def contract(sp: SquarePoint) -> ContractedPoint:
     square: an integral point has no square graph.  A feasible point with a
     square has no closed 1-cycle, which would be a component of its own.
     """
-    dec, costs = sp.decomposition, sp.costs
-    if not dec.squares:
+    squares = sp.decomposition.squares
+    if not squares:
         raise ValueError(DEGENERATE_MSG)
-
-    corner_orig: list[int] = []
-    corner_new: dict[int, int] = {}
-    for sq in dec.squares:
-        for v in sq.nodes:
-            corner_new[v] = len(corner_orig)
-            corner_orig.append(v)
-
-    edges: list[tuple[int, int]] = []
-    cost: list[int] = []
-    squares_new: list[tuple[int, int, int, int]] = []
-    for si, sq in enumerate(dec.squares):
-        base = 4 * si
-        squares_new.append((base, base + 1, base + 2, base + 3))
-        for j in range(4):
-            u, v = sq.nodes[j], sq.nodes[(j + 1) % 4]
-            edges.append((base + j, base + (j + 1) % 4))
-            cost.append(costs[edge_key(u, v)])
-
-    expansion: dict[int, tuple[int, ...]] = {}
-    def path_sort_key(p: OnePath) -> tuple[int, int]:
-        a, b = corner_new[p.nodes[0]], corner_new[p.nodes[-1]]
-        return (min(a, b), max(a, b))
-
-    for p in sorted(dec.one_paths, key=path_sort_key):
-        a, b = corner_new[p.nodes[0]], corner_new[p.nodes[-1]]
-        nodes = p.nodes if a <= b else tuple(reversed(p.nodes))
-        eid = len(edges)
-        edges.append((min(a, b), max(a, b)))
-        cost.append(sum(costs[e] for e in p.edges))
-        expansion[eid] = nodes
-
-    graph = MultiGraph(len(corner_orig), edges)
-    matching = frozenset(range(4 * len(dec.squares), len(edges)))
-    sg = SquareGraph(graph, matching, tuple(squares_new))
-    return ContractedPoint(sg, tuple(cost), tuple(corner_orig), expansion)
+    corners, graph, chains = _series_reduced(sp.graph)
+    # square corners have degree 3, so each square edge is a chain of its own
+    rid = {sp.keys[c[0]]: i for i, c in enumerate(chains) if len(c) == 1}
+    sq_ids = tuple(tuple(rid[e] for e in sq.edges) for sq in squares)
+    matching = frozenset(range(graph.edge_count)) - {e for sq in sq_ids for e in sq}
+    cost = tuple(sum(sp.weighted.weight[e] for e in c) for c in chains)
+    sg = SquareGraph(graph, matching, sq_ids)
+    return ContractedPoint(sg, cost, tuple(corners), tuple(chains))

@@ -38,7 +38,8 @@ BRUTE_CUTS_CAP = 12
 def held_karp(d: Sequence[Sequence[int]], n: int | None = None) -> int:
     """Exact TSP value on nodes 0..n-1 with distance matrix d.
 
-    Bitmask DP over subsets of 1..n-1, vectorized per popcount layer.  The
+    Bitmask DP over subsets of 1..n-1, vectorized per popcount layer in
+    blocks of 2^14 masks, so temporaries stay small next to the table.  The
     table dtype shrinks to uint16 or int32 above 21 nodes, where an int64
     table would not fit in memory.  Distances whose tour bound n * max d
     does not fit the table raise SizeCapError.
@@ -75,26 +76,27 @@ def held_karp(d: Sequence[Sequence[int]], n: int | None = None) -> int:
     dm = np.asarray(d, dtype=np.int64)
 
     size = 1 << r
-    masks_all = np.arange(size, dtype=np.int64)
-    pc = np.zeros(size, dtype=np.uint8)
+    pc = np.zeros(size, dtype=np.uint8)  # popcount of every mask
     for j in range(r):
-        pc += ((masks_all >> j) & 1).astype(np.uint8)
+        pc[1 << j:2 << j] = pc[:1 << j] + 1
     dp = np.full((size, r), inf, dtype=dtype)
     for j in range(r):
         dp[1 << j, j] = min(int(dm[0, j + 1]), inf)
     inner = dm[1:, 1:]
     for s in range(1, r):
-        masks = np.flatnonzero(pc == s)
-        rows = dp[masks].astype(np.int64)
-        for j in range(r):
-            sel = ((masks >> j) & 1) == 0
-            if not sel.any():
-                continue
-            cand = (rows[sel] + inner[:, j]).min(axis=1)
-            np.minimum(cand, inf, out=cand)
-            target = masks[sel] | (1 << j)
-            current = dp[target, j].astype(np.int64)
-            dp[target, j] = np.minimum(current, cand).astype(dtype)
+        layer = np.flatnonzero(pc == s)
+        for start in range(0, len(layer), 1 << 14):
+            masks = layer[start:start + (1 << 14)]
+            rows = dp[masks].astype(np.int64)
+            for j in range(r):
+                sel = ((masks >> j) & 1) == 0
+                if not sel.any():
+                    continue
+                cand = (rows[sel] + inner[:, j]).min(axis=1)
+                np.minimum(cand, inf, out=cand)
+                target = masks[sel] | (1 << j)
+                current = dp[target, j].astype(np.int64)
+                dp[target, j] = np.minimum(current, cand).astype(dtype)
     last = dp[size - 1].astype(np.int64) + dm[1:, 0]
     return int(last.min())
 

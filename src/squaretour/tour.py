@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .deltamatroid import ham_min_cost
 from .graphcore import MultiGraph, eulerian_circuit, shortest_paths_from, walk_cycle
-from .halfpoint import EdgeKey, HalfIntegerPoint, SquarePoint, contract, edge_key, square_point
+from .halfpoint import EdgeKey, HalfIntegerPoint, SquarePoint, contract, square_point
 from .tjoin import min_t_join
 from .treesel import rainbow
 
@@ -53,27 +53,20 @@ def hamiltonian(sp: SquarePoint) -> SupportHam:
     containing every 1-edge.
 
     An integral point is its own answer; otherwise contract the 1-paths,
-    solve on the square graph, and expand the chosen matching edges back to
-    the paths they stand for.  The order starts at node 0 and heads to its
-    smaller cycle neighbour: on the support graph, edge ids follow the sorted
-    keys, so that is node 0's lower-id cycle edge.
+    solve on the square graph, and take the support edges of the chosen
+    edges' chains.  The order starts at node 0 and heads to its smaller
+    cycle neighbour: on the support graph, edge ids follow the sorted keys,
+    so that is node 0's lower-id cycle edge.
     """
     if not sp.decomposition.squares:
-        hedges = frozenset(sp.point.support)
+        ids = frozenset(range(len(sp.keys)))
     else:
         cp = contract(sp)
         ham = ham_min_cost(cp.square_graph, list(cp.cost))
-        expanded: set[EdgeKey] = set()
-        for eid in ham.edges:
-            u, v = cp.square_graph.graph.edges[eid]
-            path = cp.expansion.get(eid, (cp.corner_orig[u], cp.corner_orig[v]))
-            expanded.update(edge_key(a, b) for a, b in zip(path, path[1:]))
-        hedges = frozenset(expanded)
-        if sum(sp.costs[e] for e in hedges) != ham.cost:
-            raise AssertionError("expansion changed the cycle cost")
-    index = {k: i for i, k in enumerate(sp.keys)}
-    ids = frozenset(index[e] for e in hedges)
-    _, order = walk_cycle(sp.graph, ids, 0, min(index[e] for e in hedges if e[0] == 0))
+        ids = frozenset(e for r in ham.edges for e in cp.chains[r])
+    first = next(d >> 1 for d in sp.graph.darts_at(0) if d >> 1 in ids)
+    _, order = walk_cycle(sp.graph, ids, 0, first)
+    hedges = frozenset(sp.keys[e] for e in ids)
     return SupportHam(hedges, tuple(order), sum(sp.costs[e] for e in hedges))
 
 

@@ -1,10 +1,14 @@
+import contextlib
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import squaretour
 from squaretour import cli
@@ -13,8 +17,10 @@ from squaretour.instances import (
     make_donut,
     parse_bts,
     parse_point,
+    random_bitransition_system,
     random_costs,
     random_square_point,
+    serialize_bts,
     serialize_point,
 )
 from squaretour.kotzig import Trail, verify_trail
@@ -124,6 +130,29 @@ def test_oracle_opt_and_size_cap(capsys, monkeypatch):
     assert closures == []
 
 
+@pytest.mark.extended
+def test_oracle_opt_23_nodes_peak_memory(tmp_path):
+    # 23 nodes: a 2^22 x 22 uint16 table (185 MB); the layer blocks keep the
+    # rest small.  A child process measures its own child's peak RSS.
+    path = tmp_path / "p23.point"
+    assert main(["random-square", "--squares", "4", "--max-path", "3", "--seed", "7",
+                 "--out", str(path)]) == 0
+    probe = (
+        "import resource, subprocess, sys\n"
+        "r = subprocess.run([sys.executable, '-m', 'squaretour.cli', 'oracle', 'opt', sys.argv[1]],"
+        " capture_output=True, text=True)\n"
+        "print(r.returncode, r.stdout.strip(),"
+        " resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss // 1024)\n"
+    )
+    src = str(Path(squaretour.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", probe, str(path)], capture_output=True,
+                         text=True, check=True, env=env)
+    code, opt, rss_mb = out.stdout.split()
+    assert (code, opt) == ("0", "OPT=767")
+    assert int(rss_mb) <= 300
+
+
 @pytest.mark.parametrize("exc", [RuntimeError("theorem violated"),
                                  AssertionError("matching is not perfect")])
 def test_internal_error_exits_4(exc, capsys, monkeypatch):
@@ -212,3 +241,66 @@ def test_tour_exact_at_any_cost_scale(capsys, monkeypatch):
             f"cx={1593 * scale}/2 cH={701 * scale} cJ={905 * scale} "
             f"tour={687 * scale} bound=OK\n"
         )
+
+
+def random_point_text(squares, seed):
+    x = random_square_point(squares, 2, seed)
+    return serialize_point(x, random_costs(x, seed))
+
+
+FUZZ_BASES = [
+    donut_text(2),
+    BANANA_BTS,
+    serialize_bts(random_bitransition_system(4, 1)),
+    *(random_point_text(1 + seed % 2, seed) for seed in range(3)),
+]
+FUZZ_TOKENS = ["POINT", "BTS", "E", "F", "END", "#", "0", "1", "2", "3", "-1",
+               "0.1", "1.2", "x", "", "99999999999999999999"]
+
+
+@st.composite
+def mutated_files(draw):
+    """A valid POINT or BTS file with one to four tokens or lines deleted,
+    replaced or inserted, at places drawn by a seeded random.Random (drawn
+    one by one, hypothesis would favour the first line)."""
+    text = draw(st.sampled_from(FUZZ_BASES))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = FUZZ_TOKENS + text.split()
+    lines = [line.split(" ") for line in text.splitlines()]
+    for _ in range(rng.randint(1, 4)):
+        op = rng.choice(("del", "put", "ins", "del line", "dup line", "ins line"))
+        i = rng.randrange(len(lines)) if lines else 0
+        if op == "ins line" or not lines:
+            lines.insert(i, rng.choices(pool, k=rng.randint(0, 6)))
+        elif op == "del line":
+            del lines[i]
+        elif op == "dup line":
+            lines.insert(i, list(lines[i]))
+        else:
+            line = lines[i]
+            j = rng.randint(0, len(line))
+            if op == "ins" or j == len(line):
+                line.insert(j, rng.choice(pool))
+            elif op == "del":
+                del line[j]
+            else:
+                line[j] = rng.choice(pool)
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@settings(max_examples=300)
+@given(mutated_files())
+def test_fuzzed_files_exit_with_documented_codes(text):
+    for argv in (["validate"], ["ham"], ["tour"], ["oracle", "opt"], ["kotzig"]):
+        out, err = io.StringIO(), io.StringIO()
+        old_stdin = sys.stdin
+        sys.stdin = io.StringIO(text)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            sys.stdin = old_stdin
+        assert code in (0, 2, 3), (argv, text)
+        msg = err.getvalue()
+        assert msg == "" or (msg.startswith("error: ") and msg.count("\n") == 1
+                             and msg.endswith("\n")), (argv, text, msg)

@@ -176,7 +176,7 @@ def perturbed_square_points(draw):
     return HalfIntegerPoint(x.n, support)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(perturbed_square_points())
 def test_validate_agrees_with_brute_cuts_on_perturbed_points(x):
     val, _ = brute_cuts(x)
@@ -320,7 +320,16 @@ def test_contract_donut():
     assert sg.graph.edge_count == 12
     for e in sorted(sg.matching):
         assert cp.cost[e] == 2
-    assert len(cp.expansion) == 4
+    # the chains partition the support; the matching edges' chains are the
+    # 1-paths, the square edges' chains their own support edge
+    keys = sorted(inst.point.support)
+    assert sorted(e for c in cp.chains for e in c) == list(range(len(keys)))
+    paths = {frozenset(p.edges) for p in decompose(inst.point).one_paths}
+    assert {frozenset(keys[e] for e in cp.chains[m]) for m in sg.matching} == paths
+    for sq in sg.squares:
+        assert all(len(cp.chains[e]) == 1 for e in sq)
+    corners = sorted(v for sq in decompose(inst.point).squares for v in sq.nodes)
+    assert list(cp.corner_orig) == corners
 
 
 def test_contract_unit_paths_keep_support_shape():
@@ -328,7 +337,7 @@ def test_contract_unit_paths_keep_support_shape():
     costs = {e: 1 for e in x.support}
     cp = contract_one_paths(x, costs)
     assert cp.square_graph.graph.edge_count == len(x.support)
-    assert all(len(p) == 2 for p in cp.expansion.values())
+    assert all(len(c) == 1 for c in cp.chains)
 
 
 def test_contract_single_square_diagonals():

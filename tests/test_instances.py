@@ -1,9 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squaretour.graphcore import MultiGraph, is_connected
-from squaretour.halfpoint import PointClass, classify, edge_key, validate_subtour
+from squaretour.halfpoint import (
+    HalfIntegerPoint,
+    PointClass,
+    classify,
+    edge_key,
+    validate_subtour,
+)
 from squaretour.instances import (
     everywhere_instance,
     make_donut,
@@ -206,6 +214,25 @@ def test_point_round_trip():
         assert y.support == x.support and c2 == costs
 
 
+@st.composite
+def points_with_costs(draw):
+    """Any support the POINT format can hold, feasible or not, with costs up
+    to 2^70."""
+    n = draw(st.integers(2, 15))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    keys = draw(st.sets(pair.map(lambda p: edge_key(*p)), min_size=1, max_size=30))
+    support = {e: draw(st.sampled_from((1, 2))) for e in keys}
+    costs = {e: draw(st.integers(0, 2**70)) for e in keys}
+    return HalfIntegerPoint(n, support), costs
+
+
+@settings(max_examples=100)
+@given(points_with_costs())
+def test_point_round_trip_on_drawn_points(point):
+    x, costs = point
+    assert parse_point(serialize_point(x, costs)) == (x, costs)
+
+
 def test_point_parse_comments_and_blanks():
     text = """# a point
 POINT 4   # four nodes
@@ -257,6 +284,13 @@ def test_bts_round_trip():
         assert back.forbidden == sys.forbidden
         check_system(back)
         assert serialize_bts(back) == text
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 12), st.integers(0, 10**6))
+def test_bts_round_trip_on_drawn_systems(n, seed):
+    text = serialize_bts(random_bitransition_system(n, seed))
+    assert serialize_bts(parse_bts(text)) == text
 
 
 def test_bts_parse_errors():

@@ -50,6 +50,23 @@ def test_held_karp_matches_permutations():
         assert held_karp(d) == tour_by_permutations(d)
 
 
+def test_held_karp_hidden_tour_spans_several_blocks():
+    # n=19: the largest popcount layer holds C(18, 9) = 48620 masks, so the DP
+    # runs it in several blocks.  The only tour without a cost-100 edge is
+    # the hidden cycle (at most 19 * 5 = 95), so it is the optimum.
+    for seed in range(2):
+        rng = random.Random(seed)
+        n = 19
+        perm = rng.sample(range(n), n)
+        d = [[0 if i == j else 100 for j in range(n)] for i in range(n)]
+        want = 0
+        for i in range(n):
+            a, b = perm[i], perm[(i + 1) % n]
+            d[a][b] = d[b][a] = c = rng.randint(1, 5)
+            want += c
+        assert held_karp(d) == want
+
+
 def test_held_karp_asymmetric():
     d = [[0, 1, 10], [10, 0, 1], [1, 10, 0]]
     assert held_karp(d) == 3  # forced direction 0-1-2-0

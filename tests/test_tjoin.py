@@ -124,13 +124,13 @@ def checked_matching_weight(d):
     return w
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(cost_matrices(10))
 def test_matching_agrees_with_enumeration_on_drawn_costs(d):
     assert checked_matching_weight(d) == brute_matching_weight(d)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(cost_matrices(40))
 def test_matching_agrees_with_networkx_on_drawn_costs(d):
     g = nx.Graph()

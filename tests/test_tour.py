@@ -1,7 +1,10 @@
+import hashlib
 import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squaretour import halfpoint
 from squaretour.graphcore import (
@@ -102,6 +105,35 @@ def test_ham_rejects_bad_inputs():
     costs[(0, 1)] = -2
     with pytest.raises(ValueError, match="negative cost"):
         hamiltonian_with_ones(x, costs)
+
+
+# sha256 of the HAM orders below, taken by running the same code at a commit
+# whose cycles are trusted: per square count over path lengths 1..3 and costs
+# in 0..100 and in 0..2 (many equal matching costs), and over donuts k=2..12
+HAM_DIGESTS = {
+    8: "2d06232aed0f918eb58c90fd55e00e3d944d3036ea3045738531163cf7794551",
+    16: "b77da03d53e60b1d04f7bbd03af7430c52543abc9394448705fcce9ed0d05d00",
+    24: "fffde3a43c9eb478364c7ecb06ccbcbd5bcab5f06a59a911ae237b10925c198f",
+    32: "e4af4bee2f34bbbb51490aff4d3729a539433414ea92ed1ef9e4a5764aab156e",
+    "donut": "e99edb258d2ce03d1407f284bbd31f5d53878910d6a4354df6b080c7f8512ed0",
+}
+
+
+def test_hamiltonian_cycles_unchanged_at_scale():
+    # past brute_ham's cap: the cycles themselves are pinned, ties included
+    for s in (8, 16, 24, 32):
+        h = hashlib.sha256()
+        for length in (1, 2, 3):
+            x = random_square_point(s, length, s + 100 * length)
+            for high in (100, 2):
+                costs = random_costs(x, s + 100 * length, 0, high)
+                h.update(repr(hamiltonian_with_ones(x, costs).order).encode())
+        assert h.hexdigest() == HAM_DIGESTS[s], s
+    h = hashlib.sha256()
+    for k in range(2, 13):
+        inst = make_donut(k)
+        h.update(repr(hamiltonian_with_ones(inst.point, inst.costs).order).encode())
+    assert h.hexdigest() == HAM_DIGESTS["donut"]
 
 
 def k4_point():
@@ -215,6 +247,24 @@ def test_final_cost_is_metric_closure_price():
         dist = metric_closure(WeightedGraph(g, tuple(costs[k] for k in keys)))
         cyc = rep.final_cycle
         assert rep.final_cost == sum(dist[u][v] for u, v in zip(cyc, cyc[1:] + cyc[:1])), x.n
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 10**6),
+       st.sampled_from((2, 100)), st.integers(1, 80))
+def test_run_tour_invariant_under_cost_scaling(s, length, seed, high, k):
+    # every decision is an exact integer comparison, so scaling all costs by
+    # 2^k scales every cost by 2^k and changes no choice, ties included
+    x = random_square_point(s, length, seed)
+    costs = random_costs(x, seed, 0, high)
+    base = run_tour(x, costs)
+    big = run_tour(x, {e: c << k for e, c in costs.items()})
+    assert (big.c_x2, big.c_h, big.c_j, big.final_cost) == (
+        base.c_x2 << k, base.c_h << k, base.c_j << k, base.final_cost << k)
+    assert big.hamiltonian.order == base.hamiltonian.order
+    assert big.j_star == base.j_star
+    assert big.final_cycle == base.final_cycle
+    assert big.final_cost <= min(big.c_h, big.c_j)
 
 
 def test_run_tour_validates_once(monkeypatch):
