@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graphcore import MultiGraph, connected_without, is_connected, walk_cycle
 
@@ -117,41 +117,87 @@ class HamCycle:
     cost: int
 
 
+Pairing = tuple[tuple[int, int], tuple[int, int]]
+
+
+def _split_greedy(
+    darts: Sequence[Sequence[int]], choices: Iterable[tuple[Pairing, Pairing]]
+) -> list[Sequence[int]]:
+    """Split every node of a connected 4-regular multigraph Q into two
+    degree-2 nodes, keeping Q connected; returns each dart's pair.
+
+    darts[v] holds node v's four darts (d and d ^ 1 are the ends of one
+    edge); choices holds, in settling order, each node's first and second
+    pairing.  The first is kept when its two pairs still reach each other:
+    Q was connected before, so that is exact, and lockstep searches from
+    both pairs stop once they meet or one runs dry.
+    """
+    size = max(map(max, darts)) + 1
+    group: list[Sequence[int]] = [()] * size  # a dart's node, or its pair once split
+    for ds in darts:
+        for d in ds:
+            group[d] = ds
+    seen = [0] * size  # darts reached by the two searches of test t hold 2t, 2t + 1
+    label = 0
+
+    def meets(pairing: Pairing) -> bool:
+        nonlocal label
+        label += 2
+        for side, pair in enumerate(pairing):
+            for d in pair:
+                group[d], seen[d] = pair, label + side
+        stacks = (list(pairing[0]), list(pairing[1]))
+        side = 0
+        while stacks[side]:
+            own = label + side
+            e = stacks[side].pop() ^ 1
+            if seen[e] == own ^ 1:
+                return True
+            if seen[e] != own:
+                for f in group[e]:
+                    seen[f] = own
+                    if f != e:
+                        stacks[side].append(f)
+            side ^= 1
+        return False
+
+    for first, second in choices:
+        if not meets(first) and not meets(second):  # pragma: no cover - one of them always connects
+            raise RuntimeError("no matching choice keeps the graph connected")
+    return group
+
+
 def ham_min_cost(sg: SquareGraph, cost: Sequence[int]) -> HamCycle:
     """Minimum-cost Hamiltonian cycle containing the matching M.
 
     Squares are settled in order of non-increasing matching cost gap
-    |c(m1) - c(m2)| (ties by square index).  For each square the cheaper
-    matching is kept when deleting the other leaves the graph, with all
-    unsettled squares still intact, connected; otherwise the choice is
-    forced.  One of the two deletions always preserves connectivity.
+    |c(m1) - c(m2)| (ties by square index).  Each keeps its cheaper matching
+    when the graph, with all unsettled squares intact, stays connected, and
+    the other one otherwise, which then always does.  Contracting every
+    square gives a 4-regular multigraph Q on the edges M: an intact square is
+    an unsplit node of Q, a square left with one matching is its node split
+    along the corner pairing of that matching, so the square graph is
+    connected exactly when Q is, and _split_greedy decides on Q.
     """
     check_square_graph(sg)
     g = sg.graph
     if len(cost) != g.edge_count:
         raise ValueError("cost vector length must equal edge count")
-
-    def mcost(m: frozenset[int]) -> int:
-        return sum(cost[e] for e in m)
-
-    gaps = []
-    for si in range(len(sg.squares)):
-        m1, m2 = sg.square_matchings(si)
-        gaps.append(abs(mcost(m1) - mcost(m2)))
-    removed: set[int] = set()
-    for si in sorted(range(len(sg.squares)), key=lambda i: (-gaps[i], i)):
-        m1, m2 = sg.square_matchings(si)
-        if (mcost(m1), sorted(m1)) <= (mcost(m2), sorted(m2)):
-            first, second = m1, m2
-        else:
-            first, second = m2, m1
-        if connected_without(g, frozenset(removed | second)):
-            removed |= second
-        elif connected_without(g, frozenset(removed | first)):
-            removed |= first
-        else:  # pragma: no cover - contradicts the exchange structure
-            raise RuntimeError("no matching choice keeps the graph connected")
-    hedges = frozenset(range(g.edge_count)) - removed
+    md = {g.dart_node(d): d for e in sg.matching for d in (2 * e, 2 * e + 1)}  # per corner
+    darts, keyed = [], []
+    for si, sq in enumerate(sg.squares):
+        ends = [g.edges[e] for e in sq]
+        p1, p2 = (tuple((md[u], md[v]) for u, v in ends[j::2]) for j in (0, 1))
+        darts.append(p1[0] + p1[1])
+        c1, c2 = cost[sq[0]] + cost[sq[2]], cost[sq[1]] + cost[sq[3]]
+        # the cheaper matching first; ties go to the one with the lowest edge id
+        if (c1, min(sq[0], sq[2])) > (c2, min(sq[1], sq[3])):
+            p1, p2 = p2, p1
+        keyed.append((-abs(c1 - c2), si, (p1, p2)))
+    pair = _split_greedy(darts, (choice for *_, choice in sorted(keyed)))
+    # a square edge is kept when its corners' matching darts ended up paired
+    kept = [e for sq in sg.squares for e in sq if md[g.edges[e][1]] in pair[md[g.edges[e][0]]]]
+    hedges = frozenset(sg.matching).union(kept)
     # canonical order: from node 0 along its lower-id cycle edge
     first = next(d >> 1 for d in g.darts_at(0) if d >> 1 in hedges)
     _, order = walk_cycle(g, hedges, 0, first)

@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 EdgeKey = tuple[int, int]
+Reduction = tuple[list[int], MultiGraph, list[tuple[int, ...]]]  # see _series_reduced
+Support = tuple[MultiGraph, list[EdgeKey], Reduction]  # graph, keys, reduction
 
 DEGENERATE_MSG = "integral point; tour is the 1-edge cycle"
 
@@ -92,7 +94,9 @@ class SubtourReport:
 
     reason is one of "ok", "degree", "disconnected", "cut"; node carries the
     offending node for degree violations, cut_side / cut_value_x2 carry a
-    violated cut (doubled value < 4).
+    violated cut (doubled value < 4).  A feasible report keeps the support
+    graph, its sorted keys and its series reduction, so later stages reuse
+    them instead of building them again.
     """
 
     ok: bool
@@ -100,6 +104,7 @@ class SubtourReport:
     node: int | None = None
     cut_side: frozenset[int] | None = None
     cut_value_x2: int | None = None
+    support: Support | None = field(default=None, repr=False, compare=False)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -115,7 +120,7 @@ class SubtourReport:
         return f"cut S={{{side}}} x2={self.cut_value_x2}"
 
 
-def _series_reduced(g: MultiGraph) -> tuple[list[int], MultiGraph, list[tuple[int, ...]]]:
+def _series_reduced(g: MultiGraph) -> Reduction:
     """Suppress every node of degree 2, the series rule of Padberg & Rinaldi
     (Math. Prog. 47, 1990): each path a-...-b through degree-2 nodes becomes
     one a-b edge.  Returns the kept nodes (ascending), the reduced graph and,
@@ -171,12 +176,13 @@ def validate_subtour(x: HalfIntegerPoint) -> SubtourReport:
     if not is_connected(g):
         return SubtourReport(False, "disconnected")
     x2 = [x.support[k] for k in keys]
-    _, reduced, chains = _series_reduced(g)
+    reduction = _series_reduced(g)
+    _, reduced, chains = reduction
     low = tuple(min(x2[e] for e in c) for c in chains)
     if reduced.node_count >= 2 and global_min_cut(WeightedGraph(reduced, low))[0] < 4:
         val, side = global_min_cut(WeightedGraph(g, tuple(x2)))
         return SubtourReport(False, "cut", cut_side=side, cut_value_x2=val)
-    return SubtourReport(True)
+    return SubtourReport(True, support=(g, keys, reduction))
 
 
 class PointClass(enum.Enum):
@@ -247,11 +253,11 @@ def _checked(x: HalfIntegerPoint) -> tuple[SubtourReport, PointClass | None, lis
     return report, cls, cycles
 
 
-def _classified(x: HalfIntegerPoint) -> tuple[PointClass, list[Chain] | None]:
+def _classified(x: HalfIntegerPoint) -> tuple[PointClass, list[Chain] | None, SubtourReport]:
     report, cls, cycles = _checked(x)
     if cls is None:
         raise ValueError(f"not a feasible point: {report.witness()}")
-    return cls, cycles
+    return cls, cycles, report
 
 
 def validate_and_classify(x: HalfIntegerPoint) -> tuple[SubtourReport, PointClass | None]:
@@ -312,9 +318,17 @@ class OnePath:
 
 @dataclass(frozen=True)
 class SupportDecomposition:
+    """Squares, 1-edges and pair partition of a square point; support is the
+    validated support graph, keys and series reduction they were read from."""
+
     squares: tuple[SquareCycle, ...]
-    one_paths: tuple[OnePath, ...]
     pair_partition: tuple[frozenset[EdgeKey], ...]
+    one_edges: tuple[EdgeKey, ...] = field(repr=False)
+    support: Support = field(repr=False, compare=False)
+
+    @cached_property
+    def one_paths(self) -> tuple[OnePath, ...]:
+        return tuple(OnePath(nodes, closed) for nodes, closed in _chains(self.one_edges))
 
 
 def decompose(x: HalfIntegerPoint) -> SupportDecomposition:
@@ -323,13 +337,12 @@ def decompose(x: HalfIntegerPoint) -> SupportDecomposition:
     The pair partition holds the two perfect matchings of every square, in
     square order, matching containing the square's lowest edge first.
     """
-    cls, cycles = _classified(x)
+    cls, cycles, report = _classified(x)
     if cls not in SQUARE_CLASSES:
         raise ValueError("not a square point")
     squares = tuple(SquareCycle(nodes) for nodes, _ in cycles)
-    paths = tuple(OnePath(nodes, closed) for nodes, closed in _chains(x.one_edges()))
     pairs = tuple(m for sq in squares for m in sq.matchings)
-    return SupportDecomposition(squares, paths, pairs)
+    return SupportDecomposition(squares, pairs, tuple(x.one_edges()), report.support)
 
 
 @dataclass(frozen=True)
@@ -337,9 +350,10 @@ class SquarePoint:
     """A feasible square point with a nonnegative cost on every support edge,
     as square_point checked it.
 
-    graph is the support with edge id i for keys[i] (keys sorted); weighted
-    carries the costs on it.  The pipeline stages take this object, so a
-    point is validated once however many stages use it.
+    graph is the support with edge id i for keys[i] (keys sorted) and
+    reduction its series reduction, both as validation built them; weighted
+    carries the costs on the graph.  The pipeline stages take this object,
+    so a point is validated once however many stages use it.
     """
 
     point: HalfIntegerPoint
@@ -347,6 +361,7 @@ class SquarePoint:
     decomposition: SupportDecomposition
     graph: MultiGraph
     keys: tuple[EdgeKey, ...]
+    reduction: Reduction
 
     @cached_property
     def weighted(self) -> WeightedGraph:
@@ -364,8 +379,8 @@ def square_point(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> SquarePoint:
             raise ValueError(f"missing cost for edge {e}")
         if c < 0:
             raise ValueError(f"negative cost on edge {e}")
-    g, keys = support_graph(x)
-    return SquarePoint(x, costs, dec, g, tuple(keys))
+    g, keys, reduction = dec.support
+    return SquarePoint(x, costs, dec, g, tuple(keys), reduction)
 
 
 @dataclass(frozen=True)
@@ -402,7 +417,7 @@ def contract(sp: SquarePoint) -> ContractedPoint:
     squares = sp.decomposition.squares
     if not squares:
         raise ValueError(DEGENERATE_MSG)
-    corners, graph, chains = _series_reduced(sp.graph)
+    corners, graph, chains = sp.reduction
     # square corners have degree 3, so each square edge is a chain of its own
     rid = {sp.keys[c[0]]: i for i, c in enumerate(chains) if len(c) == 1}
     sq_ids = tuple(tuple(rid[e] for e in sq.edges) for sq in squares)

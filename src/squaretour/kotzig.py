@@ -2,19 +2,21 @@
 
 In a connected 4-regular multigraph, every node is crossed twice by a closed
 Eulerian trail; the two (entry, exit) dart pairs used there form one of the
-three pairings of its four darts.  Given one forbidden pairing per node, a
-trail avoiding all of them always exists and is found by blowing each node up
-into a square whose diagonals carry the forbidden pairs: Hamiltonian cycles
-through the blown-up graph that contain all original edges are exactly the
-admissible trails.
+three pairings of its four darts.  Blowing each node up into a square whose
+diagonals carry the forbidden pairs (blow_up) turns the admissible trails
+into exactly the Hamiltonian cycles through all original edges, so one
+always exists.  Contracting the squares again, a square left with one
+matching is its node split along a non-forbidden pairing, and the graph stays
+connected exactly when the blown-up one does: find_trail runs the HAM greedy's
+splitting form on the graph itself, and blow_up remains the proof device.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .deltamatroid import SquareGraph, ham_min_cost
-from .graphcore import MultiGraph, is_connected, walk_cycle
+from .deltamatroid import SquareGraph, _split_greedy
+from .graphcore import MultiGraph, is_connected
 
 __all__ = [
     "BitransitionSystem",
@@ -102,30 +104,27 @@ def blow_up(g: MultiGraph, position: dict[int, int]) -> tuple[SquareGraph, dict[
 
 def find_trail(sys: BitransitionSystem) -> Trail:
     """Closed Eulerian trail whose pairing at every node differs from the
-    forbidden one.  Forbidden pairs are placed on square diagonals, so no
-    square matching can realize them."""
+    forbidden one ((a, b), (c, d)): nodes in id order are split along
+    (a, c), (b, d) when the graph stays connected and along (c, b), (d, a)
+    otherwise.  These are ham_min_cost's choices on blow_up's square graph at
+    unit costs, so the trail is the one its Hamiltonian cycle encodes.  The
+    walk leaves along dart 0, then each node along the arriving dart's pair,
+    and must close after every edge.
+    """
     check_system(sys)
     g = sys.graph
-    position: dict[int, int] = {}
-    for v in range(g.node_count):
-        (a, b), (c, d) = sys.forbidden[v]
-        position[a] = 0
-        position[b] = 2
-        position[c] = 1
-        position[d] = 3
-    sg, corner = blow_up(g, position)
-    ham = ham_min_cost(sg, [1] * sg.graph.edge_count)
-
-    corner_dart = {c: d for d, c in corner.items()}
-    # walk the Hamiltonian cycle from dart 0's corner along the matching edge
-    # of original edge 0; each matching edge walked is one trail step
-    first = 4 * g.node_count
-    edges, nodes = walk_cycle(sg.graph, ham.edges, corner[0], first)
+    choices = [(((a, c), (b, d)), ((c, b), (d, a))) for (a, b), (c, d) in sys.forbidden]
+    pair = _split_greedy([g.darts_at(v) for v in range(g.node_count)], choices)
     darts: list[int] = []
-    for i, e in enumerate(edges):
-        if e >= first:
-            darts.append(corner_dart[nodes[i]])
-            darts.append(corner_dart[nodes[(i + 1) % len(nodes)]])
+    d = 0
+    for _ in range(g.edge_count):
+        darts += (d, d ^ 1)
+        a, b = pair[d ^ 1]
+        d = b if a == d ^ 1 else a
+        if d == 0:
+            break
+    if d != 0 or len(darts) != 2 * g.edge_count:
+        raise RuntimeError("trail walk does not close after every edge")
     return Trail(tuple(darts))
 
 

@@ -2,11 +2,13 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squaretour.deltamatroid import SquareGraph, check_square_graph, ham_min_cost, verify_ham
-from squaretour.graphcore import MultiGraph, connected_without, is_connected
+from squaretour.graphcore import MultiGraph, connected_without, is_connected, walk_cycle
 from squaretour.halfpoint import contract_one_paths
-from squaretour.instances import make_donut, random_square_graph
+from squaretour.instances import make_donut, random_costs, random_square_graph, random_square_point
 from squaretour.oracles import ExplicitDeltaMatroid, SquareDeltaMatroid, brute_ham, greedy
 
 
@@ -267,6 +269,47 @@ def test_ham_greedy_equivalence():
             fixed += without_r
         chosen = greedy(oracle, rel)
         assert fixed + sum(rel[r] for r in chosen) == ham.cost, seed
+
+
+def deletion_greedy(sg, cost):
+    """ham_min_cost's choices made on the square graph itself: squares in
+    order of non-increasing gap, each losing its dearer matching (ties: the
+    one without the lowest edge id) while the whole graph stays connected.
+    Returns the cycle's edges and its node order from node 0."""
+    g = sg.graph
+
+    def key(m):
+        return sum(cost[e] for e in m), sorted(m)
+
+    pairs = [sg.square_matchings(si) for si in range(len(sg.squares))]
+    gaps = [abs(key(m1)[0] - key(m2)[0]) for m1, m2 in pairs]
+    removed = set()
+    for si in sorted(range(len(pairs)), key=lambda i: (-gaps[i], i)):
+        keep, drop = sorted(pairs[si], key=key)
+        if not connected_without(g, frozenset(removed | drop)):
+            drop = keep
+        removed |= drop
+    hedges = frozenset(range(g.edge_count)) - removed
+    assert verify_ham(sg, hedges)
+    start = next(d >> 1 for d in g.darts_at(0) if d >> 1 in hedges)
+    return hedges, tuple(walk_cycle(g, hedges, 0, start)[1])
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 16), st.integers(0, 10**6), st.booleans(), st.data())
+def test_ham_min_cost_matches_deletion_greedy(s, seed, contracted, data):
+    # costs in 0..2 leave many ties, so the tie-breaks are compared too;
+    # blown-up graphs number each square's edges in cyclic order, contracted
+    # points do not
+    if contracted:
+        x = random_square_point(s, 2, seed)
+        sg = contract_one_paths(x, random_costs(x, seed)).square_graph
+    else:
+        sg = random_square_graph(s, seed)
+    m = sg.graph.edge_count
+    cost = data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+    ham = ham_min_cost(sg, cost)
+    assert (ham.edges, ham.node_order) == deletion_greedy(sg, cost)
 
 
 def test_ham_node_order_is_a_cycle():

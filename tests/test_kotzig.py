@@ -1,9 +1,13 @@
+import hashlib
 import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from squaretour.graphcore import MultiGraph, connected_without
+from squaretour import kotzig
+from squaretour.graphcore import MultiGraph, connected_without, walk_cycle
 from squaretour.instances import random_bitransition_system
 from squaretour.kotzig import (
     BitransitionSystem,
@@ -100,6 +104,78 @@ def test_find_trail_random_systems():
 def test_find_trail_deterministic():
     sys = random_bitransition_system(8, 42)
     assert find_trail(sys).darts == find_trail(sys).darts
+
+
+# sha256 over repr(find_trail(random_bitransition_system(n, n + 100*j)).darts),
+# j = 0..2, taken from the blow-up search that the splitting greedy replaced
+TRAIL_DIGESTS = {
+    50: "b281a14762fa7f9482400efd4e60eb8ccf6626ca99d4b9c06fbefadd35610d8d",
+    300: "01288814c51160a9a4345ba4021c4e3f637576d823b6302183984de493222fdb",
+    600: "8fcf7c79ae5b97e112260a6af5c7dc986577e78780aa479a2ebb0a1796cd2b15",
+    1200: "97d3c47ba52344ccf39a11219348907e0887f31db104f633a1d50c207a5795cf",
+}
+
+
+def test_trails_unchanged_at_scale():
+    for n, want in TRAIL_DIGESTS.items():
+        h = hashlib.sha256()
+        for j in range(3):
+            h.update(repr(find_trail(random_bitransition_system(n, n + 100 * j)).darts).encode())
+        assert h.hexdigest() == want, n
+
+
+def blow_up_trail(sys):
+    """The trail of the minimum-cost HAM greedy on the blown-up square graph
+    at unit costs: squares in index order, each keeping its (0, 2) matching
+    while the whole graph stays connected, and the Hamiltonian cycle walked
+    from dart 0's corner along edge 0."""
+    g = sys.graph
+    position = {}
+    for (a, b), (c, d) in sys.forbidden:
+        position.update({a: 0, b: 2, c: 1, d: 3})
+    sg, corner = blow_up(g, position)
+    removed = set()
+    for si in range(len(sg.squares)):
+        m1, m2 = sg.square_matchings(si)
+        if connected_without(sg.graph, frozenset(removed | m2)):
+            removed |= m2
+        else:
+            assert connected_without(sg.graph, frozenset(removed | m1))
+            removed |= m1
+    corner_dart = {c: d for d, c in corner.items()}
+    first = 4 * g.node_count  # the matching edge of original edge 0
+    ham = frozenset(range(sg.graph.edge_count)) - removed
+    edges, nodes = walk_cycle(sg.graph, ham, corner[0], first)
+    darts = []
+    for i, e in enumerate(edges):
+        if e >= first:
+            darts += (corner_dart[nodes[i]], corner_dart[nodes[(i + 1) % len(nodes)]])
+    return tuple(darts)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 25), st.integers(0, 10**6))
+def test_find_trail_matches_blow_up_search(n, seed):
+    sys = random_bitransition_system(n, seed)
+    assert find_trail(sys).darts == blow_up_trail(sys)
+
+
+def forbidden_pairs(sys):
+    """Each dart's pair under the forbidden pairings: on the banana, a walk
+    that closes after two of its four edges."""
+    pair = [()] * (2 * sys.graph.edge_count)
+    for pairing in sys.forbidden:
+        for p in pairing:
+            pair[p[0]] = pair[p[1]] = p
+    return pair
+
+
+# the second pairing is no pairing at all: the walk never comes back to dart 0
+@pytest.mark.parametrize("pair", [forbidden_pairs(two_node_banana()), [(1, 3)] * 8])
+def test_find_trail_checks_its_walk(pair, monkeypatch):
+    monkeypatch.setattr(kotzig, "_split_greedy", lambda *args: pair)
+    with pytest.raises(RuntimeError, match="trail walk does not close after every edge"):
+        find_trail(two_node_banana())
 
 
 def test_blow_up_shape():

@@ -283,6 +283,22 @@ def test_run_tour_validates_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_run_tour_builds_the_support_once(monkeypatch):
+    calls = []
+    for name in ("support_graph", "_series_reduced"):
+        def counting(*args, _name=name, _fn=getattr(halfpoint, name)):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(halfpoint, name, counting)
+    inst = make_donut(12)
+    x = random_square_point(16, 1, 16)
+    for point, costs in ((inst.point, inst.costs), (x, random_costs(x, 16))):
+        calls.clear()
+        run_tour(point, costs)
+        assert sorted(calls) == ["_series_reduced", "support_graph"]
+
+
 def test_run_tour_rejects_bad_inputs():
     x = prism_point()
     with pytest.raises(ValueError, match="not a square point"):
