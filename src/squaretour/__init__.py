@@ -25,9 +25,7 @@ from .halfpoint import (
     PointClass,
     SquarePoint,
     SubtourReport,
-    classify,
-    contract_one_paths,
-    decompose,
+    contract,
     edge_key,
     square_point,
     support_graph,
@@ -60,8 +58,8 @@ from .oracles import (
     held_karp,
 )
 from .tjoin import min_t_join, min_weight_perfect_matching
-from .tour import SupportHam, TourReport, compute_y, hamiltonian_with_ones, run_tour
-from .treesel import RainbowOneTree, rainbow_one_tree
+from .tour import SupportHam, TourReport, compute_y, hamiltonian, run_tour
+from .treesel import RainbowOneTree, rainbow
 
 __version__ = "0.1.0"
 
@@ -91,10 +89,8 @@ __all__ = [
     "brute_t_join",
     "check_square_graph",
     "check_system",
-    "classify",
     "compute_y",
-    "contract_one_paths",
-    "decompose",
+    "contract",
     "edge_key",
     "eulerian_circuit",
     "everywhere_instance",
@@ -102,7 +98,7 @@ __all__ = [
     "global_min_cut",
     "greedy",
     "ham_min_cost",
-    "hamiltonian_with_ones",
+    "hamiltonian",
     "held_karp",
     "make_donut",
     "metric_closure",
@@ -115,7 +111,7 @@ __all__ = [
     "random_four_regular",
     "random_square_graph",
     "random_square_point",
-    "rainbow_one_tree",
+    "rainbow",
     "run_tour",
     "serialize_bts",
     "serialize_point",

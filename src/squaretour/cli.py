@@ -13,7 +13,7 @@ import sys
 
 from .errors import SizeCapError
 from .graphcore import WeightedGraph, is_connected, metric_closure
-from .halfpoint import support_graph, validate_and_classify
+from .halfpoint import square_point, support_graph, validate_and_classify
 from .instances import (
     make_donut,
     parse_bts,
@@ -24,7 +24,7 @@ from .instances import (
 )
 from .kotzig import find_trail
 from .oracles import HELD_KARP_CAP, held_karp
-from .tour import hamiltonian_with_ones, run_tour
+from .tour import hamiltonian, run_tour
 
 
 def _read(path: str) -> str:
@@ -48,13 +48,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if not report:
         print(f"INVALID {report.witness()}")
         return 2
-    print(cls.label)
+    print(cls.value)
     return 0
 
 
 def _cmd_ham(args: argparse.Namespace) -> int:
     x, costs = parse_point(_read(args.file))
-    ham = hamiltonian_with_ones(x, costs)
+    ham = hamiltonian(square_point(x, costs))
     print(f"cost={ham.cost}")
     print("cycle=" + " ".join(str(v) for v in ham.order))
     return 0

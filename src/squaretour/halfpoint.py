@@ -4,6 +4,9 @@ A point on n nodes is stored through its support only: a map from node pairs
 to doubled values x2 in {1, 2} (so 1 means x_e = 1/2 and 2 means x_e = 1).
 Validation, classification into the square / fractional-cycle families, and
 the contraction of 1-paths down to a square graph all live here.
+square_point(x, costs) checks a point once and is the one way into the
+pipeline: every later stage (contract here, tour.hamiltonian,
+treesel.rainbow) takes the SquarePoint it returns.
 """
 
 from __future__ import annotations
@@ -23,18 +26,14 @@ __all__ = [
     "SubtourReport",
     "PointClass",
     "SquareCycle",
-    "OnePath",
-    "SupportDecomposition",
     "SquarePoint",
     "ContractedPoint",
     "edge_key",
     "support_graph",
     "validate_subtour",
     "validate_and_classify",
-    "classify",
-    "decompose",
     "square_point",
-    "contract_one_paths",
+    "contract",
 ]
 
 EdgeKey = tuple[int, int]
@@ -60,8 +59,8 @@ class HalfIntegerPoint:
     support: dict[EdgeKey, int]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
+        if self.n < 1:
+            raise ValueError("n must be positive")
         clean: dict[EdgeKey, int] = {}
         for (u, v), x2 in sorted(self.support.items()):
             if not (0 <= u < v < self.n):
@@ -191,48 +190,39 @@ class PointClass(enum.Enum):
     CARR_VEMPALA = "CARR-VEMPALA"
     OTHER_HALF_INTEGER = "HALF-INTEGER"
 
-    @property
-    def label(self) -> str:
-        return self.value
-
 
 SQUARE_CLASSES = (PointClass.SQUARE, PointClass.BOYD_CARR)
 
-Chain = tuple[tuple[int, ...], bool]
+Cycle = tuple[int, ...]
 
 
-def _chains(edges: Iterable[EdgeKey]) -> list[Chain] | None:
-    """Maximal paths, then cycles, of the simple graph on the given edges, as
-    (nodes, closed) pairs; None if some node has degree above 2.  A path
-    starts at its lower end, a cycle at its lowest node and heads to that
-    node's lower neighbour."""
+def _cycles(edges: Iterable[EdgeKey]) -> list[Cycle] | None:
+    """Cycles of the simple graph on the given edges, which has even degree
+    at every node; None if some node has degree above 2.  A cycle starts at
+    its lowest node and heads to that node's lower neighbour."""
     adj: dict[int, list[int]] = {}
     for u, v in edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
     if any(len(nb) > 2 for nb in adj.values()):
         return None
-    chains: list[Chain] = []
+    cycles: list[Cycle] = []
     seen: set[int] = set()
-    for closed in (False, True):
-        for start in sorted(adj):
-            if start in seen or (len(adj[start]) == 2) != closed:
-                continue
-            nodes = [start]
-            seen.add(start)
-            prev, cur = start, min(adj[start])
-            while cur != start:
-                nodes.append(cur)
-                seen.add(cur)
-                nb = adj[cur]
-                if len(nb) == 1:
-                    break
-                prev, cur = cur, (nb[1] if nb[0] == prev else nb[0])
-            chains.append((tuple(nodes), closed))
-    return chains
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        nodes = [start]
+        prev, cur = start, min(adj[start])
+        while cur != start:
+            nodes.append(cur)
+            nb = adj[cur]
+            prev, cur = cur, (nb[1] if nb[0] == prev else nb[0])
+        seen.update(nodes)
+        cycles.append(tuple(nodes))
+    return cycles
 
 
-def _checked(x: HalfIntegerPoint) -> tuple[SubtourReport, PointClass | None, list[Chain] | None]:
+def _checked(x: HalfIntegerPoint) -> tuple[SubtourReport, PointClass | None, list[Cycle] | None]:
     """One validation pass and, for a feasible point, one walk of the
     1/2-edges: the report, the class and the 1/2-edge cycles.
 
@@ -242,33 +232,20 @@ def _checked(x: HalfIntegerPoint) -> tuple[SubtourReport, PointClass | None, lis
     report = validate_subtour(x)
     if not report:
         return report, None, None
-    cycles = _chains(x.half_edges())
+    cycles = _cycles(x.half_edges())
     cls = PointClass.OTHER_HALF_INTEGER
     if cycles is not None:
-        if all(len(nodes) == 4 for nodes, _ in cycles):
+        if all(len(nodes) == 4 for nodes in cycles):
             # squares on all n nodes: cubic support, one 1-edge per node
             cls = PointClass.BOYD_CARR if 4 * len(cycles) == x.n else PointClass.SQUARE
-        elif len(cycles) == 1 and len(cycles[0][0]) == x.n:
+        elif len(cycles) == 1 and len(cycles[0]) == x.n:
             cls = PointClass.CARR_VEMPALA
     return report, cls, cycles
 
 
-def _classified(x: HalfIntegerPoint) -> tuple[PointClass, list[Chain] | None, SubtourReport]:
-    report, cls, cycles = _checked(x)
-    if cls is None:
-        raise ValueError(f"not a feasible point: {report.witness()}")
-    return cls, cycles, report
-
-
 def validate_and_classify(x: HalfIntegerPoint) -> tuple[SubtourReport, PointClass | None]:
-    """validate_subtour and, for a feasible point, classify, in one
-    validation pass; the class is None for an infeasible point."""
-    report, cls, _ = _checked(x)
-    return report, cls
-
-
-def classify(x: HalfIntegerPoint) -> PointClass:
-    """Most specific class of a feasible point.
+    """validate_subtour and, for a feasible point, its most specific class,
+    in one validation pass; the class is None for an infeasible point.
 
     SQUARE: 1/2-edges decompose into node-disjoint 4-cycles (vacuously for an
     integral cycle); BOYD-CARR additionally has cubic support with exactly one
@@ -276,7 +253,8 @@ def classify(x: HalfIntegerPoint) -> PointClass:
     all nodes.  On n = 4 both square and fractional-cycle conditions can hold
     at once and the square class wins.
     """
-    return _classified(x)[0]
+    report, cls, _ = _checked(x)
+    return report, cls
 
 
 @dataclass(frozen=True)
@@ -302,85 +280,52 @@ class SquareCycle:
 
 
 @dataclass(frozen=True)
-class OnePath:
-    """Maximal path (or, in the degenerate integral case, cycle) of 1-edges."""
-
-    nodes: tuple[int, ...]
-    closed: bool = False
-
-    @property
-    def edges(self) -> tuple[EdgeKey, ...]:
-        ks = [edge_key(self.nodes[i], self.nodes[i + 1]) for i in range(len(self.nodes) - 1)]
-        if self.closed:
-            ks.append(edge_key(self.nodes[-1], self.nodes[0]))
-        return tuple(ks)
-
-
-@dataclass(frozen=True)
-class SupportDecomposition:
-    """Squares, 1-edges and pair partition of a square point; support is the
-    validated support graph, keys and series reduction they were read from."""
-
-    squares: tuple[SquareCycle, ...]
-    pair_partition: tuple[frozenset[EdgeKey], ...]
-    one_edges: tuple[EdgeKey, ...] = field(repr=False)
-    support: Support = field(repr=False, compare=False)
-
-    @cached_property
-    def one_paths(self) -> tuple[OnePath, ...]:
-        return tuple(OnePath(nodes, closed) for nodes, closed in _chains(self.one_edges))
-
-
-def decompose(x: HalfIntegerPoint) -> SupportDecomposition:
-    """Squares, 1-paths, and the pair partition of a square point.
-
-    The pair partition holds the two perfect matchings of every square, in
-    square order, matching containing the square's lowest edge first.
-    """
-    cls, cycles, report = _classified(x)
-    if cls not in SQUARE_CLASSES:
-        raise ValueError("not a square point")
-    squares = tuple(SquareCycle(nodes) for nodes, _ in cycles)
-    pairs = tuple(m for sq in squares for m in sq.matchings)
-    return SupportDecomposition(squares, pairs, tuple(x.one_edges()), report.support)
-
-
-@dataclass(frozen=True)
 class SquarePoint:
     """A feasible square point with a nonnegative cost on every support edge,
     as square_point checked it.
 
     graph is the support with edge id i for keys[i] (keys sorted) and
-    reduction its series reduction, both as validation built them; weighted
+    reduction its series reduction, both as validation built them; squares
+    are the 1/2-edge 4-cycles in order of their lowest node; weighted
     carries the costs on the graph.  The pipeline stages take this object,
     so a point is validated once however many stages use it.
     """
 
     point: HalfIntegerPoint
     costs: dict[EdgeKey, int]
-    decomposition: SupportDecomposition
     graph: MultiGraph
     keys: tuple[EdgeKey, ...]
     reduction: Reduction
+    squares: tuple[SquareCycle, ...]
 
     @cached_property
     def weighted(self) -> WeightedGraph:
         return WeightedGraph(self.graph, tuple(self.costs[k] for k in self.keys))
 
+    @cached_property
+    def pair_partition(self) -> tuple[frozenset[EdgeKey], ...]:
+        """The two perfect matchings of every square, in square order, the
+        matching containing the square's lowest edge first."""
+        return tuple(m for sq in self.squares for m in sq.matchings)
+
 
 def square_point(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> SquarePoint:
     """Every check the pipeline needs, run once: x is feasible (one subtour
     validation), x is a square point, and every support edge has a
-    nonnegative cost."""
-    dec = decompose(x)
+    nonnegative cost, raising ValueError at the first that fails."""
+    report, cls, cycles = _checked(x)
+    if cls is None:
+        raise ValueError(f"not a feasible point: {report.witness()}")
+    if cls not in SQUARE_CLASSES:
+        raise ValueError("not a square point")
     for e in x.support:
         c = costs.get(e)
         if c is None:
             raise ValueError(f"missing cost for edge {e}")
         if c < 0:
             raise ValueError(f"negative cost on edge {e}")
-    g, keys, reduction = dec.support
-    return SquarePoint(x, costs, dec, g, tuple(keys), reduction)
+    g, keys, reduction = report.support
+    return SquarePoint(x, costs, g, tuple(keys), reduction, tuple(map(SquareCycle, cycles)))
 
 
 @dataclass(frozen=True)
@@ -400,12 +345,6 @@ class ContractedPoint:
     chains: tuple[tuple[int, ...], ...]
 
 
-def contract_one_paths(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> ContractedPoint:
-    """Contract 1-paths of a square point into matching edges; checks x and
-    costs with square_point first (see contract)."""
-    return contract(square_point(x, costs))
-
-
 def contract(sp: SquarePoint) -> ContractedPoint:
     """Contract 1-paths of a checked square point into matching edges.
 
@@ -414,7 +353,7 @@ def contract(sp: SquarePoint) -> ContractedPoint:
     square: an integral point has no square graph.  A feasible point with a
     square has no closed 1-cycle, which would be a component of its own.
     """
-    squares = sp.decomposition.squares
+    squares = sp.squares
     if not squares:
         raise ValueError(DEGENERATE_MSG)
     corners, graph, chains = sp.reduction

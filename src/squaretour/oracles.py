@@ -14,7 +14,7 @@ from typing import Iterable, Protocol, Sequence
 from .deltamatroid import SquareGraph, check_square_graph
 from .errors import SizeCapError
 from .graphcore import DisjointSet, WeightedGraph, connected_without
-from .halfpoint import EdgeKey, HalfIntegerPoint, decompose
+from .halfpoint import EdgeKey, HalfIntegerPoint, square_point
 
 __all__ = [
     "held_karp",
@@ -161,13 +161,14 @@ def brute_t_join(wg: WeightedGraph, t_set) -> frozenset[int]:
 
 
 def brute_rainbow(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> tuple[frozenset[EdgeKey], int]:
-    """Cheapest rainbow 1-tree by enumerating one edge per matching pair."""
-    dec = decompose(x)
-    s = len(dec.squares)
+    """Cheapest rainbow 1-tree by enumerating one edge per matching pair;
+    x and costs are checked by square_point."""
+    sp = square_point(x, costs)
+    s = len(sp.squares)
     if s > BRUTE_RAINBOW_CAP:
         raise SizeCapError(f"brute_rainbow capped at {BRUTE_RAINBOW_CAP} squares, got {s}")
     ones = [e for e, x2 in sorted(x.support.items()) if x2 == 2]
-    pair_lists = [sorted(p) for p in dec.pair_partition]
+    pair_lists = [sorted(p) for p in sp.pair_partition]
     best: tuple[int, tuple[EdgeKey, ...]] | None = None
     for choice in product(*pair_lists) if pair_lists else [()]:
         edges = list(ones) + list(choice)

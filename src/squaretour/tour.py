@@ -3,7 +3,8 @@
 Pipeline: a minimum-cost Hamiltonian cycle H of the support containing all
 1-edges, a minimum-cost rainbow 1-tree F*, a minimum T-join completing F* to
 a tour J*, the integer bound check 14*min(c_H, c_J) <= 10*(doubled c.x), and
-metric shortcutting of the cheaper of the two.
+metric shortcutting of the cheaper of the two.  run_tour checks the point
+once with halfpoint.square_point; hamiltonian takes that checked point.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .halfpoint import EdgeKey, HalfIntegerPoint, SquarePoint, contract, square_
 from .tjoin import min_t_join
 from .treesel import rainbow
 
-__all__ = ["SupportHam", "TourReport", "hamiltonian_with_ones", "compute_y", "run_tour"]
+__all__ = ["SupportHam", "TourReport", "hamiltonian", "compute_y", "run_tour"]
 
 
 @dataclass(frozen=True)
@@ -42,12 +43,6 @@ class TourReport:
     final_cost: int
 
 
-def hamiltonian_with_ones(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> SupportHam:
-    """Minimum-cost Hamiltonian cycle of the support containing every 1-edge;
-    checks x and costs with square_point first (see hamiltonian)."""
-    return hamiltonian(square_point(x, costs))
-
-
 def hamiltonian(sp: SquarePoint) -> SupportHam:
     """Minimum-cost Hamiltonian cycle of a checked square point's support
     containing every 1-edge.
@@ -58,7 +53,7 @@ def hamiltonian(sp: SquarePoint) -> SupportHam:
     cycle neighbour: on the support graph, edge ids follow the sorted keys,
     so that is node 0's lower-id cycle edge.
     """
-    if not sp.decomposition.squares:
+    if not sp.squares:
         ids = frozenset(range(len(sp.keys)))
     else:
         cp = contract(sp)
@@ -125,7 +120,7 @@ def run_tour(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> TourReport:
     ham = hamiltonian(sp)
     c_x2 = x.cost_x2(costs)
 
-    if not sp.decomposition.squares:
+    if not sp.squares:
         j_star = {e: 1 for e in ham.edges}
         c_j = ham.cost
     else:

@@ -6,7 +6,8 @@ matroid ("at most two edges at node 0, a forest elsewhere") and, for square
 points, a partition matroid whose classes are the two perfect matchings of
 every square plus one singleton class per 1-edge.  A minimum-cost common
 basis therefore picks exactly one matching edge per class and all 1-edges,
-and such a basis never costs more than the point itself.
+and such a basis never costs more than the point itself.  rainbow takes a
+point checked by halfpoint.square_point.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphcore import DisjointSet
-from .halfpoint import DEGENERATE_MSG, EdgeKey, HalfIntegerPoint, SquarePoint, square_point
+from .halfpoint import DEGENERATE_MSG, EdgeKey, SquarePoint
 
-__all__ = ["RainbowOneTree", "rainbow_one_tree"]
+__all__ = ["RainbowOneTree", "rainbow"]
 
 
 @dataclass(frozen=True)
@@ -27,23 +28,17 @@ class RainbowOneTree:
     cost: int
 
 
-def rainbow_one_tree(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> RainbowOneTree:
-    """Minimum-cost rainbow 1-tree of a square point; checks x and costs with
-    square_point first (see rainbow)."""
-    return rainbow(square_point(x, costs))
-
-
 def rainbow(sp: SquarePoint) -> RainbowOneTree:
     """Minimum-cost rainbow 1-tree of a checked square point.
 
     Every common basis contains each 1-edge, so the 1-edges are forced first
     (cost-neutral) and the intersection runs on the 1/2-edges alone.
     """
-    x, costs, dec = sp.point, sp.costs, sp.decomposition
-    if not dec.squares:
+    x, costs = sp.point, sp.costs
+    if not sp.squares:
         raise ValueError(DEGENERATE_MSG)
     one_edges = frozenset(e for e in sp.keys if x.support[e] == 2)
-    chosen = _cheapest_rainbow(x.n, one_edges, dec.pair_partition, costs)
+    chosen = _cheapest_rainbow(x.n, one_edges, sp.pair_partition, costs)
     if chosen is None:  # pragma: no cover - impossible for feasible square points
         raise RuntimeError("square point admits no rainbow 1-tree")
     edges = one_edges | chosen

@@ -14,8 +14,8 @@ import pytest
 from squaretour.deltamatroid import SquareGraph, ham_min_cost, verify_ham
 from squaretour.graphcore import MultiGraph, WeightedGraph, metric_closure
 from squaretour.halfpoint import (
-    contract_one_paths,
-    decompose,
+    contract,
+    square_point,
     support_graph,
     validate_subtour,
 )
@@ -31,7 +31,7 @@ from squaretour.kotzig import find_trail, verify_trail
 from squaretour.oracles import brute_ham, brute_rainbow, brute_t_join, held_karp
 from squaretour.tjoin import min_t_join
 from squaretour.tour import compute_y, run_tour
-from squaretour.treesel import rainbow_one_tree
+from squaretour.treesel import rainbow
 
 _CACHE = {}
 
@@ -50,7 +50,7 @@ def tour_trials():
         trials = []
         for x, costs in inputs:
             rep = run_tour(x, costs)
-            tree = rainbow_one_tree(x, costs)
+            tree = rainbow(square_point(x, costs))
             y6 = compute_y(x, rep.hamiltonian.edges)
             trials.append((x, costs, rep, tree, y6))
         _CACHE["trials"] = trials
@@ -156,10 +156,9 @@ def test_criterion_06_rainbow_one_tree():
         x = random_square_point(rng.randint(1, 6), rng.randint(1, 3), rng)
         costs = random_costs(x, rng)
         _, best = brute_rainbow(x, costs)
-        assert rainbow_one_tree(x, costs).cost == best
+        assert rainbow(square_point(x, costs)).cost == best
     for x, costs, rep, tree, y6 in trials:
-        dec = decompose(x)
-        for pair in dec.pair_partition:
+        for pair in square_point(x, costs).pair_partition:
             assert len(tree.edges & pair) == 1
         assert all(e in tree.edges for e in x.one_edges())
         assert one_tree_ok(x.n, tree.edges)
@@ -263,7 +262,7 @@ def test_criterion_10_delta_matroid_exchange():
         ((0, 1, 2, 3),),
     )
     inst = make_donut(2)
-    graphs = [k4, contract_one_paths(inst.point, inst.costs).square_graph]
+    graphs = [k4, contract(square_point(inst.point, inst.costs)).square_graph]
     for seed in range(40):
         rng = random.Random(37000 + seed)
         graphs.append(random_square_graph(rng.randint(1, 4), rng))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from squaretour.deltamatroid import SquareGraph, check_square_graph, ham_min_cost, verify_ham
 from squaretour.graphcore import MultiGraph, connected_without, is_connected, walk_cycle
-from squaretour.halfpoint import contract_one_paths
+from squaretour.halfpoint import contract, square_point
 from squaretour.instances import make_donut, random_costs, random_square_graph, random_square_point
 from squaretour.oracles import ExplicitDeltaMatroid, SquareDeltaMatroid, brute_ham, greedy
 
@@ -107,7 +107,7 @@ def test_oracle_k4_both_choices_extend():
 
 
 def test_oracle_detects_disconnecting_choice():
-    cp = contract_one_paths(make_donut(2).point, make_donut(2).costs)
+    cp = contract(square_point(make_donut(2).point, make_donut(2).costs))
     sg = cp.square_graph
     oracle = SquareDeltaMatroid(sg)
     hams = enumerate_hams(sg)
@@ -212,7 +212,7 @@ def test_ham_k4_unit_costs():
 
 def test_ham_donut_contracted():
     inst = make_donut(2)
-    cp = contract_one_paths(inst.point, inst.costs)
+    cp = contract(square_point(inst.point, inst.costs))
     ham = ham_min_cost(cp.square_graph, list(cp.cost))
     # both all-cheap and all-dear matching choices disconnect here, so the
     # optimum mixes: one cost-2 matching, one cost-4 matching, M cost 8
@@ -303,7 +303,7 @@ def test_ham_min_cost_matches_deletion_greedy(s, seed, contracted, data):
     # points do not
     if contracted:
         x = random_square_point(s, 2, seed)
-        sg = contract_one_paths(x, random_costs(x, seed)).square_graph
+        sg = contract(square_point(x, random_costs(x, seed))).square_graph
     else:
         sg = random_square_graph(s, seed)
     m = sg.graph.edge_count

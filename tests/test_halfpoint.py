@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -6,16 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squaretour import halfpoint
-from squaretour.graphcore import WeightedGraph, global_min_cut, metric_closure
+from squaretour.graphcore import DisjointSet, WeightedGraph, global_min_cut, metric_closure
 from squaretour.halfpoint import (
     DEGENERATE_MSG,
     HalfIntegerPoint,
     PointClass,
-    classify,
-    contract_one_paths,
-    decompose,
+    contract,
     edge_key,
+    square_point,
     support_graph,
+    validate_and_classify,
     validate_subtour,
 )
 from squaretour.deltamatroid import check_square_graph
@@ -42,7 +43,33 @@ def single_square_point():
     return HalfIntegerPoint(6, support)
 
 
+def class_of(x):
+    return validate_and_classify(x)[1]
+
+
+def unit_square_point(x):
+    return square_point(x, dict.fromkeys(x.support, 1))
+
+
+def one_degrees(x):
+    deg = [0] * x.n
+    for u, v in x.one_edges():
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
+def one_path_lengths(x):
+    """Edge count of every component of the 1-edge graph, ascending."""
+    ds = DisjointSet(x.n)
+    for u, v in x.one_edges():
+        ds.union(u, v)
+    return sorted(Counter(ds.find(u) for u, _ in x.one_edges()).values())
+
+
 def test_point_construction_rejects_bad_values():
+    with pytest.raises(ValueError, match="n must be positive"):
+        HalfIntegerPoint(0, {})
     with pytest.raises(ValueError):
         HalfIntegerPoint(3, {(0, 1): 3})
     with pytest.raises(ValueError):
@@ -209,23 +236,23 @@ def test_donut_metric_distance_across_ring():
 
 
 def test_classify_square_and_donut():
-    assert classify(make_donut(2).point) is PointClass.SQUARE
-    assert classify(make_donut(3).point) is PointClass.SQUARE
-    assert classify(single_square_point()) is PointClass.SQUARE
+    assert class_of(make_donut(2).point) is PointClass.SQUARE
+    assert class_of(make_donut(3).point) is PointClass.SQUARE
+    assert class_of(single_square_point()) is PointClass.SQUARE
 
 
 def test_classify_integral_cycle_is_square():
-    assert classify(integral_cycle(6)) is PointClass.SQUARE
+    assert class_of(integral_cycle(6)) is PointClass.SQUARE
 
 
 def test_classify_boyd_carr():
     # all 1-paths have length 1: cubic support, one 1-edge per node
     x = random_square_point(2, 1, 7)
-    assert classify(x) is PointClass.BOYD_CARR
+    assert class_of(x) is PointClass.BOYD_CARR
 
 
 def test_classify_square_with_long_paths_not_boyd_carr():
-    assert classify(single_square_point()) is PointClass.SQUARE
+    assert class_of(single_square_point()) is PointClass.SQUARE
 
 
 def test_classify_carr_vempala():
@@ -233,7 +260,7 @@ def test_classify_carr_vempala():
     for i in range(6):
         support[edge_key(i, i + 6)] = 2
     x = HalfIntegerPoint(12, support)
-    assert classify(x) is PointClass.CARR_VEMPALA
+    assert class_of(x) is PointClass.CARR_VEMPALA
 
 
 def test_classify_other_half_integer():
@@ -252,41 +279,48 @@ def test_classify_other_half_integer():
     support[edge_key(1, 4)] = 2
     x = HalfIntegerPoint(6, support)
     if validate_subtour(x):
-        assert classify(x) is PointClass.OTHER_HALF_INTEGER
+        assert class_of(x) is PointClass.OTHER_HALF_INTEGER
 
 
 def test_classify_rejects_infeasible():
     x = HalfIntegerPoint(3, {(0, 1): 2, (1, 2): 2, (0, 2): 1})
-    with pytest.raises(ValueError):
-        classify(x)
+    report, cls = validate_and_classify(x)
+    assert not report and cls is None
+    with pytest.raises(ValueError, match="^not a feasible point: degree node=0$"):
+        unit_square_point(x)
 
 
 def test_classify_n4_prefers_square():
     support = {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1, (0, 2): 2, (1, 3): 2}
-    assert classify(HalfIntegerPoint(4, support)) is PointClass.BOYD_CARR
+    assert class_of(HalfIntegerPoint(4, support)) is PointClass.BOYD_CARR
 
 
 def test_decompose_donut():
-    dec = decompose(make_donut(2).point)
-    assert len(dec.squares) == 2
-    assert len(dec.one_paths) == 4
-    assert all(len(p.nodes) == 3 for p in dec.one_paths)  # length-2 paths
-    assert len(dec.pair_partition) == 4
-    assert not any(p.closed for p in dec.one_paths)
+    x = make_donut(2).point
+    sp = unit_square_point(x)
+    assert len(sp.squares) == 2
+    assert len(sp.pair_partition) == 4
+    # four 1-paths of length 2, each ending at two square corners
+    assert one_path_lengths(x) == [2] * 4
+    corners = {v for sq in sp.squares for v in sq.nodes}
+    deg = one_degrees(x)
+    assert {v for v in range(x.n) if deg[v] == 1} == corners
+    assert max(deg) == 2
 
 
 def test_decompose_k4_donut():
-    dec = decompose(make_donut(4).point)
-    assert len(dec.squares) == 4
-    assert len(dec.one_paths) == 8
-    assert all(len(p.nodes) == 5 for p in dec.one_paths)
-    assert len(dec.pair_partition) == 8
+    x = make_donut(4).point
+    sp = unit_square_point(x)
+    assert len(sp.squares) == 4
+    assert one_path_lengths(x) == [4] * 8
+    assert len(sp.pair_partition) == 8
 
 
 def test_decompose_pair_partition_is_matchings():
-    dec = decompose(make_donut(3).point)
-    for sq, pair in zip(dec.squares, zip(dec.pair_partition[0::2], dec.pair_partition[1::2])):
+    sp = unit_square_point(make_donut(3).point)
+    for sq, pair in zip(sp.squares, zip(sp.pair_partition[0::2], sp.pair_partition[1::2])):
         m1, m2 = pair
+        assert min(sq.edges) in m1
         assert m1 | m2 == set(sq.edges)
         assert m1.isdisjoint(m2)
         for matching in (m1, m2):
@@ -295,24 +329,28 @@ def test_decompose_pair_partition_is_matchings():
 
 
 def test_decompose_integral_cycle():
-    dec = decompose(integral_cycle(5))
-    assert dec.squares == ()
-    assert len(dec.one_paths) == 1
-    assert dec.one_paths[0].closed
-    assert dec.pair_partition == ()
+    x = integral_cycle(5)
+    sp = unit_square_point(x)
+    assert sp.squares == ()
+    assert sp.pair_partition == ()
+    assert one_path_lengths(x) == [5]  # one closed 1-cycle
+    assert one_degrees(x) == [2] * 5
 
 
 def test_decompose_rejects_non_square():
     support = {edge_key(i, (i + 1) % 12): 1 for i in range(12)}
     for i in range(6):
         support[edge_key(i, i + 6)] = 2
+    x = HalfIntegerPoint(12, support)
     with pytest.raises(ValueError, match="not a square point"):
-        decompose(HalfIntegerPoint(12, support))
+        unit_square_point(x)
+    with pytest.raises(ValueError, match="not a square point"):
+        square_point(x, {})  # before any cost check
 
 
 def test_contract_donut():
     inst = make_donut(2)
-    cp = contract_one_paths(inst.point, inst.costs)
+    cp = contract(square_point(inst.point, inst.costs))
     sg = cp.square_graph
     check_square_graph(sg)
     assert sg.graph.node_count == 8
@@ -324,18 +362,21 @@ def test_contract_donut():
     # 1-paths, the square edges' chains their own support edge
     keys = sorted(inst.point.support)
     assert sorted(e for c in cp.chains for e in c) == list(range(len(keys)))
-    paths = {frozenset(p.edges) for p in decompose(inst.point).one_paths}
+    paths = {
+        frozenset(edge_key(u, v) for u, v in zip(p, p[1:]))
+        for p in inst.inner_paths + inst.outer_paths
+    }
     assert {frozenset(keys[e] for e in cp.chains[m]) for m in sg.matching} == paths
     for sq in sg.squares:
         assert all(len(cp.chains[e]) == 1 for e in sq)
-    corners = sorted(v for sq in decompose(inst.point).squares for v in sq.nodes)
+    corners = sorted(v for sq in inst.squares for v in sq)
     assert list(cp.corner_orig) == corners
 
 
 def test_contract_unit_paths_keep_support_shape():
     x = random_square_point(2, 1, 7)
     costs = {e: 1 for e in x.support}
-    cp = contract_one_paths(x, costs)
+    cp = contract(square_point(x, costs))
     assert cp.square_graph.graph.edge_count == len(x.support)
     assert all(len(c) == 1 for c in cp.chains)
 
@@ -343,7 +384,7 @@ def test_contract_unit_paths_keep_support_shape():
 def test_contract_single_square_diagonals():
     x = single_square_point()
     costs = {e: 1 for e in x.support}
-    cp = contract_one_paths(x, costs)
+    cp = contract(square_point(x, costs))
     sg = cp.square_graph
     assert sg.graph.node_count == 4
     assert len(sg.matching) == 2
@@ -356,7 +397,7 @@ def test_contract_single_square_diagonals():
 
 def test_contract_degenerate_point_errors():
     with pytest.raises(ValueError, match="integral point"):
-        contract_one_paths(integral_cycle(5), {edge_key(i, (i + 1) % 5): 1 for i in range(5)})
+        contract(square_point(integral_cycle(5), {edge_key(i, (i + 1) % 5): 1 for i in range(5)}))
     assert "1-edge cycle" in DEGENERATE_MSG
 
 
@@ -365,25 +406,25 @@ def test_contract_checks_costs():
     costs = dict(inst.costs)
     costs.pop((0, 1))
     with pytest.raises(ValueError, match="missing cost"):
-        contract_one_paths(inst.point, costs)
+        square_point(inst.point, costs)
     costs[(0, 1)] = -1
     with pytest.raises(ValueError, match="negative cost"):
-        contract_one_paths(inst.point, costs)
+        square_point(inst.point, costs)
 
 
 def test_square_nodes_have_two_half_edges():
     for seed in range(20):
         rng = random.Random(seed)
         x = random_square_point(rng.randint(1, 3), rng.randint(1, 3), 100 + seed)
-        dec = decompose(x)
+        sp = unit_square_point(x)
         half_deg = [0] * x.n
         for u, v in x.half_edges():
             half_deg[u] += 1
             half_deg[v] += 1
-        for sq in dec.squares:
+        one_deg = one_degrees(x)
+        for sq in sp.squares:
             for v in sq.nodes:
                 assert half_deg[v] == 2
-        one_edges = {e for p in dec.one_paths for e in p.edges}
-        assert one_edges == set(x.one_edges())
-        square_edges = [e for sq in dec.squares for e in sq.edges]
+                assert one_deg[v] == 1
+        square_edges = [e for sq in sp.squares for e in sq.edges]
         assert sorted(square_edges) == sorted(x.half_edges())

@@ -8,8 +8,8 @@ from squaretour.graphcore import MultiGraph, is_connected
 from squaretour.halfpoint import (
     HalfIntegerPoint,
     PointClass,
-    classify,
     edge_key,
+    validate_and_classify,
     validate_subtour,
 )
 from squaretour.instances import (
@@ -34,7 +34,7 @@ def test_donut_size_and_cost_identities():
         assert inst.point.n == 2 * k * k + 2 * k
         assert inst.point.cost_x2(inst.costs) == 2 * (3 * k * k + k)
         assert validate_subtour(inst.point)
-        assert classify(inst.point) is PointClass.SQUARE
+        assert validate_and_classify(inst.point)[1] is PointClass.SQUARE
 
 
 def test_donut_k4_headline_numbers():
@@ -121,7 +121,7 @@ def test_random_square_point_contract():
         max_len = rng.randint(1, 4)
         x = random_square_point(s, max_len, seed)
         assert validate_subtour(x)
-        assert classify(x) in (PointClass.SQUARE, PointClass.BOYD_CARR)
+        assert validate_and_classify(x)[1] in (PointClass.SQUARE, PointClass.BOYD_CARR)
         halves = sum(1 for v in x.support.values() if v == 1)
         assert halves == 4 * s
         assert x.n >= 4 * s
@@ -156,18 +156,18 @@ def k33_graph():
 def test_everywhere_instance_k4():
     x = everywhere_instance(k4_graph(), {0, 1, 2, 3})
     assert validate_subtour(x)
-    assert classify(x) is PointClass.BOYD_CARR
+    assert validate_and_classify(x)[1] is PointClass.BOYD_CARR
     assert x.support[(0, 2)] == 2 and x.support[(0, 1)] == 1
 
 
 def test_everywhere_instance_prism_and_k33():
     x = everywhere_instance(prism_graph(), {0, 7, 3, 5, 8, 2})
     assert validate_subtour(x)
-    assert classify(x) is PointClass.CARR_VEMPALA
+    assert validate_and_classify(x)[1] is PointClass.CARR_VEMPALA
     # K3,3 cycle 0-3-1-4-2-5: edge ids below follow the generator order
     y = everywhere_instance(k33_graph(), {0, 3, 4, 7, 8, 2})
     assert validate_subtour(y)
-    assert classify(y) is PointClass.CARR_VEMPALA
+    assert validate_and_classify(y)[1] is PointClass.CARR_VEMPALA
 
 
 def test_everywhere_instance_rejects_bad_graphs():

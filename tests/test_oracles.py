@@ -5,7 +5,7 @@ import pytest
 
 from squaretour.errors import SizeCapError
 from squaretour.graphcore import MultiGraph, WeightedGraph, global_min_cut
-from squaretour.halfpoint import HalfIntegerPoint, contract_one_paths, edge_key
+from squaretour.halfpoint import HalfIntegerPoint, contract, edge_key, square_point
 from squaretour.instances import make_donut, random_square_graph, random_square_point
 from squaretour.oracles import (
     BRUTE_CUTS_CAP,
@@ -90,7 +90,7 @@ def test_held_karp_input_checks():
 
 def test_brute_ham_donut_and_cap():
     inst = make_donut(2)
-    cp = contract_one_paths(inst.point, inst.costs)
+    cp = contract(square_point(inst.point, inst.costs))
     edges, cost = brute_ham(cp.square_graph, list(cp.cost))
     assert cost == 14
     big = random_square_graph(BRUTE_HAM_CAP + 1, 5)

@@ -15,15 +15,15 @@ from squaretour.graphcore import (
     is_connected,
     metric_closure,
 )
-from squaretour.halfpoint import HalfIntegerPoint, decompose, edge_key, support_graph
+from squaretour.halfpoint import HalfIntegerPoint, edge_key, square_point, support_graph
 from squaretour.instances import (
     everywhere_instance,
     make_donut,
     random_costs,
     random_square_point,
 )
-from squaretour.tour import compute_y, hamiltonian_with_ones, run_tour
-from squaretour.treesel import rainbow_one_tree
+from squaretour.tour import compute_y, hamiltonian, run_tour
+from squaretour.treesel import rainbow
 
 
 def integral_cycle(n):
@@ -60,13 +60,13 @@ def test_ham_single_square_picks_cheaper_candidate():
     costs = {e: 2 for e in ONE_EDGES}
     costs.update({e: 1 for e in MATCH_A})
     costs.update({e: 5 for e in MATCH_B})
-    ham = hamiltonian_with_ones(x, costs)
+    ham = hamiltonian(square_point(x, costs))
     assert ham.edges == ONE_EDGES | MATCH_A
     assert ham.cost == 10
     flipped = dict(costs)
     flipped.update({e: 5 for e in MATCH_A})
     flipped.update({e: 1 for e in MATCH_B})
-    ham2 = hamiltonian_with_ones(x, flipped)
+    ham2 = hamiltonian(square_point(x, flipped))
     assert ham2.edges == ONE_EDGES | MATCH_B
     assert ham2.cost == 10
     assert sorted(ham.order) == list(range(6))
@@ -74,21 +74,22 @@ def test_ham_single_square_picks_cheaper_candidate():
 
 def test_ham_donut_cost():
     inst = make_donut(2)
-    ham = hamiltonian_with_ones(inst.point, inst.costs)
+    sp = square_point(inst.point, inst.costs)
+    ham = hamiltonian(sp)
     # keeping the two cost-1 matchings in both squares would split the cycle
     # into the inner and outer rings, so one square pays the cost-k matching
     assert ham.cost == 14
     assert len(ham.edges) == 12
     one_edges = {e for e, v in inst.point.support.items() if v == 2}
     assert one_edges <= ham.edges
-    for sq in decompose(inst.point).squares:
+    for sq in sp.squares:
         assert len(ham.edges & set(sq.edges)) == 2
 
 
 def test_ham_integral_point():
     x = integral_cycle(7)
     costs = {e: 3 * i for i, e in enumerate(sorted(x.support))}
-    ham = hamiltonian_with_ones(x, costs)
+    ham = hamiltonian(square_point(x, costs))
     assert ham.edges == frozenset(x.support)
     assert ham.cost == sum(costs.values())
     assert 2 * ham.cost == x.cost_x2(costs)
@@ -96,15 +97,15 @@ def test_ham_integral_point():
 
 def test_ham_rejects_bad_inputs():
     with pytest.raises(ValueError, match="not a square point"):
-        hamiltonian_with_ones(prism_point(), {e: 1 for e in prism_point().support})
+        hamiltonian(square_point(prism_point(), {e: 1 for e in prism_point().support}))
     x = single_square_point()
     costs = {e: 1 for e in x.support}
     del costs[(0, 1)]
     with pytest.raises(ValueError, match="missing cost"):
-        hamiltonian_with_ones(x, costs)
+        hamiltonian(square_point(x, costs))
     costs[(0, 1)] = -2
     with pytest.raises(ValueError, match="negative cost"):
-        hamiltonian_with_ones(x, costs)
+        hamiltonian(square_point(x, costs))
 
 
 # sha256 of the HAM orders below, taken by running the same code at a commit
@@ -127,12 +128,12 @@ def test_hamiltonian_cycles_unchanged_at_scale():
             x = random_square_point(s, length, s + 100 * length)
             for high in (100, 2):
                 costs = random_costs(x, s + 100 * length, 0, high)
-                h.update(repr(hamiltonian_with_ones(x, costs).order).encode())
+                h.update(repr(hamiltonian(square_point(x, costs)).order).encode())
         assert h.hexdigest() == HAM_DIGESTS[s], s
     h = hashlib.sha256()
     for k in range(2, 13):
         inst = make_donut(k)
-        h.update(repr(hamiltonian_with_ones(inst.point, inst.costs).order).encode())
+        h.update(repr(hamiltonian(square_point(inst.point, inst.costs)).order).encode())
     assert h.hexdigest() == HAM_DIGESTS["donut"]
 
 
@@ -156,7 +157,7 @@ def test_compute_y_covers_all_four_values():
 
 def test_compute_y_donut_fixed_sum():
     inst = make_donut(2)
-    ham = hamiltonian_with_ones(inst.point, inst.costs)
+    ham = hamiltonian(square_point(inst.point, inst.costs))
     y = compute_y(inst.point, ham.edges)
     total = sum(inst.costs[e] * v for e, v in y.items())
     assert total == 42  # 6*(c.y); equals 2*c_x2 - c_H = 56 - 14
@@ -167,7 +168,7 @@ def test_compute_y_identity_random():
         rng = random.Random(seed)
         x = random_square_point(rng.randint(1, 4), rng.randint(1, 3), 300 + seed)
         costs = random_costs(x, seed)
-        ham = hamiltonian_with_ones(x, costs)
+        ham = hamiltonian(square_point(x, costs))
         y = compute_y(x, ham.edges)
         assert set(y.values()) <= {1, 2, 3, 4}
         total = sum(costs[e] * v for e, v in y.items())
@@ -228,7 +229,7 @@ def test_run_tour_structural_invariants():
         edges = [e for e, m in rep.j_star.items() for _ in range(m)]
         assert is_connected(MultiGraph(x.n, edges)), seed
         # the T-join part of J* never costs more than c.y
-        f_star = rainbow_one_tree(x, costs)
+        f_star = rainbow(square_point(x, costs))
         join_cost = rep.c_j - f_star.cost
         y = compute_y(x, rep.hamiltonian.edges)
         assert 6 * join_cost <= sum(costs[e] * v for e, v in y.items()), seed
@@ -306,6 +307,9 @@ def test_run_tour_rejects_bad_inputs():
     y = single_square_point()
     with pytest.raises(ValueError, match="negative cost"):
         run_tour(y, {e: -1 for e in y.support})
+    # an empty point used to validate as feasible and crash the HAM stage
+    with pytest.raises(ValueError, match="n must be positive"):
+        run_tour(HalfIntegerPoint(0, {}), {})
 
 
 def donut_segment_cut(inst, start, length):
@@ -335,8 +339,8 @@ def test_claim_case_two_on_donut_cuts():
     # cuts crossed four times by H either carry x >= 3 or meet F* evenly
     for k in (2, 3, 4):
         inst = make_donut(k)
-        ham = hamiltonian_with_ones(inst.point, inst.costs)
-        f_star = rainbow_one_tree(inst.point, inst.costs)
+        ham = hamiltonian(square_point(inst.point, inst.costs))
+        f_star = rainbow(square_point(inst.point, inst.costs))
         cuts = [ring_cut(inst)]
         for start in range(k):
             for length in range(1, k):
@@ -357,10 +361,10 @@ def test_claim_case_two_on_pair_class_cuts():
         rng = random.Random(seed)
         x = random_square_point(rng.randint(2, 4), rng.randint(1, 2), 770 + seed)
         costs = random_costs(x, seed)
-        ham = hamiltonian_with_ones(x, costs)
-        f_star = rainbow_one_tree(x, costs)
-        dec = decompose(x)
-        for pa, pb in combinations(dec.pair_partition, 2):
+        sp = square_point(x, costs)
+        ham = hamiltonian(sp)
+        f_star = rainbow(sp)
+        for pa, pb in combinations(sp.pair_partition, 2):
             union = set(pa) | set(pb)
             ds = DisjointSet(x.n)
             for u, v in x.support:

@@ -5,10 +5,10 @@ from itertools import combinations
 import pytest
 
 from squaretour.graphcore import DisjointSet
-from squaretour.halfpoint import DEGENERATE_MSG, HalfIntegerPoint, decompose, edge_key
+from squaretour.halfpoint import DEGENERATE_MSG, HalfIntegerPoint, edge_key, square_point
 from squaretour.instances import make_donut, random_costs, random_square_point
 from squaretour.oracles import brute_rainbow
-from squaretour.treesel import rainbow_one_tree
+from squaretour.treesel import rainbow
 
 
 def single_square_point():
@@ -35,9 +35,10 @@ def one_tree_ok(x, edges):
 
 def test_single_square_rainbow_enumeration():
     x = single_square_point()
-    dec = decompose(x)
+    unit = {e: 1 for e in x.support}
+    sp = square_point(x, unit)
     ones = [e for e, v in x.support.items() if v == 2]
-    cls_a, cls_b = [sorted(p) for p in dec.pair_partition]
+    cls_a, cls_b = [sorted(p) for p in sp.pair_partition]
     valid = []
     for ea in cls_a:
         for eb in cls_b:
@@ -45,8 +46,7 @@ def test_single_square_rainbow_enumeration():
             if one_tree_ok(x, cand):
                 valid.append(cand)
     assert len(valid) == 2  # the two corner choices through node 0 that chain
-    unit = {e: 1 for e in x.support}
-    tree = rainbow_one_tree(x, unit)
+    tree = rainbow(sp)
     assert tree.cost == 6  # equals c.x for unit costs
     assert tree.edges in valid
     assert min(sum(unit[e] for e in v) for v in valid) == 6
@@ -54,7 +54,7 @@ def test_single_square_rainbow_enumeration():
 
 def test_rainbow_donut_cost_bound():
     inst = make_donut(2)
-    tree = rainbow_one_tree(inst.point, inst.costs)
+    tree = rainbow(square_point(inst.point, inst.costs))
     bedges, bcost = brute_rainbow(inst.point, inst.costs)
     assert tree.cost == bcost
     assert tree.cost <= 14  # 2 cost <= c.x2 = 28
@@ -66,11 +66,11 @@ def test_rainbow_structure_and_brute_agreement():
         rng = random.Random(seed)
         x = random_square_point(rng.randint(1, 4), rng.randint(1, 3), 600 + seed)
         costs = random_costs(x, seed)
-        tree = rainbow_one_tree(x, costs)
-        dec = decompose(x)
+        sp = square_point(x, costs)
+        tree = rainbow(sp)
         ones = {e for e, v in x.support.items() if v == 2}
         assert ones <= tree.edges, seed
-        for pair in dec.pair_partition:
+        for pair in sp.pair_partition:
             assert len(tree.edges & set(pair)) == 1, seed
         assert len(tree.edges) == x.n, seed
         assert one_tree_ok(x, tree.edges), seed
@@ -96,18 +96,18 @@ def test_rainbow_trees_unchanged_at_scale():
         h = hashlib.sha256()
         for j in range(4):
             x = random_square_point(s, 1, s + 100 * j)
-            tree = rainbow_one_tree(x, random_costs(x, s + 100 * j))
+            tree = rainbow(square_point(x, random_costs(x, s + 100 * j)))
             h.update(repr(sorted(tree.edges)).encode())
         assert h.hexdigest() == want, s
 
 
-def four_half_edge_cuts(x):
-    """Cuts made of two matching pair classes: remove the union of a class
-    pair and keep it only if the support falls into two sides that every
-    removed edge crosses."""
-    dec = decompose(x)
+def four_half_edge_cuts(sp):
+    """Cuts made of two matching pair classes of a checked square point:
+    remove the union of a class pair and keep it only if the support falls
+    into two sides that every removed edge crosses."""
+    x = sp.point
     cuts = []
-    for pa, pb in combinations(dec.pair_partition, 2):
+    for pa, pb in combinations(sp.pair_partition, 2):
         union = set(pa) | set(pb)
         ds = DisjointSet(x.n)
         for u, v in x.support:
@@ -125,26 +125,28 @@ def test_rainbow_square_pair_cuts_met_twice():
     # the k=2 donut has the inner and outer ring cuts, four 1/2-edges each;
     # a rainbow tree crosses every such cut exactly twice
     inst = make_donut(2)
-    cuts = four_half_edge_cuts(inst.point)
+    sp = square_point(inst.point, inst.costs)
+    cuts = four_half_edge_cuts(sp)
     assert len(cuts) == 2
-    tree = rainbow_one_tree(inst.point, inst.costs)
+    tree = rainbow(sp)
     for cut in cuts:
         assert len(tree.edges & cut) == 2
     for seed in range(40):
         rng = random.Random(seed)
         x = random_square_point(rng.randint(2, 4), rng.randint(1, 2), 880 + seed)
         costs = random_costs(x, seed)
-        tree = rainbow_one_tree(x, costs)
-        for cut in four_half_edge_cuts(x):
+        sp = square_point(x, costs)
+        tree = rainbow(sp)
+        for cut in four_half_edge_cuts(sp):
             assert len(tree.edges & cut) == 2, seed
 
 
 def test_rainbow_rejects_degenerate_and_bad_costs():
     cyc = HalfIntegerPoint(5, {edge_key(i, (i + 1) % 5): 2 for i in range(5)})
     with pytest.raises(ValueError, match=DEGENERATE_MSG):
-        rainbow_one_tree(cyc, {e: 1 for e in cyc.support})
+        rainbow(square_point(cyc, {e: 1 for e in cyc.support}))
     x = single_square_point()
     costs = {e: 1 for e in x.support}
     del costs[(0, 1)]
     with pytest.raises(ValueError, match="missing cost"):
-        rainbow_one_tree(x, costs)
+        rainbow(square_point(x, costs))
