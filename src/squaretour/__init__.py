@@ -11,7 +11,6 @@ instance family round out the toolbox.
 """
 
 from .deltamatroid import HamCycle, SquareGraph, check_square_graph, ham_min_cost, verify_ham
-from .errors import SizeCapError
 from .graphcore import (
     DisjointSet,
     MultiGraph,
@@ -49,6 +48,7 @@ from .instances import (
 from .kotzig import BitransitionSystem, Trail, blow_up, check_system, find_trail, verify_trail
 from .oracles import (
     ExplicitDeltaMatroid,
+    SizeCapError,
     SquareDeltaMatroid,
     brute_cuts,
     brute_ham,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import SizeCapError
 from .graphcore import WeightedGraph, is_connected, metric_closure
 from .halfpoint import square_point, support_graph, validate_and_classify
 from .instances import (
@@ -23,7 +22,7 @@ from .instances import (
     serialize_point,
 )
 from .kotzig import find_trail
-from .oracles import HELD_KARP_CAP, held_karp
+from .oracles import HELD_KARP_CAP, SizeCapError, held_karp
 from .tour import hamiltonian, run_tour
 
 

@@ -6,7 +6,9 @@ Validation, classification into the square / fractional-cycle families, and
 the contraction of 1-paths down to a square graph all live here.
 square_point(x, costs) checks a point once and is the one way into the
 pipeline: every later stage (contract here, tour.hamiltonian,
-treesel.rainbow) takes the SquarePoint it returns.
+treesel.rainbow) takes the SquarePoint it returns.  Inside the pipeline a
+support edge is named by its id, the index of its key in sorted order;
+edge keys appear only in the input and in the stages' results.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable
+from numbers import Integral
+from typing import Iterable, NamedTuple
 
 from .deltamatroid import SquareGraph
 from .graphcore import MultiGraph, WeightedGraph, global_min_cut, is_connected
@@ -25,9 +27,7 @@ __all__ = [
     "HalfIntegerPoint",
     "SubtourReport",
     "PointClass",
-    "SquareCycle",
     "SquarePoint",
-    "ContractedPoint",
     "edge_key",
     "support_graph",
     "validate_subtour",
@@ -37,7 +37,16 @@ __all__ = [
 ]
 
 EdgeKey = tuple[int, int]
-Reduction = tuple[list[int], MultiGraph, list[tuple[int, ...]]]  # see _series_reduced
+
+
+class Reduction(NamedTuple):
+    """A series-reduced graph; see _series_reduced."""
+
+    kept: list[int]
+    graph: MultiGraph
+    chains: list[tuple[int, ...]]
+
+
 Support = tuple[MultiGraph, list[EdgeKey], Reduction]  # graph, keys, reduction
 
 DEGENERATE_MSG = "integral point; tour is the 1-edge cycle"
@@ -149,7 +158,7 @@ def _series_reduced(g: MultiGraph) -> Reduction:
                 v = g.dart_other_node(d)
             edges.append((new[a], new[v]))
             chains.append(tuple(chain))
-    return kept, MultiGraph(len(kept), edges), chains
+    return Reduction(kept, MultiGraph(len(kept), edges), chains)
 
 
 def validate_subtour(x: HalfIntegerPoint) -> SubtourReport:
@@ -258,61 +267,37 @@ def validate_and_classify(x: HalfIntegerPoint) -> tuple[SubtourReport, PointClas
 
 
 @dataclass(frozen=True)
-class SquareCycle:
-    """A 4-cycle of 1/2-edges.  nodes are cyclic; edges[i] joins nodes[i] and
-    nodes[(i+1) % 4].  The two perfect matchings pair opposite edges."""
-
-    nodes: tuple[int, int, int, int]
-    edges: tuple[EdgeKey, EdgeKey, EdgeKey, EdgeKey] = field(init=False)
-
-    def __post_init__(self):
-        ks = tuple(
-            edge_key(self.nodes[i], self.nodes[(i + 1) % 4]) for i in range(4)
-        )
-        object.__setattr__(self, "edges", ks)
-
-    @property
-    def matchings(self) -> tuple[frozenset[EdgeKey], frozenset[EdgeKey]]:
-        return (
-            frozenset((self.edges[0], self.edges[2])),
-            frozenset((self.edges[1], self.edges[3])),
-        )
-
-
-@dataclass(frozen=True)
 class SquarePoint:
-    """A feasible square point with a nonnegative cost on every support edge,
-    as square_point checked it.
+    """A feasible square point with a nonnegative integer cost on every
+    support edge, as square_point checked it.
 
     graph is the support with edge id i for keys[i] (keys sorted) and
-    reduction its series reduction, both as validation built them; squares
-    are the 1/2-edge 4-cycles in order of their lowest node; weighted
-    carries the costs on the graph.  The pipeline stages take this object,
-    so a point is validated once however many stages use it.
+    reduction its series reduction, both as validation built them; weighted
+    carries the costs on the graph.  Every edge is named by its id: squares
+    holds the four edge ids of each 1/2-edge 4-cycle in cyclic order from
+    its lowest edge, the squares in order of their lowest node.  The
+    pipeline stages take this object, so a point is validated once however
+    many stages use it.
     """
 
     point: HalfIntegerPoint
-    costs: dict[EdgeKey, int]
     graph: MultiGraph
     keys: tuple[EdgeKey, ...]
     reduction: Reduction
-    squares: tuple[SquareCycle, ...]
+    squares: tuple[tuple[int, int, int, int], ...]
+    weighted: WeightedGraph
 
-    @cached_property
-    def weighted(self) -> WeightedGraph:
-        return WeightedGraph(self.graph, tuple(self.costs[k] for k in self.keys))
-
-    @cached_property
-    def pair_partition(self) -> tuple[frozenset[EdgeKey], ...]:
+    @property
+    def pair_partition(self) -> tuple[frozenset[int], ...]:
         """The two perfect matchings of every square, in square order, the
         matching containing the square's lowest edge first."""
-        return tuple(m for sq in self.squares for m in sq.matchings)
+        return tuple(frozenset(sq[i::2]) for sq in self.squares for i in (0, 1))
 
 
 def square_point(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> SquarePoint:
     """Every check the pipeline needs, run once: x is feasible (one subtour
     validation), x is a square point, and every support edge has a
-    nonnegative cost, raising ValueError at the first that fails."""
+    nonnegative integer cost, raising ValueError at the first that fails."""
     report, cls, cycles = _checked(x)
     if cls is None:
         raise ValueError(f"not a feasible point: {report.witness()}")
@@ -322,45 +307,35 @@ def square_point(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> SquarePoint:
         c = costs.get(e)
         if c is None:
             raise ValueError(f"missing cost for edge {e}")
+        if not isinstance(c, Integral):
+            raise ValueError(f"cost on edge {e} must be an integer")
         if c < 0:
             raise ValueError(f"negative cost on edge {e}")
     g, keys, reduction = report.support
-    return SquarePoint(x, costs, g, tuple(keys), reduction, tuple(map(SquareCycle, cycles)))
+    eid = {k: i for i, k in enumerate(keys)}
+    squares = tuple(
+        tuple(eid[edge_key(nodes[i], nodes[(i + 1) % 4])] for i in range(4)) for nodes in cycles
+    )
+    weighted = WeightedGraph(g, tuple(costs[k] for k in keys))
+    return SquarePoint(x, g, tuple(keys), reduction, squares, weighted)
 
 
-@dataclass(frozen=True)
-class ContractedPoint:
-    """Square graph obtained by contracting every 1-path to a single edge.
-
-    The square graph is the series-reduced support.  corner_orig[i] is the
-    original node id of square-graph node i, the corners in ascending order;
-    chains[e] holds the support edge ids that square-graph edge e stands for
-    (one for a square edge, the whole 1-path for a matching edge), and
-    cost[e] is their summed cost.
-    """
-
-    square_graph: SquareGraph
-    cost: tuple[int, ...]
-    corner_orig: tuple[int, ...]
-    chains: tuple[tuple[int, ...], ...]
-
-
-def contract(sp: SquarePoint) -> ContractedPoint:
+def contract(sp: SquarePoint) -> tuple[SquareGraph, tuple[int, ...]]:
     """Contract 1-paths of a checked square point into matching edges.
 
-    Every 1-path is replaced by a single edge of summed cost joining its two
-    square corners; square edges keep their own costs.  Requires at least one
-    square: an integral point has no square graph.  A feasible point with a
-    square has no closed 1-cycle, which would be a component of its own.
+    The square graph is the series-reduced support: every 1-path becomes a
+    single matching edge joining its two square corners, and square edges
+    stay.  Returns it with each edge's cost, the summed cost of its chain in
+    sp.reduction.chains.  Requires at least one square: an integral point
+    has no square graph.  A feasible point with a square has no closed
+    1-cycle, which would be a component of its own.
     """
-    squares = sp.squares
-    if not squares:
+    if not sp.squares:
         raise ValueError(DEGENERATE_MSG)
-    corners, graph, chains = sp.reduction
+    _, graph, chains = sp.reduction
     # square corners have degree 3, so each square edge is a chain of its own
-    rid = {sp.keys[c[0]]: i for i, c in enumerate(chains) if len(c) == 1}
-    sq_ids = tuple(tuple(rid[e] for e in sq.edges) for sq in squares)
+    rid = {c[0]: i for i, c in enumerate(chains) if len(c) == 1}
+    sq_ids = tuple(tuple(rid[e] for e in sq) for sq in sp.squares)
     matching = frozenset(range(graph.edge_count)) - {e for sq in sq_ids for e in sq}
     cost = tuple(sum(sp.weighted.weight[e] for e in c) for c in chains)
-    sg = SquareGraph(graph, matching, sq_ids)
-    return ContractedPoint(sg, cost, tuple(corners), tuple(chains))
+    return SquareGraph(graph, matching, sq_ids), cost

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .deltamatroid import SquareGraph
 from .graphcore import MultiGraph, WeightedGraph, global_min_cut, is_connected
@@ -280,26 +280,41 @@ def _parse_int(tok: str, lineno: int, what: str) -> int:
         raise ValueError(f"line {lineno}: {what} must be an integer, got {tok!r}") from None
 
 
-def parse_point(text: str) -> tuple[HalfIntegerPoint, dict[EdgeKey, int]]:
-    """Parse the POINT format; returns the point and its edge costs."""
+def _records(text: str, kind: str) -> Iterator:
+    """Read a POINT or BTS text: first yield the node count of its
+    '<kind> <n>' header, then (line number, tokens) of each record up to
+    END.  Raises ValueError at a bad header, at the first line after END,
+    or at the end of a text without END; a reader that rejects a record as
+    it arrives so reports the first bad line."""
     lines = _content_lines(text)
-    if not lines or lines[0][1][0] != "POINT":
-        raise ValueError("line 1: expected 'POINT <n>' header")
+    if not lines or lines[0][1][0] != kind:
+        raise ValueError(f"line 1: expected '{kind} <n>' header")
     lineno, head = lines[0]
     if len(head) != 2:
-        raise ValueError(f"line {lineno}: expected 'POINT <n>' header")
+        raise ValueError(f"line {lineno}: expected '{kind} <n>' header")
     n = _parse_int(head[1], lineno, "node count")
     if n < 1:
         raise ValueError(f"line {lineno}: node count must be positive")
-    support: dict[EdgeKey, int] = {}
-    costs: dict[EdgeKey, int] = {}
+    yield n
     ended = False
     for lineno, toks in lines[1:]:
         if ended:
             raise ValueError(f"line {lineno}: content after END")
         if toks == ["END"]:
             ended = True
-            continue
+        else:
+            yield lineno, toks
+    if not ended:
+        raise ValueError("missing END line")
+
+
+def parse_point(text: str) -> tuple[HalfIntegerPoint, dict[EdgeKey, int]]:
+    """Parse the POINT format; returns the point and its edge costs."""
+    records = _records(text, "POINT")
+    n = next(records)
+    support: dict[EdgeKey, int] = {}
+    costs: dict[EdgeKey, int] = {}
+    for lineno, toks in records:
         if toks[0] != "E" or len(toks) != 5:
             raise ValueError(f"line {lineno}: expected 'E <u> <v> <x2> <cost>'")
         u = _parse_int(toks[1], lineno, "node id")
@@ -319,8 +334,6 @@ def parse_point(text: str) -> tuple[HalfIntegerPoint, dict[EdgeKey, int]]:
             raise ValueError(f"line {lineno}: duplicate edge {u}-{v}")
         support[key] = x2
         costs[key] = c
-    if not ended:
-        raise ValueError("missing END line")
     if not support:
         raise ValueError("no edges given")
     return HalfIntegerPoint(n, support), costs
@@ -354,24 +367,12 @@ def _parse_dart(tok: str, lineno: int, edge_count: int) -> int:
 
 def parse_bts(text: str) -> BitransitionSystem:
     """Parse the BTS format into a checked bitransition system."""
-    lines = _content_lines(text)
-    if not lines or lines[0][1][0] != "BTS":
-        raise ValueError("line 1: expected 'BTS <n>' header")
-    lineno, head = lines[0]
-    if len(head) != 2:
-        raise ValueError(f"line {lineno}: expected 'BTS <n>' header")
-    n = _parse_int(head[1], lineno, "node count")
-    if n < 1:
-        raise ValueError(f"line {lineno}: node count must be positive")
+    records = _records(text, "BTS")
+    n = next(records)
     edge_rows: dict[int, tuple[int, int]] = {}
     f_rows: list[tuple[int, list[str]]] = []
-    ended = False
-    for lineno, toks in lines[1:]:
-        if ended:
-            raise ValueError(f"line {lineno}: content after END")
-        if toks == ["END"]:
-            ended = True
-        elif toks[0] == "E":
+    for lineno, toks in records:
+        if toks[0] == "E":
             if len(toks) != 4:
                 raise ValueError(f"line {lineno}: expected 'E <id> <u> <v>'")
             e = _parse_int(toks[1], lineno, "edge id")
@@ -386,8 +387,6 @@ def parse_bts(text: str) -> BitransitionSystem:
             f_rows.append((lineno, toks))
         else:
             raise ValueError(f"line {lineno}: unknown record {toks[0]!r}")
-    if not ended:
-        raise ValueError("missing END line")
     m = len(edge_rows)
     if sorted(edge_rows) != list(range(m)):
         raise ValueError("edge ids must be exactly 0..m-1")

@@ -12,11 +12,11 @@ from itertools import product
 from typing import Iterable, Protocol, Sequence
 
 from .deltamatroid import SquareGraph, check_square_graph
-from .errors import SizeCapError
 from .graphcore import DisjointSet, WeightedGraph, connected_without
 from .halfpoint import EdgeKey, HalfIntegerPoint, square_point
 
 __all__ = [
+    "SizeCapError",
     "held_karp",
     "brute_ham",
     "brute_t_join",
@@ -33,6 +33,10 @@ BRUTE_HAM_CAP = 20
 BRUTE_T_JOIN_CAP = 18
 BRUTE_RAINBOW_CAP = 6
 BRUTE_CUTS_CAP = 12
+
+
+class SizeCapError(ValueError):
+    """Input exceeds the hard size cap of an exact engine."""
 
 
 def held_karp(d: Sequence[Sequence[int]], n: int | None = None) -> int:
@@ -168,7 +172,7 @@ def brute_rainbow(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> tuple[froze
     if s > BRUTE_RAINBOW_CAP:
         raise SizeCapError(f"brute_rainbow capped at {BRUTE_RAINBOW_CAP} squares, got {s}")
     ones = [e for e, x2 in sorted(x.support.items()) if x2 == 2]
-    pair_lists = [sorted(p) for p in sp.pair_partition]
+    pair_lists = [[sp.keys[e] for e in sorted(p)] for p in sp.pair_partition]
     best: tuple[int, tuple[EdgeKey, ...]] | None = None
     for choice in product(*pair_lists) if pair_lists else [()]:
         edges = list(ones) + list(choice)
@@ -177,17 +181,9 @@ def brute_rainbow(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> tuple[froze
         at_zero = [e for e in edges if e[0] == 0]
         if len(at_zero) != 2:
             continue
+        # n edges, two at node 0: the other n - 2 span nodes 1..n-1 iff acyclic
         ds = DisjointSet(x.n)
-        ok = True
-        joined = 0
-        for u, v in edges:
-            if u == 0:
-                continue
-            if not ds.union(u, v):
-                ok = False
-                break
-            joined += 1
-        if not ok or joined != x.n - 2:
+        if not all(ds.union(u, v) for u, v in edges if u != 0):
             continue
         c = sum(costs[e] for e in edges)
         key = (c, tuple(sorted(edges)))

@@ -56,13 +56,13 @@ def hamiltonian(sp: SquarePoint) -> SupportHam:
     if not sp.squares:
         ids = frozenset(range(len(sp.keys)))
     else:
-        cp = contract(sp)
-        ham = ham_min_cost(cp.square_graph, list(cp.cost))
-        ids = frozenset(e for r in ham.edges for e in cp.chains[r])
+        sg, cost = contract(sp)
+        ham = ham_min_cost(sg, list(cost))
+        ids = frozenset(e for r in ham.edges for e in sp.reduction.chains[r])
     first = next(d >> 1 for d in sp.graph.darts_at(0) if d >> 1 in ids)
     _, order = walk_cycle(sp.graph, ids, 0, first)
     hedges = frozenset(sp.keys[e] for e in ids)
-    return SupportHam(hedges, tuple(order), sum(sp.costs[e] for e in hedges))
+    return SupportHam(hedges, tuple(order), sum(sp.weighted.weight[e] for e in ids))
 
 
 def compute_y(x: HalfIntegerPoint, ham_edges: frozenset[EdgeKey]) -> dict[EdgeKey, int]:

@@ -7,7 +7,8 @@ points, a partition matroid whose classes are the two perfect matchings of
 every square plus one singleton class per 1-edge.  A minimum-cost common
 basis therefore picks exactly one matching edge per class and all 1-edges,
 and such a basis never costs more than the point itself.  rainbow takes a
-point checked by halfpoint.square_point.
+point checked by halfpoint.square_point and works on its support edge ids;
+only the returned tree names its edges by key.
 """
 
 from __future__ import annotations
@@ -34,32 +35,28 @@ def rainbow(sp: SquarePoint) -> RainbowOneTree:
     Every common basis contains each 1-edge, so the 1-edges are forced first
     (cost-neutral) and the intersection runs on the 1/2-edges alone.
     """
-    x, costs = sp.point, sp.costs
+    x, ends, cost = sp.point, sp.graph.edges, sp.weighted.weight
     if not sp.squares:
         raise ValueError(DEGENERATE_MSG)
-    one_edges = frozenset(e for e in sp.keys if x.support[e] == 2)
-    chosen = _cheapest_rainbow(x.n, one_edges, sp.pair_partition, costs)
+    ones = frozenset(e for e, k in enumerate(sp.keys) if x.support[k] == 2)
+    chosen = _cheapest_rainbow(sp, ones)
     if chosen is None:  # pragma: no cover - impossible for feasible square points
         raise RuntimeError("square point admits no rainbow 1-tree")
-    edges = one_edges | chosen
+    ids = ones | chosen
     ds = DisjointSet(x.n)
     if (
-        len(edges) != x.n
-        or sum(1 for u, _ in edges if u == 0) > 2
-        or not all(ds.union(u, v) for u, v in edges if u != 0)
+        len(ids) != x.n
+        or sum(1 for e in ids if ends[e][0] == 0) > 2
+        or not all(ds.union(*ends[e]) for e in ids if ends[e][0] != 0)
     ):
         raise RuntimeError("rainbow selection is not a 1-tree")
-    return RainbowOneTree(edges, sum(costs[e] for e in edges))
+    return RainbowOneTree(frozenset(sp.keys[e] for e in ids), sum(cost[e] for e in ids))
 
 
-def _cheapest_rainbow(
-    n: int,
-    ones: frozenset[EdgeKey],
-    pairs: tuple[frozenset[EdgeKey], ...],
-    cost: dict[EdgeKey, int],
-) -> frozenset[EdgeKey] | None:
-    """Cheapest set of one edge per pair that, with the 1-edges, is
-    independent in the 1-tree matroid; None if there is none.
+def _cheapest_rainbow(sp: SquarePoint, ones: frozenset[int]) -> frozenset[int] | None:
+    """Cheapest set of one edge per matching pair of sp that, with the
+    1-edges ones, is independent in the 1-tree matroid; None if there is
+    none.  Edges are support edge ids.
 
     Weighted augmentation: the current set, cheapest for its size, grows
     along a shortest source-sink path of the exchange graph, where path
@@ -77,22 +74,25 @@ def _cheapest_rainbow(
       the pair has none.
 
     Arc lists are in ascending edge order, and ties between sinks go to the
-    smallest (cost, arc count, repr(edge)).
+    smallest (cost, arc count, repr(sp.keys[edge])); ids ascend with the
+    keys, but repr order is not key order: "(3, 10)" < "(3, 4)".
     """
+    n, ends, cost, pairs = sp.point.n, sp.graph.edges, sp.weighted.weight, sp.pair_partition
     ground = sorted(e for p in pairs for e in p)
     pair_of = {e: i for i, p in enumerate(pairs) for e in p}
-    forced = [e for e in ones if e[0] != 0]
+    forced = [e for e in ones if ends[e][0] != 0]
     ones_at_zero = len(ones) - len(forced)
-    current: set[EdgeKey] = set()
+    current: set[int] = set()
     while len(current) < len(pairs):
         picked = {pair_of[e]: e for e in current}
-        at_zero = sorted(e for e in current if e[0] == 0)
-        adj: list[list[EdgeKey]] = [[] for _ in range(n)]
-        for e in forced + [e for e in current if e[0] != 0]:
-            adj[e[0]].append(e)
-            adj[e[1]].append(e)
+        at_zero = sorted(e for e in current if ends[e][0] == 0)
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for e in forced + [e for e in current if ends[e][0] != 0]:
+            u, v = ends[e]
+            adj[u].append(e)
+            adj[v].append(e)
         root, depth = [-1] * n, [0] * n
-        up: list[tuple[int, EdgeKey]] = [(-1, (0, 0))] * n  # parent, edge to it
+        up: list[tuple[int, int]] = [(-1, -1)] * n  # parent, edge to it
         for r in range(n):
             if root[r] >= 0:
                 continue
@@ -100,18 +100,18 @@ def _cheapest_rainbow(
             while stack:
                 a = stack.pop()
                 for e in adj[a]:
-                    b = e[0] + e[1] - a
+                    b = ends[e][0] + ends[e][1] - a
                     if root[b] < 0:
                         root[b], depth[b], up[b] = r, depth[a] + 1, (a, e)
                         stack.append(b)
 
-        sources: list[EdgeKey] = []
-        sinks: set[EdgeKey] = set()
-        arcs: dict[EdgeKey, list[EdgeKey]] = {e: [] for e in ground}
+        sources: list[int] = []
+        sinks: list[int] = []
+        arcs: dict[int, list[int]] = {e: [] for e in ground}
         for e in ground:
             if e in current:
                 continue
-            u, v = e
+            u, v = ends[e]
             if u == 0:
                 if ones_at_zero + len(at_zero) < 2:
                     sources.append(e)
@@ -130,10 +130,10 @@ def _cheapest_rainbow(
             if pair_of[e] in picked:
                 arcs[e].append(picked[pair_of[e]])
             else:
-                sinks.add(e)
+                sinks.append(e)
 
         dist = {e: (cost[e], 0) for e in sources}
-        parent: dict[EdgeKey, EdgeKey | None] = dict.fromkeys(sources)
+        parent: dict[int, int | None] = dict.fromkeys(sources)
         for _ in range(len(ground) + 1):
             changed = False
             for u in ground:
@@ -155,7 +155,7 @@ def _cheapest_rainbow(
         reachable = [t for t in sinks if t in dist]
         if not reachable:
             return None
-        node = min(reachable, key=lambda t: (dist[t][0], dist[t][1], repr(t)))
+        node = min(reachable, key=lambda t: (dist[t][0], dist[t][1], repr(sp.keys[t])))
         while node is not None:
             current ^= {node}
             node = parent[node]

@@ -158,8 +158,9 @@ def test_criterion_06_rainbow_one_tree():
         _, best = brute_rainbow(x, costs)
         assert rainbow(square_point(x, costs)).cost == best
     for x, costs, rep, tree, y6 in trials:
-        for pair in square_point(x, costs).pair_partition:
-            assert len(tree.edges & pair) == 1
+        sp = square_point(x, costs)
+        for pair in sp.pair_partition:
+            assert len(tree.edges & {sp.keys[e] for e in pair}) == 1
         assert all(e in tree.edges for e in x.one_edges())
         assert one_tree_ok(x.n, tree.edges)
         assert 2 * tree.cost <= rep.c_x2
@@ -262,7 +263,7 @@ def test_criterion_10_delta_matroid_exchange():
         ((0, 1, 2, 3),),
     )
     inst = make_donut(2)
-    graphs = [k4, contract(square_point(inst.point, inst.costs)).square_graph]
+    graphs = [k4, contract(square_point(inst.point, inst.costs))[0]]
     for seed in range(40):
         rng = random.Random(37000 + seed)
         graphs.append(random_square_graph(rng.randint(1, 4), rng))

@@ -107,8 +107,7 @@ def test_oracle_k4_both_choices_extend():
 
 
 def test_oracle_detects_disconnecting_choice():
-    cp = contract(square_point(make_donut(2).point, make_donut(2).costs))
-    sg = cp.square_graph
+    sg, _ = contract(square_point(make_donut(2).point, make_donut(2).costs))
     oracle = SquareDeltaMatroid(sg)
     hams = enumerate_hams(sg)
     refs = sg.reference
@@ -212,12 +211,12 @@ def test_ham_k4_unit_costs():
 
 def test_ham_donut_contracted():
     inst = make_donut(2)
-    cp = contract(square_point(inst.point, inst.costs))
-    ham = ham_min_cost(cp.square_graph, list(cp.cost))
+    sg, cost = contract(square_point(inst.point, inst.costs))
+    ham = ham_min_cost(sg, list(cost))
     # both all-cheap and all-dear matching choices disconnect here, so the
     # optimum mixes: one cost-2 matching, one cost-4 matching, M cost 8
     assert ham.cost == 14
-    _, bcost = brute_ham(cp.square_graph, list(cp.cost))
+    _, bcost = brute_ham(sg, list(cost))
     assert bcost == 14
 
 
@@ -303,7 +302,7 @@ def test_ham_min_cost_matches_deletion_greedy(s, seed, contracted, data):
     # points do not
     if contracted:
         x = random_square_point(s, 2, seed)
-        sg = contract(square_point(x, random_costs(x, seed))).square_graph
+        sg, _ = contract(square_point(x, random_costs(x, seed)))
     else:
         sg = random_square_graph(s, seed)
     m = sg.graph.edge_count

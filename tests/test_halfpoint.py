@@ -302,7 +302,7 @@ def test_decompose_donut():
     assert len(sp.pair_partition) == 4
     # four 1-paths of length 2, each ending at two square corners
     assert one_path_lengths(x) == [2] * 4
-    corners = {v for sq in sp.squares for v in sq.nodes}
+    corners = {v for sq in sp.squares for e in sq for v in sp.keys[e]}
     deg = one_degrees(x)
     assert {v for v in range(x.n) if deg[v] == 1} == corners
     assert max(deg) == 2
@@ -320,12 +320,15 @@ def test_decompose_pair_partition_is_matchings():
     sp = unit_square_point(make_donut(3).point)
     for sq, pair in zip(sp.squares, zip(sp.pair_partition[0::2], sp.pair_partition[1::2])):
         m1, m2 = pair
-        assert min(sq.edges) in m1
-        assert m1 | m2 == set(sq.edges)
+        # a square's edge ids walk its cycle from its lowest edge
+        assert min(sq) == sq[0] and sq[0] in m1
+        assert all(set(sp.keys[sq[i]]) & set(sp.keys[sq[i - 1]]) for i in range(4))
+        assert m1 | m2 == set(sq)
         assert m1.isdisjoint(m2)
+        corners = sorted({v for e in sq for v in sp.keys[e]})
         for matching in (m1, m2):
-            nodes = [v for e in matching for v in e]
-            assert sorted(nodes) == sorted(sq.nodes)
+            nodes = [v for e in matching for v in sp.keys[e]]
+            assert sorted(nodes) == corners
 
 
 def test_decompose_integral_cycle():
@@ -350,48 +353,50 @@ def test_decompose_rejects_non_square():
 
 def test_contract_donut():
     inst = make_donut(2)
-    cp = contract(square_point(inst.point, inst.costs))
-    sg = cp.square_graph
+    sp = square_point(inst.point, inst.costs)
+    sg, cost = contract(sp)
+    chains = sp.reduction.chains
     check_square_graph(sg)
     assert sg.graph.node_count == 8
     assert len(sg.matching) == 4
     assert sg.graph.edge_count == 12
     for e in sorted(sg.matching):
-        assert cp.cost[e] == 2
+        assert cost[e] == 2
     # the chains partition the support; the matching edges' chains are the
     # 1-paths, the square edges' chains their own support edge
     keys = sorted(inst.point.support)
-    assert sorted(e for c in cp.chains for e in c) == list(range(len(keys)))
+    assert sorted(e for c in chains for e in c) == list(range(len(keys)))
     paths = {
         frozenset(edge_key(u, v) for u, v in zip(p, p[1:]))
         for p in inst.inner_paths + inst.outer_paths
     }
-    assert {frozenset(keys[e] for e in cp.chains[m]) for m in sg.matching} == paths
+    assert {frozenset(keys[e] for e in chains[m]) for m in sg.matching} == paths
     for sq in sg.squares:
-        assert all(len(cp.chains[e]) == 1 for e in sq)
+        assert all(len(chains[e]) == 1 for e in sq)
     corners = sorted(v for sq in inst.squares for v in sq)
-    assert list(cp.corner_orig) == corners
+    assert list(sp.reduction.kept) == corners
 
 
 def test_contract_unit_paths_keep_support_shape():
     x = random_square_point(2, 1, 7)
     costs = {e: 1 for e in x.support}
-    cp = contract(square_point(x, costs))
-    assert cp.square_graph.graph.edge_count == len(x.support)
-    assert all(len(c) == 1 for c in cp.chains)
+    sp = square_point(x, costs)
+    sg, _ = contract(sp)
+    assert sg.graph.edge_count == len(x.support)
+    assert all(len(c) == 1 for c in sp.reduction.chains)
 
 
 def test_contract_single_square_diagonals():
     x = single_square_point()
     costs = {e: 1 for e in x.support}
-    cp = contract(square_point(x, costs))
-    sg = cp.square_graph
+    sp = square_point(x, costs)
+    sg, cost = contract(sp)
     assert sg.graph.node_count == 4
     assert len(sg.matching) == 2
     for e in sorted(sg.matching):
         u, v = sg.graph.edges[e]
-        assert (cp.corner_orig[u], cp.corner_orig[v]) in ((0, 2), (1, 3))
-        assert cp.cost[e] == 2
+        assert (sp.reduction.kept[u], sp.reduction.kept[v]) in ((0, 2), (1, 3))
+        assert cost[e] == 2
     check_square_graph(sg)
 
 
@@ -412,6 +417,21 @@ def test_contract_checks_costs():
         square_point(inst.point, costs)
 
 
+def test_square_point_rejects_non_integer_costs():
+    # the pipeline promises exact integer costs, so a float or a string is
+    # refused before the sign check rather than summed or compared later
+    x = single_square_point()
+    for bad in (0.5, -0.5, 2.0, "3"):
+        costs = dict.fromkeys(x.support, 1)
+        costs[(1, 2)] = bad
+        with pytest.raises(ValueError, match=r"cost on edge \(1, 2\) must be an integer"):
+            square_point(x, costs)
+    costs = dict.fromkeys(x.support, 0.5)
+    del costs[(0, 1)]
+    with pytest.raises(ValueError, match="missing cost"):
+        square_point(x, costs)
+
+
 def test_square_nodes_have_two_half_edges():
     for seed in range(20):
         rng = random.Random(seed)
@@ -422,9 +442,8 @@ def test_square_nodes_have_two_half_edges():
             half_deg[u] += 1
             half_deg[v] += 1
         one_deg = one_degrees(x)
-        for sq in sp.squares:
-            for v in sq.nodes:
-                assert half_deg[v] == 2
-                assert one_deg[v] == 1
-        square_edges = [e for sq in sp.squares for e in sq.edges]
+        square_edges = [sp.keys[e] for sq in sp.squares for e in sq]
+        for v in {v for e in square_edges for v in e}:
+            assert half_deg[v] == 2
+            assert one_deg[v] == 1
         assert sorted(square_edges) == sorted(x.half_edges())

@@ -267,6 +267,8 @@ def test_point_parse_errors():
         ("POINT 2\nE 0 1 1 1\n", "missing END line"),
         ("POINT 2\nEND\n", "no edges given"),
         ("POINT 2\nE 0 1 1 1\nEND\nE 0 1 1 1\n", "line 4: content after END"),
+        # a bad record before END is reported before the content after END
+        ("POINT 2\nE 0 1 3 1\nEND\nE 0 1 1 1\n", "line 2: doubled value must be 1 or 2"),
     ]
     for text, msg in cases:
         with pytest.raises(ValueError) as err:
@@ -310,6 +312,7 @@ def test_bts_parse_errors():
         (head + f0 + f0 + f1 + "END\n", "duplicate forbidden pairing for node 0"),
         (head + f0 + "END\n", "missing forbidden pairing for node 1"),
         (head + f0 + f1 + "X 1\nEND\n", "unknown record 'X'"),
+        (head + f0 + f1 + "X 1\nEND\nE 4 0 1\n", "line 8: unknown record 'X'"),
         (head + "F 0 0.0 1.0 2.0 3.1\n" + f1 + "END\n", "does not cover"),
     ]
     for text, msg in cases:

@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from squaretour.errors import SizeCapError
+from squaretour import SizeCapError
 from squaretour.graphcore import MultiGraph, WeightedGraph, global_min_cut
 from squaretour.halfpoint import HalfIntegerPoint, contract, edge_key, square_point
 from squaretour.instances import make_donut, random_square_graph, random_square_point
@@ -90,8 +90,8 @@ def test_held_karp_input_checks():
 
 def test_brute_ham_donut_and_cap():
     inst = make_donut(2)
-    cp = contract(square_point(inst.point, inst.costs))
-    edges, cost = brute_ham(cp.square_graph, list(cp.cost))
+    sg, sg_cost = contract(square_point(inst.point, inst.costs))
+    edges, cost = brute_ham(sg, list(sg_cost))
     assert cost == 14
     big = random_square_graph(BRUTE_HAM_CAP + 1, 5)
     with pytest.raises(SizeCapError, match="brute_ham capped"):

@@ -83,7 +83,7 @@ def test_ham_donut_cost():
     one_edges = {e for e, v in inst.point.support.items() if v == 2}
     assert one_edges <= ham.edges
     for sq in sp.squares:
-        assert len(ham.edges & set(sq.edges)) == 2
+        assert len(ham.edges & {sp.keys[e] for e in sq}) == 2
 
 
 def test_ham_integral_point():
@@ -357,6 +357,7 @@ def test_claim_case_two_on_donut_cuts():
 
 
 def test_claim_case_two_on_pair_class_cuts():
+    case_two_seen = 0
     for seed in range(30):
         rng = random.Random(seed)
         x = random_square_point(rng.randint(2, 4), rng.randint(1, 2), 770 + seed)
@@ -365,7 +366,7 @@ def test_claim_case_two_on_pair_class_cuts():
         ham = hamiltonian(sp)
         f_star = rainbow(sp)
         for pa, pb in combinations(sp.pair_partition, 2):
-            union = set(pa) | set(pb)
+            union = {sp.keys[e] for e in pa | pb}
             ds = DisjointSet(x.n)
             for u, v in x.support:
                 if (u, v) not in union:
@@ -376,4 +377,6 @@ def test_claim_case_two_on_pair_class_cuts():
                 continue
             # a genuine four-half-edge cut: x(C) = 2, so Case 2 needs parity
             if len(ham.edges & union) == 4:
+                case_two_seen += 1
                 assert len(f_star.edges & union) % 2 == 0, seed
+    assert case_two_seen > 0

@@ -38,7 +38,7 @@ def test_single_square_rainbow_enumeration():
     unit = {e: 1 for e in x.support}
     sp = square_point(x, unit)
     ones = [e for e, v in x.support.items() if v == 2]
-    cls_a, cls_b = [sorted(p) for p in sp.pair_partition]
+    cls_a, cls_b = [sorted(sp.keys[e] for e in p) for p in sp.pair_partition]
     valid = []
     for ea in cls_a:
         for eb in cls_b:
@@ -71,7 +71,7 @@ def test_rainbow_structure_and_brute_agreement():
         ones = {e for e, v in x.support.items() if v == 2}
         assert ones <= tree.edges, seed
         for pair in sp.pair_partition:
-            assert len(tree.edges & set(pair)) == 1, seed
+            assert len(tree.edges & {sp.keys[e] for e in pair}) == 1, seed
         assert len(tree.edges) == x.n, seed
         assert one_tree_ok(x, tree.edges), seed
         _, bcost = brute_rainbow(x, costs)
@@ -101,6 +101,18 @@ def test_rainbow_trees_unchanged_at_scale():
         assert h.hexdigest() == want, s
 
 
+def test_rainbow_trees_unchanged_on_many_ties():
+    # costs in 0..2 leave many equal-cost trees; the sink tie-break compares
+    # repr(edge), which is not key order ("(3, 10)" < "(3, 4)"), and most of
+    # these points have more than 10 nodes
+    h = hashlib.sha256()
+    for i in range(320):
+        x = random_square_point(1 + i % 8, 1 + i // 8 % 3, 9000 + i)
+        tree = rainbow(square_point(x, random_costs(x, 9000 + i, 0, 2)))
+        h.update(repr(sorted(tree.edges)).encode())
+    assert h.hexdigest() == "95bd4f4072cd37a9c0a0f624a7adaec89e43f2aa95463d7cbde35bf6696015b4"
+
+
 def four_half_edge_cuts(sp):
     """Cuts made of two matching pair classes of a checked square point:
     remove the union of a class pair and keep it only if the support falls
@@ -108,7 +120,7 @@ def four_half_edge_cuts(sp):
     x = sp.point
     cuts = []
     for pa, pb in combinations(sp.pair_partition, 2):
-        union = set(pa) | set(pb)
+        union = {sp.keys[e] for e in pa | pb}
         ds = DisjointSet(x.n)
         for u, v in x.support:
             if (u, v) not in union:
