@@ -47,7 +47,7 @@ class Reduction(NamedTuple):
     chains: list[tuple[int, ...]]
 
 
-Support = tuple[MultiGraph, list[EdgeKey], Reduction]  # graph, keys, reduction
+Support = tuple[MultiGraph, Reduction]  # graph, its series reduction
 
 DEGENERATE_MSG = "integral point; tour is the 1-edge cycle"
 
@@ -103,8 +103,8 @@ class SubtourReport:
     reason is one of "ok", "degree", "disconnected", "cut"; node carries the
     offending node for degree violations, cut_side / cut_value_x2 carry a
     violated cut (doubled value < 4).  A feasible report keeps the support
-    graph, its sorted keys and its series reduction, so later stages reuse
-    them instead of building them again.
+    graph and its series reduction, so later stages reuse them instead of
+    building them again.
     """
 
     ok: bool
@@ -190,7 +190,7 @@ def validate_subtour(x: HalfIntegerPoint) -> SubtourReport:
     if reduced.node_count >= 2 and global_min_cut(WeightedGraph(reduced, low))[0] < 4:
         val, side = global_min_cut(WeightedGraph(g, tuple(x2)))
         return SubtourReport(False, "cut", cut_side=side, cut_value_x2=val)
-    return SubtourReport(True, support=(g, keys, reduction))
+    return SubtourReport(True, support=(g, reduction))
 
 
 class PointClass(enum.Enum):
@@ -282,10 +282,14 @@ class SquarePoint:
 
     point: HalfIntegerPoint
     graph: MultiGraph
-    keys: tuple[EdgeKey, ...]
     reduction: Reduction
     squares: tuple[tuple[int, int, int, int], ...]
     weighted: WeightedGraph
+
+    @property
+    def keys(self) -> tuple[EdgeKey, ...]:
+        """The sorted support keys, keys[i] the ends of edge id i."""
+        return self.graph.edges
 
     @property
     def pair_partition(self) -> tuple[frozenset[int], ...]:
@@ -311,13 +315,13 @@ def square_point(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> SquarePoint:
             raise ValueError(f"cost on edge {e} must be an integer")
         if c < 0:
             raise ValueError(f"negative cost on edge {e}")
-    g, keys, reduction = report.support
-    eid = {k: i for i, k in enumerate(keys)}
+    g, reduction = report.support
+    eid = {k: i for i, k in enumerate(g.edges)}
     squares = tuple(
         tuple(eid[edge_key(nodes[i], nodes[(i + 1) % 4])] for i in range(4)) for nodes in cycles
     )
-    weighted = WeightedGraph(g, tuple(costs[k] for k in keys))
-    return SquarePoint(x, g, tuple(keys), reduction, squares, weighted)
+    weighted = WeightedGraph(g, tuple(costs[k] for k in g.edges))
+    return SquarePoint(x, g, reduction, squares, weighted)
 
 
 def contract(sp: SquarePoint) -> tuple[SquareGraph, tuple[int, ...]]:

@@ -63,8 +63,10 @@ def _cheapest_rainbow(sp: SquarePoint, ones: frozenset[int]) -> frozenset[int] |
     length is the lexicographic pair (cost change, arc count); Bellman-Ford
     is safe because an extreme set admits no negative-cost cycle.  In a
     graphic matroid the exchange arcs are the fundamental cycles (Brezovec,
-    Cornuejols & Glover, Math. Prog. 36, 1986), so each round roots the
-    forest of 1-edges and current edges off node 0 once and reads them off:
+    Cornuejols & Glover, Math. Prog. 36, 1986).  The 1-edges off node 0 are
+    in every round's forest, so they are contracted once: the forest of a
+    round holds only the current edges off node 0, on the labels of the
+    components the 1-edges span, and each round roots it once and reads off:
 
     - an edge at node 0 is a source if fewer than two chosen or 1-edges meet
       node 0, and otherwise gets an arc from each current edge at node 0;
@@ -74,33 +76,63 @@ def _cheapest_rainbow(sp: SquarePoint, ones: frozenset[int]) -> frozenset[int] |
       the pair has none.
 
     Arc lists are in ascending edge order, and ties between sinks go to the
-    smallest (cost, arc count, repr(sp.keys[edge])); ids ascend with the
-    keys, but repr order is not key order: "(3, 10)" < "(3, 4)".
+    smallest (cost, arc count, rank), rank being the place of repr(edge key)
+    in sorted order; ids ascend with the keys, but repr order is not key
+    order: "(3, 10)" < "(3, 4)".  Each Bellman-Ford sweep relaxes, in edge
+    order, only the edges whose distance changed since they were last
+    relaxed; the others cannot improve any distance.
+
+    Warm start: every rainbow set of k edges costs at least the k cheapest
+    pair minima.  While the edges taken are the cheapest pair minima and the
+    next one, in (cost, rank) order over the untaken pairs, stays
+    independent, it is a source and a sink at (cost, 0 arcs) that no sink
+    beats, so the round would take it; the greedy takes such edges without
+    rounds and stops at the first dependent one.
     """
     n, ends, cost, pairs = sp.point.n, sp.graph.edges, sp.weighted.weight, sp.pair_partition
     ground = sorted(e for p in pairs for e in p)
     pair_of = {e: i for i, p in enumerate(pairs) for e in p}
-    forced = [e for e in ones if ends[e][0] != 0]
-    ones_at_zero = len(ones) - len(forced)
+    rank = {e: i for i, e in enumerate(sorted(ground, key=lambda e: repr(ends[e])))}
+    ds = DisjointSet(n)
+    for e in ones:
+        if ends[e][0] != 0:
+            ds.union(*ends[e])
+    label: dict[int, int] = {}
+    comp = [label.setdefault(ds.find(v), len(label)) for v in range(n)]
+    m = len(label)
+    ones_at_zero = sum(1 for e in ones if ends[e][0] == 0)
     current: set[int] = set()
+    taken: set[int] = set()
+    zero, warm = ones_at_zero, DisjointSet(m)
+    for e in sorted(ground, key=lambda e: (cost[e], rank[e])):
+        if pair_of[e] in taken:
+            continue
+        u, v = ends[e]
+        if u == 0 and zero < 2:
+            zero += 1
+        elif u == 0 or not warm.union(comp[u], comp[v]):
+            break
+        current.add(e)
+        taken.add(pair_of[e])
     while len(current) < len(pairs):
         picked = {pair_of[e]: e for e in current}
         at_zero = sorted(e for e in current if ends[e][0] == 0)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for e in forced + [e for e in current if ends[e][0] != 0]:
+        adj: list[list[int]] = [[] for _ in range(m)]
+        for e in current:
             u, v = ends[e]
-            adj[u].append(e)
-            adj[v].append(e)
-        root, depth = [-1] * n, [0] * n
-        up: list[tuple[int, int]] = [(-1, -1)] * n  # parent, edge to it
-        for r in range(n):
+            if u != 0:
+                adj[comp[u]].append(e)
+                adj[comp[v]].append(e)
+        root, depth = [-1] * m, [0] * m
+        up: list[tuple[int, int]] = [(-1, -1)] * m  # parent, edge to it
+        for r in range(m):
             if root[r] >= 0:
                 continue
             root[r], stack = r, [r]
             while stack:
                 a = stack.pop()
                 for e in adj[a]:
-                    b = ends[e][0] + ends[e][1] - a
+                    b = comp[ends[e][0]] + comp[ends[e][1]] - a
                     if root[b] < 0:
                         root[b], depth[b], up[b] = r, depth[a] + 1, (a, e)
                         stack.append(b)
@@ -112,50 +144,53 @@ def _cheapest_rainbow(sp: SquarePoint, ones: frozenset[int]) -> frozenset[int] |
             if e in current:
                 continue
             u, v = ends[e]
+            a, b = comp[u], comp[v]
             if u == 0:
                 if ones_at_zero + len(at_zero) < 2:
                     sources.append(e)
                 else:
                     for y in at_zero:
                         arcs[y].append(e)
-            elif root[u] != root[v]:
+            elif root[a] != root[b]:
                 sources.append(e)
             else:
-                while u != v:
-                    if depth[u] < depth[v]:
-                        u, v = v, u
-                    u, y = up[u]
-                    if y in current:
-                        arcs[y].append(e)
+                while a != b:
+                    if depth[a] < depth[b]:
+                        a, b = b, a
+                    a, y = up[a]
+                    arcs[y].append(e)
             if pair_of[e] in picked:
                 arcs[e].append(picked[pair_of[e]])
             else:
                 sinks.append(e)
 
+        step = list(cost)
+        for e in current:
+            step[e] = -cost[e]
         dist = {e: (cost[e], 0) for e in sources}
         parent: dict[int, int | None] = dict.fromkeys(sources)
-        for _ in range(len(ground) + 1):
-            changed = False
+        dirty = set(sources)
+        for _ in range(len(ground) + 2):
+            if not dirty:
+                break
             for u in ground:
-                du = dist.get(u)
-                if du is None:
+                if u not in dirty:
                     continue
+                dirty.remove(u)
+                du, hu = dist[u]
                 for v in arcs[u]:
-                    step = -cost[v] if v in current else cost[v]
-                    cand = (du[0] + step, du[1] + 1)
+                    cand = (du + step[v], hu + 1)
                     if v not in dist or cand < dist[v]:
                         dist[v] = cand
                         parent[v] = u
-                        changed = True
-            if not changed:
-                break
+                        dirty.add(v)
         else:  # pragma: no cover - would indicate a non-extreme set
             raise RuntimeError("negative cycle in exchange graph")
 
         reachable = [t for t in sinks if t in dist]
         if not reachable:
             return None
-        node = min(reachable, key=lambda t: (dist[t][0], dist[t][1], repr(sp.keys[t])))
+        node = min(reachable, key=lambda t: (*dist[t], rank[t]))
         while node is not None:
             current ^= {node}
             node = parent[node]

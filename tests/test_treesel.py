@@ -3,6 +3,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squaretour.graphcore import DisjointSet
 from squaretour.halfpoint import DEGENERATE_MSG, HalfIntegerPoint, edge_key, square_point
@@ -87,6 +89,8 @@ SCALE_DIGESTS = {
     16: "74733861616aa6183e9dce06b2af7387a067a0c9663cec31b9e4eeb0f489bb89",
     24: "8b52753bd9137b2b6fbc4d125cc58b9bdf93fb9b26e731fb021799eb6fcc4621",
     32: "e92d4fc3aa5a2f58dff37e3b80f7a66992521b397d6d5ddd7b021dbc436e220b",
+    48: "dfb944b194ca5cbc989eeb792a29bbe9d976c1cc3daa9b21474a0701c38a1a69",
+    64: "3c882f4ca1c494e0b8f2ee3081396f8881a1c1ae4b63f90f9a57d193e2944945",
 }
 
 
@@ -112,6 +116,69 @@ def test_rainbow_trees_unchanged_on_many_ties():
         h.update(repr(sorted(tree.edges)).encode())
     assert h.hexdigest() == "95bd4f4072cd37a9c0a0f624a7adaec89e43f2aa95463d7cbde35bf6696015b4"
 
+
+
+def relabelled(x, perm):
+    """x with node v renamed perm[v]."""
+    return HalfIntegerPoint(x.n, {edge_key(perm[u], perm[v]): x2 for (u, v), x2 in x.support.items()})
+
+
+def inside_one_path(x, v):
+    """Whether v lies inside a 1-path: both of its support edges are 1-edges."""
+    return sum(1 for e in x.one_edges() if v in e) == 2
+
+
+def test_rainbow_trees_unchanged_on_relabelled_points():
+    # random_square_point puts a square corner at node 0; a seeded shuffle,
+    # in every other point with a 1-path interior node moved to 0, covers a
+    # node 0 of support degree 2 and forest roots other than a corner
+    h = hashlib.sha256()
+    zero_inside = 0
+    for i in range(360):
+        rng = random.Random(7000 + i)
+        x = random_square_point(rng.randint(1, 6), rng.randint(1, 4), rng)
+        perm = list(range(x.n))
+        rng.shuffle(perm)
+        inner = [v for v in range(x.n) if inside_one_path(x, v)]
+        if i % 2 and inner:
+            v = rng.choice(inner)
+            j = perm.index(0)
+            perm[j], perm[v] = perm[v], 0
+        y = relabelled(x, perm)
+        zero_inside += inside_one_path(y, 0)
+        low, high = rng.choice([(0, 0), (0, 1), (0, 100)])
+        tree = rainbow(square_point(y, random_costs(y, rng, low, high)))
+        h.update(repr(sorted(tree.edges)).encode())
+    for k in range(2, 13):
+        inst = make_donut(k)
+        tree = rainbow(square_point(inst.point, inst.costs))
+        h.update(repr(sorted(tree.edges)).encode())
+    assert zero_inside >= 50
+    assert h.hexdigest() == "7e106e63cc7a34067e1f86db608f8163705806ec823e9c37b398e8824662b4f2"
+
+
+@st.composite
+def relabelled_points_with_ties(draw):
+    """A random square point with 1-4 squares and 1-paths of length 1-3,
+    its nodes permuted, and costs in 0..2."""
+    x = random_square_point(draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+                            draw(st.integers(0, 10**6)))
+    y = relabelled(x, draw(st.permutations(range(x.n))))
+    costs = draw(st.lists(st.integers(0, 2), min_size=len(y.support), max_size=len(y.support)))
+    return y, dict(zip(sorted(y.support), costs))
+
+
+@settings(max_examples=150)
+@given(relabelled_points_with_ties())
+def test_rainbow_matches_brute_on_relabelled_ties(case):
+    x, costs = case
+    sp = square_point(x, costs)
+    tree = rainbow(sp)
+    assert tree.cost == brute_rainbow(x, costs)[1]
+    assert set(x.one_edges()) <= tree.edges
+    for pair in sp.pair_partition:
+        assert len(tree.edges & {sp.keys[e] for e in pair}) == 1
+    assert one_tree_ok(x, tree.edges)
 
 def four_half_edge_cuts(sp):
     """Cuts made of two matching pair classes of a checked square point:
