@@ -180,9 +180,14 @@ def ham_min_cost(sg: SquareGraph, cost: Sequence[int]) -> HamCycle:
     connected exactly when Q is, and _split_greedy decides on Q.
     """
     check_square_graph(sg)
-    g = sg.graph
-    if len(cost) != g.edge_count:
+    if len(cost) != sg.graph.edge_count:
         raise ValueError("cost vector length must equal edge count")
+    return _ham_min_cost(sg, cost)
+
+
+def _ham_min_cost(sg: SquareGraph, cost: Sequence[int]) -> HamCycle:
+    """ham_min_cost without its checks, for contract's square graphs."""
+    g = sg.graph
     md = {g.dart_node(d): d for e in sg.matching for d in (2 * e, 2 * e + 1)}  # per corner
     darts, keyed = [], []
     for si, sq in enumerate(sg.squares):

@@ -1,4 +1,4 @@
-"""Small multigraph substrate: connectivity, global min cut, metric closure.
+"""Small multigraph substrate: connectivity, cut labels, min cut, metric closure.
 
 Everything is exact integer arithmetic.  Edges are addressed by dense ids;
 each edge id e owns two darts 2*e and 2*e+1 (one per endpoint), which is the
@@ -18,6 +18,7 @@ __all__ = [
     "DisjointSet",
     "is_connected",
     "connected_without",
+    "cut_labels",
     "global_min_cut",
     "shortest_paths_from",
     "path_edges_to",
@@ -148,6 +149,41 @@ def connected_without(g: MultiGraph, removed: frozenset[int]) -> bool:
     return len(_reach(g, 0, removed)) == g.node_count
 
 
+def cut_labels(g: MultiGraph) -> list[int]:
+    """Cycle-space labels of a connected multigraph's edges, per edge id.
+
+    In a spanning tree from node 0, the i-th non-tree edge gets the bit
+    1 << i, and each tree edge the XOR of the bits of the non-tree edges with
+    exactly one end below it.  Label 0 means the edge is a bridge; in a
+    bridgeless graph {e, f} is a cut iff e and f have equal labels
+    (Pritchard & Thurimella, ACM Trans. Algorithms 7(4), 2011, with one
+    exact bit per non-tree edge instead of random words)."""
+    edges = g.edges
+    parent = [-2] + [-1] * (g.node_count - 1)  # node -> its tree edge's dart at the parent
+    order = [0]
+    for v in order:
+        for d in g.darts_at(v):
+            w = edges[d >> 1][1 - (d & 1)]
+            if parent[w] == -1:
+                parent[w] = d
+                order.append(w)
+    tree = {d >> 1 for d in parent[1:]}
+    labels = [0] * len(edges)
+    acc = [0] * g.node_count  # XOR of the non-tree bits met at each node
+    bit = 1
+    for e, (u, v) in enumerate(edges):
+        if e not in tree:
+            labels[e] = bit
+            acc[u] ^= bit
+            acc[v] ^= bit
+            bit <<= 1
+    for v in reversed(order[1:]):
+        d = parent[v]
+        labels[d >> 1] = acc[v]
+        acc[edges[d >> 1][d & 1]] ^= acc[v]
+    return labels
+
+
 def global_min_cut(wg: WeightedGraph) -> tuple[int, frozenset[int]]:
     """Global minimum cut by the Stoer-Wagner maximum-adjacency scheme.
 
@@ -210,6 +246,7 @@ def shortest_paths_from(
     on their shortest paths, and equal those of the full search there.
     """
     g = wg.graph
+    edges, weight = g.edges, wg.weight
     n = g.node_count
     dist = [-1] * n
     parent = [-1] * n
@@ -227,10 +264,10 @@ def shortest_paths_from(
             if not pending:
                 break
         for d in g.darts_at(v):
-            w = g.dart_other_node(d)
+            w = edges[d >> 1][1 - (d & 1)]
             if w == v:
                 continue
-            nd = dv + wg.weight[d >> 1]
+            nd = dv + weight[d >> 1]
             if not seen[w] and (dist[w] == -1 or nd < dist[w]):
                 dist[w] = nd
                 parent[w] = d ^ 1  # the dart of this edge at w's end

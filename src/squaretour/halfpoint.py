@@ -20,7 +20,7 @@ from numbers import Integral
 from typing import Iterable, NamedTuple
 
 from .deltamatroid import SquareGraph
-from .graphcore import MultiGraph, WeightedGraph, global_min_cut, is_connected
+from .graphcore import MultiGraph, WeightedGraph, cut_labels, global_min_cut, is_connected
 
 __all__ = [
     "EdgeKey",
@@ -46,8 +46,6 @@ class Reduction(NamedTuple):
     graph: MultiGraph
     chains: list[tuple[int, ...]]
 
-
-Support = tuple[MultiGraph, Reduction]  # graph, its series reduction
 
 DEGENERATE_MSG = "integral point; tour is the 1-edge cycle"
 
@@ -103,8 +101,7 @@ class SubtourReport:
     reason is one of "ok", "degree", "disconnected", "cut"; node carries the
     offending node for degree violations, cut_side / cut_value_x2 carry a
     violated cut (doubled value < 4).  A feasible report keeps the support
-    graph and its series reduction, so later stages reuse them instead of
-    building them again.
+    graph, so later stages reuse it instead of building it again.
     """
 
     ok: bool
@@ -112,7 +109,7 @@ class SubtourReport:
     node: int | None = None
     cut_side: frozenset[int] | None = None
     cut_value_x2: int | None = None
-    support: Support | None = field(default=None, repr=False, compare=False)
+    support: MultiGraph | None = field(default=None, repr=False, compare=False)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -134,8 +131,7 @@ def _series_reduced(g: MultiGraph) -> Reduction:
     one a-b edge.  Returns the kept nodes (ascending), the reduced graph and,
     per reduced edge, its chain of g's edge ids walked from the kept node it
     is first met at; kept nodes, then their darts, ascending number the
-    edges.  Weighted by the minimum over each chain, every cut separating two
-    kept nodes keeps its minimum value.  Parts without a kept node vanish."""
+    edges.  Parts without a kept node vanish."""
     kept = [v for v in range(g.node_count) if g.degree(v) != 2]
     new = [-1] * g.node_count
     for i, v in enumerate(kept):
@@ -164,13 +160,12 @@ def _series_reduced(g: MultiGraph) -> Reduction:
 def validate_subtour(x: HalfIntegerPoint) -> SubtourReport:
     """Check degree-2 equalities and all cut constraints, exactly.
 
-    Degrees are doubled (must equal 4 at every node); the cut condition
-    x(delta(S)) >= 2 becomes a doubled global min cut of at least 4, computed
-    by Stoer-Wagner.  Once the degrees hold, a node of support degree 2 has
-    two 1-edges, so every cut that no series-reduced cut covers is worth at
-    least 4: the reduced support has a cut below 4 exactly when the support
-    has one.  Only then is the full support cut, for the witness.
-    """
+    Doubled, every degree must be 4 and every cut at least 4.  Once the
+    degrees hold, x2(delta(S)) = 4|S| - 2 x2(E(S)) is even, so a
+    connected support violates a cut iff one 1-edge (a bridge) or two
+    1/2-edges make up a whole cut, which cut_labels finds in linear time
+    (Pritchard & Thurimella, ACM Trans. Algorithms 7(4), 2011).  Only then
+    does Stoer-Wagner cut the support, for the witness."""
     deg: Counter[int] = Counter()
     for (u, v), x2 in x.support.items():
         deg[u] += x2
@@ -183,14 +178,12 @@ def validate_subtour(x: HalfIntegerPoint) -> SubtourReport:
     g, keys = support_graph(x)
     if not is_connected(g):
         return SubtourReport(False, "disconnected")
-    x2 = [x.support[k] for k in keys]
-    reduction = _series_reduced(g)
-    _, reduced, chains = reduction
-    low = tuple(min(x2[e] for e in c) for c in chains)
-    if reduced.node_count >= 2 and global_min_cut(WeightedGraph(reduced, low))[0] < 4:
-        val, side = global_min_cut(WeightedGraph(g, tuple(x2)))
+    labels = cut_labels(g)
+    halves = [a for a, k in zip(labels, keys) if x.support[k] == 1]
+    if 0 in labels or len(set(halves)) < len(halves):
+        val, side = global_min_cut(WeightedGraph(g, tuple(x.support[k] for k in keys)))
         return SubtourReport(False, "cut", cut_side=side, cut_value_x2=val)
-    return SubtourReport(True, support=(g, reduction))
+    return SubtourReport(True, support=g)
 
 
 class PointClass(enum.Enum):
@@ -271,8 +264,8 @@ class SquarePoint:
     """A feasible square point with a nonnegative integer cost on every
     support edge, as square_point checked it.
 
-    graph is the support with edge id i for keys[i] (keys sorted) and
-    reduction its series reduction, both as validation built them; weighted
+    graph is the support with edge id i for keys[i] (keys sorted), as
+    validation built it, and reduction its series reduction; weighted
     carries the costs on the graph.  Every edge is named by its id: squares
     holds the four edge ids of each 1/2-edge 4-cycle in cyclic order from
     its lowest edge, the squares in order of their lowest node.  The
@@ -315,13 +308,13 @@ def square_point(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> SquarePoint:
             raise ValueError(f"cost on edge {e} must be an integer")
         if c < 0:
             raise ValueError(f"negative cost on edge {e}")
-    g, reduction = report.support
+    g = report.support
     eid = {k: i for i, k in enumerate(g.edges)}
     squares = tuple(
         tuple(eid[edge_key(nodes[i], nodes[(i + 1) % 4])] for i in range(4)) for nodes in cycles
     )
     weighted = WeightedGraph(g, tuple(costs[k] for k in g.edges))
-    return SquarePoint(x, g, reduction, squares, weighted)
+    return SquarePoint(x, g, _series_reduced(g), squares, weighted)
 
 
 def contract(sp: SquarePoint) -> tuple[SquareGraph, tuple[int, ...]]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .deltamatroid import SquareGraph
-from .graphcore import MultiGraph, WeightedGraph, global_min_cut, is_connected
+from .graphcore import MultiGraph, cut_labels, is_connected
 from .halfpoint import SQUARE_CLASSES, EdgeKey, HalfIntegerPoint, edge_key, validate_and_classify
 from .kotzig import BitransitionSystem, blow_up, check_system
 
@@ -241,8 +241,13 @@ def everywhere_instance(g: MultiGraph, ham_edges: Iterable[int]) -> HalfIntegerP
     for v in range(n):
         if g.degree(v) != 3:
             raise ValueError(f"node {v} has degree {g.degree(v)}, want 3")
-    cut, _ = global_min_cut(WeightedGraph(g, (1,) * g.edge_count))
-    if cut < 3:
+    if n < 2:
+        raise ValueError("min cut needs at least 2 nodes")
+    if not is_connected(g):
+        raise ValueError("disconnected graph")
+    # 3-edge-connected: no bridge (label 0) and no 2-edge cut (equal labels)
+    labels = cut_labels(g)
+    if 0 in labels or len(set(labels)) < len(labels):
         raise ValueError("graph is not 3-edge-connected")
     ham = frozenset(ham_edges)
     if len(ham) != n:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .deltamatroid import ham_min_cost
+from .deltamatroid import _ham_min_cost
 from .graphcore import MultiGraph, eulerian_circuit, shortest_paths_from, walk_cycle
 from .halfpoint import EdgeKey, HalfIntegerPoint, SquarePoint, contract, square_point
 from .tjoin import min_t_join
@@ -57,7 +57,7 @@ def hamiltonian(sp: SquarePoint) -> SupportHam:
         ids = frozenset(range(len(sp.keys)))
     else:
         sg, cost = contract(sp)
-        ham = ham_min_cost(sg, list(cost))
+        ham = _ham_min_cost(sg, cost)  # a checked point's square graph: no recheck
         ids = frozenset(e for r in ham.edges for e in sp.reduction.chains[r])
     first = next(d >> 1 for d in sp.graph.darts_at(0) if d >> 1 in ids)
     _, order = walk_cycle(sp.graph, ids, 0, first)

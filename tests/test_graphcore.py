@@ -1,13 +1,17 @@
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from squaretour.graphcore import (
     DisjointSet,
     MultiGraph,
     WeightedGraph,
     connected_without,
+    cut_labels,
     eulerian_circuit,
     global_min_cut,
     is_connected,
@@ -132,6 +136,27 @@ def test_global_min_cut_errors():
         global_min_cut(WeightedGraph(MultiGraph(1, []), ()))
     with pytest.raises(ValueError):
         global_min_cut(WeightedGraph(MultiGraph(2, []), ()))
+
+
+@st.composite
+def small_connected_multigraphs(draw):
+    """A random spanning tree plus extra edges, loops and parallel edges
+    among them, listed in random order so tree edges get any ids."""
+    n = draw(st.integers(1, 7))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    node = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(node, node), max_size=8))
+    return MultiGraph(n, draw(st.permutations(edges)))
+
+
+@given(small_connected_multigraphs())
+def test_cut_labels_find_every_one_and_two_edge_cut(g):
+    labels = cut_labels(g)
+    bridges = {e for e in range(g.edge_count) if not connected_without(g, frozenset({e}))}
+    assert {e for e, a in enumerate(labels) if a == 0} == bridges
+    for e, f in combinations(sorted(set(range(g.edge_count)) - bridges), 2):
+        cut = not connected_without(g, frozenset({e, f}))
+        assert (labels[e] == labels[f]) == cut
 
 
 def test_dijkstra_against_floyd_warshall():

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squaretour import halfpoint
-from squaretour.graphcore import DisjointSet, WeightedGraph, global_min_cut, metric_closure
+from squaretour.graphcore import (
+    DisjointSet,
+    WeightedGraph,
+    cut_labels,
+    global_min_cut,
+    is_connected,
+    metric_closure,
+)
 from squaretour.halfpoint import (
     DEGENERATE_MSG,
     HalfIntegerPoint,
@@ -20,7 +27,7 @@ from squaretour.halfpoint import (
     validate_subtour,
 )
 from squaretour.deltamatroid import check_square_graph
-from squaretour.instances import make_donut, random_square_point
+from squaretour.instances import make_donut, random_four_regular, random_square_point
 from squaretour.oracles import brute_cuts
 
 
@@ -154,7 +161,7 @@ def test_min_cut_brute_equality_on_invalid_point():
     assert val == rep.cut_value_x2 == 2
 
 
-def test_min_cut_runs_on_series_reduced_support(monkeypatch):
+def test_min_cut_runs_only_for_witnesses(monkeypatch):
     sizes = []
 
     def recording(wg):
@@ -162,30 +169,21 @@ def test_min_cut_runs_on_series_reduced_support(monkeypatch):
         return global_min_cut(wg)
 
     monkeypatch.setattr(halfpoint, "global_min_cut", recording)
-    # a donut keeps only its square corners: 4 per square
+    # cut labels alone decide a feasible point, with or without 1-paths
     assert validate_subtour(make_donut(12).point)
-    assert sizes == [4 * 12]
-    # a Boyd-Carr point has no node of support degree 2 to suppress
-    x = random_square_point(3, 1, 5)
-    sizes.clear()
-    assert validate_subtour(x)
-    assert sizes == [x.n]
-    # a violated cut is found on the reduced support, then cut again on the
-    # full support for its witness
-    sizes.clear()
+    assert validate_subtour(random_square_point(3, 1, 5))
+    assert sizes == []
+    # a violated cut is cut once, on the full support, for its witness
     assert not validate_subtour(single_square_point_adjacent_paths())
-    assert sizes == [4, 6]
+    assert sizes == [6]
 
 
-@st.composite
-def perturbed_square_points(draw):
-    """A small random square point, then one to three swaps of two
-    equal-valued edges a-b, c-d for a-c, b-d: doubled degrees stay 4, while
-    cuts may fall below 4 and the support may fall apart."""
-    x = random_square_point(draw(st.integers(1, 2)), draw(st.integers(1, 2)),
-                            draw(st.integers(0, 10**6)))
+def swap_pairs(x, rounds, pick):
+    """Up to `rounds` swaps of two equal-valued edges a-b, c-d for a-c, b-d,
+    each chosen by pick from all possible ones: doubled degrees stay 4,
+    while cuts may fall below 4 and the support may fall apart."""
     support = dict(x.support)
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(rounds):
         swaps = [
             (e, f, new)
             for e, f in combinations(sorted(support), 2)
@@ -196,11 +194,132 @@ def perturbed_square_points(draw):
         ]
         if not swaps:
             break
-        e, f, new = draw(st.sampled_from(swaps))
+        e, f, new = pick(swaps)
         x2 = support.pop(e)
         del support[f]
         support.update(dict.fromkeys(new, x2))
     return HalfIntegerPoint(x.n, support)
+
+
+@st.composite
+def perturbed_square_points(draw):
+    """A small random square point, then one to three edge swaps."""
+    x = random_square_point(draw(st.integers(1, 2)), draw(st.integers(1, 2)),
+                            draw(st.integers(0, 10**6)))
+    return swap_pairs(x, draw(st.integers(1, 3)), lambda swaps: draw(st.sampled_from(swaps)))
+
+
+def four_regular_point(n, rng):
+    """A general half-integer point: a random 4-regular multigraph on n
+    nodes with x = 1/2 per edge, so a double edge is a 1-edge; graphs with
+    a loop or a triple edge are drawn again."""
+    while True:
+        g, _ = random_four_regular(n, rng)
+        mult = Counter(edge_key(u, v) for u, v in g.edges)
+        if all(u != v for u, v in mult) and max(mult.values()) <= 2:
+            return HalfIntegerPoint(n, dict(mult))
+
+
+def feasible_half(rng, squares, n):
+    """A feasible point with a 1/2-edge: a square point with up to the given
+    squares or, as often, a general point on 4..n nodes."""
+    if rng.random() < 0.5:
+        return random_square_point(rng.randint(1, squares), rng.randint(1, 2), rng)
+    while True:
+        x = four_regular_point(rng.randint(4, n), rng)
+        if x.half_edges() and validate_subtour(x):
+            return x
+
+
+def glued(x, y, rounds, rng):
+    """x beside y, y's nodes shifted past x's, with `rounds` 1/2-edges a-b
+    of x, node-disjoint, and c-d of y swapped for a-c, b-d: degrees stay 4
+    and the cut between the halves falls to 2 * rounds."""
+    support = dict(x.support)
+    support.update({edge_key(u + x.n, v + x.n): x2 for (u, v), x2 in y.support.items()})
+    ours, theirs = x.half_edges(), y.half_edges()
+    for _ in range(rounds):
+        if not ours:
+            break
+        (a, b), (c, d) = rng.choice(ours), rng.choice(theirs)
+        del support[(a, b)], support[(c + x.n, d + x.n)]
+        support[(a, c + x.n)] = support[(b, d + x.n)] = 1
+        ours = [e for e in ours if not {a, b} & set(e)]
+        theirs.remove((c, d))
+    return HalfIntegerPoint(x.n + y.n, support)
+
+
+def assert_agrees_with_brute_cuts(x):
+    val, _ = brute_cuts(x)
+    rep = validate_subtour(x)
+    assert bool(rep) == (val >= 4)
+    if rep.reason == "cut":
+        assert rep.cut_value_x2 == val
+        side = rep.cut_side
+        crossing = sum(x2 for (u, v), x2 in x.support.items() if (u in side) != (v in side))
+        assert crossing == val
+    elif not rep:
+        assert (rep.reason, val) == ("disconnected", 0)
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 10**6))
+def test_validate_finds_the_cut_of_glued_points(seed):
+    rng = random.Random(seed)
+    x = glued(feasible_half(rng, 1, 6), feasible_half(rng, 1, 6), 1, rng)
+    rep = validate_subtour(x)
+    assert (rep.reason, rep.cut_value_x2) == ("cut", 2)
+    assert_agrees_with_brute_cuts(x)
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 10**6))
+def test_validate_agrees_with_brute_cuts_on_general_points(seed):
+    rng = random.Random(seed)
+    x = swap_pairs(four_regular_point(rng.randint(5, 12), rng), rng.randint(0, 3), rng.choice)
+    assert_agrees_with_brute_cuts(x)
+
+
+def test_validate_finds_a_one_edge_bridge():
+    # two copies of a 5-node piece whose node 0 lacks one 1-edge, joined
+    # by that 1-edge: a connected support with a bridge of doubled value 2
+    piece = {(0, 1): 1, (0, 2): 1, (1, 3): 1, (1, 4): 2, (2, 3): 2, (2, 4): 1, (3, 4): 1}
+    support = {**piece, **{(u + 5, v + 5): x2 for (u, v), x2 in piece.items()}, (0, 5): 2}
+    x = HalfIntegerPoint(10, support)
+    g, keys = support_graph(x)
+    assert cut_labels(g)[keys.index((0, 5))] == 0
+    rep = validate_subtour(x)
+    assert (rep.reason, rep.cut_value_x2) == ("cut", 2)
+    assert_agrees_with_brute_cuts(x)
+
+
+@pytest.mark.extended
+def test_validate_decides_like_the_full_min_cut():
+    """A standing differential test of the feasibility check: its decision,
+    and any witness, against Stoer-Wagner on the full support."""
+
+    def feasible(x):
+        rep = validate_subtour(x)
+        g, keys = support_graph(x)
+        if not is_connected(g):
+            assert rep.reason == "disconnected"
+            return False
+        val, side = global_min_cut(WeightedGraph(g, tuple(x.support[k] for k in keys)))
+        assert bool(rep) == (val >= 4)
+        if not rep:
+            assert (rep.cut_value_x2, rep.cut_side) == (val, side)
+        return bool(rep)
+
+    swapped = glued_pool = 0
+    for seed in range(3000):
+        rng = random.Random(seed)
+        x = random_square_point(rng.randint(1, 3), rng.randint(1, 3), rng)
+        swapped += not feasible(swap_pairs(x, rng.randint(1, 3), rng.choice))
+    for seed in range(1000):
+        rng = random.Random(seed)
+        x, y = feasible_half(rng, 3, 10), feasible_half(rng, 3, 10)
+        glued_pool += not feasible(glued(x, y, rng.choice((1, 1, 2)), rng))
+    assert swapped >= 500 and glued_pool >= 500
 
 
 @settings(max_examples=150)
@@ -375,6 +494,17 @@ def test_contract_donut():
         assert all(len(chains[e]) == 1 for e in sq)
     corners = sorted(v for sq in inst.squares for v in sq)
     assert list(sp.reduction.kept) == corners
+
+
+def test_contract_builds_square_graphs():
+    # tour.hamiltonian hands contract's square graph to the HAM stage unchecked
+    for seed in range(60):
+        rng = random.Random(seed)
+        x = random_square_point(rng.randint(1, 12), rng.randint(1, 4), seed)
+        check_square_graph(contract(unit_square_point(x))[0])
+    for k in range(2, 13):
+        inst = make_donut(k)
+        check_square_graph(contract(square_point(inst.point, inst.costs))[0])
 
 
 def test_contract_unit_paths_keep_support_shape():

@@ -187,6 +187,17 @@ def test_everywhere_instance_rejects_bad_graphs():
         everywhere_instance(diamonds, ham)
 
 
+def test_everywhere_instance_rejects_disconnected_and_bridged_graphs():
+    two_k4 = MultiGraph(8, [*k4_graph().edges, *((u + 4, v + 4) for u, v in k4_graph().edges)])
+    with pytest.raises(ValueError, match="^disconnected graph$"):
+        everywhere_instance(two_k4, range(8))
+    # K4 with edge 0-1 subdivided by node 4, twice, the two 4s joined by a bridge
+    side = [(0, 4), (1, 4), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    bridged = MultiGraph(10, [*side, *((u + 5, v + 5) for u, v in side), (4, 9)])
+    with pytest.raises(ValueError, match="^graph is not 3-edge-connected$"):
+        everywhere_instance(bridged, range(10))
+
+
 def test_everywhere_instance_rejects_bad_cycles():
     with pytest.raises(ValueError, match="one edge per node"):
         everywhere_instance(k4_graph(), {0, 1, 2})

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squaretour import halfpoint
+from squaretour import deltamatroid, halfpoint
 from squaretour.graphcore import (
     DisjointSet,
     MultiGraph,
     WeightedGraph,
-    global_min_cut,
     is_connected,
     metric_closure,
 )
@@ -270,18 +269,43 @@ def test_run_tour_invariant_under_cost_scaling(s, length, seed, high, k):
 
 def test_run_tour_validates_once(monkeypatch):
     calls = []
+    for name in ("cut_labels", "global_min_cut"):
+        def recording(g, _name=name, _fn=getattr(halfpoint, name)):
+            calls.append((_name, getattr(g, "graph", g).node_count))
+            return _fn(g)
 
-    def counting(wg):
-        calls.append(wg)
-        return global_min_cut(wg)
-
-    monkeypatch.setattr(halfpoint, "global_min_cut", counting)
+        monkeypatch.setattr(halfpoint, name, recording)
     inst = make_donut(3)
     x = random_square_point(3, 2, 11)
     for point, costs in ((inst.point, inst.costs), (x, random_costs(x, 11))):
         calls.clear()
         run_tour(point, costs)
-        assert len(calls) == 1
+        assert calls == [("cut_labels", point.n)]
+    # square 0-1-2-3 with 1-paths joining adjacent corners: a cut of x2 = 2,
+    # cut once on the full support for the witness
+    y = HalfIntegerPoint(6, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1,
+                             (0, 4): 2, (1, 4): 2, (2, 5): 2, (3, 5): 2})
+    calls.clear()
+    with pytest.raises(ValueError, match="not a feasible point: cut"):
+        run_tour(y, dict.fromkeys(y.support, 1))
+    assert calls == [("cut_labels", 6), ("global_min_cut", 6)]
+
+
+def test_run_tour_skips_the_square_graph_check(monkeypatch):
+    # contract builds the square graph from a checked point, so it is not
+    # checked again; test_contract_builds_square_graphs backs that up
+    calls = []
+
+    def recording(sg, _fn=deltamatroid.check_square_graph):
+        calls.append(sg)
+        return _fn(sg)
+
+    monkeypatch.setattr(deltamatroid, "check_square_graph", recording)
+    inst = make_donut(3)
+    x = random_square_point(5, 2, 3)
+    for point, costs in ((inst.point, inst.costs), (x, random_costs(x, 3))):
+        run_tour(point, costs)
+    assert calls == []
 
 
 def test_run_tour_builds_the_support_once(monkeypatch):
