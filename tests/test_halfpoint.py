@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from itertools import combinations
@@ -353,6 +354,55 @@ def test_donut_metric_distance_across_ring():
     for path in inst.inner_paths + inst.outer_paths:
         assert dist[path[0]][path[-1]] == 2
 
+
+def simple_half_point(rng):
+    """x = 1/2 on every edge of a simple random 4-regular graph on 5..12
+    nodes: every node meets four 1/2-edges."""
+    while True:
+        n = rng.randint(5, 12)
+        g, _ = random_four_regular(n, rng)
+        keys = {edge_key(u, v) for u, v in g.edges}
+        if len(keys) == 2 * n and all(u != v for u, v in keys):
+            return HalfIntegerPoint(n, dict.fromkeys(keys, 1))
+
+
+def half_cycle_point(rng):
+    """1/2-edges on the cycle 0..n-1 and 1-edges on a random perfect
+    matching of chords, n even in 6..16."""
+    n = 2 * rng.randint(3, 8)
+    cycle = {edge_key(i, (i + 1) % n) for i in range(n)}
+    while True:
+        nodes = list(range(n))
+        rng.shuffle(nodes)
+        chords = {edge_key(a, b) for a, b in zip(nodes[0::2], nodes[1::2])}
+        if not chords & cycle:
+            return HalfIntegerPoint(n, {**dict.fromkeys(cycle, 1), **dict.fromkeys(chords, 2)})
+
+
+def test_classes_witnesses_and_squares_are_pinned():
+    """A digest of validate_and_classify (class and witness) and of
+    square_point's squares over a fixed pool: random square points, all-1/2
+    points on 4-regular graphs, 1/2-cycles with matched chords, and
+    edge-swapped square points."""
+    points = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        points.append(random_square_point(rng.randint(1, 12), rng.randint(1, 4), rng))
+        points.append(swap_pairs(random_square_point(rng.randint(1, 3), rng.randint(1, 3), rng),
+                                 rng.randint(1, 3), rng.choice))
+    for seed in range(20):
+        rng = random.Random(seed)
+        points += [simple_half_point(rng), half_cycle_point(rng)]
+    h = hashlib.sha256()
+    classes = Counter()
+    for x in points:
+        report, cls = validate_and_classify(x)
+        classes[cls and cls.value] += 1
+        h.update(f"{x.n} {sorted(x.support.items())} {cls and cls.value} {report.witness()}\n".encode())
+        if cls in (PointClass.SQUARE, PointClass.BOYD_CARR):
+            h.update(f"{unit_square_point(x).squares}\n".encode())
+    assert classes == {"SQUARE": 59, "BOYD-CARR": 31, "HALF-INTEGER": 36, "CARR-VEMPALA": 21, None: 13}
+    assert h.hexdigest() == "282888a2c8892623d9023afb1c252c89af90d2a33170fa0596291b5390bef7a2"
 
 def test_classify_square_and_donut():
     assert class_of(make_donut(2).point) is PointClass.SQUARE
