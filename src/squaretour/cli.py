@@ -94,8 +94,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if x.n > 2 * len(x.support):
         # some node meets no edge; checked before any n-sized structure
         raise ValueError("disconnected graph")
-    g, keys = support_graph(x)
-    wg = WeightedGraph(g, tuple(costs[k] for k in keys))
+    g = support_graph(x)
+    wg = WeightedGraph(g, tuple(costs[k] for k in g.edges))
     if not is_connected(g):
         raise ValueError("disconnected graph")
     if x.n > HELD_KARP_CAP:  # held_karp's own cap, checked before n searches

@@ -101,7 +101,8 @@ def check_square_graph(sg: SquareGraph) -> None:
             bad(f"square {si} is not a 4-cycle on distinct nodes")
         seen.update(sq)
     non_matching = set(range(g.edge_count)) - set(sg.matching)
-    if seen != non_matching:
+    # equal unions alone would let a square be listed twice
+    if seen != non_matching or 4 * len(sg.squares) != len(non_matching):
         bad("squares do not partition the non-matching edges")
     # A bridge lies on no square, so it is a matching edge with whole squares
     # on each side; one side would hold 4k nodes of which 4k - 1 are matched
@@ -182,11 +183,17 @@ def ham_min_cost(sg: SquareGraph, cost: Sequence[int]) -> HamCycle:
     check_square_graph(sg)
     if len(cost) != sg.graph.edge_count:
         raise ValueError("cost vector length must equal edge count")
-    return _ham_min_cost(sg, cost)
+    hedges = _ham_edges(sg, cost)
+    g = sg.graph
+    # canonical order: from node 0 along its lower-id cycle edge
+    first = next(d >> 1 for d in g.darts_at(0) if d >> 1 in hedges)
+    _, order = walk_cycle(g, hedges, 0, first)
+    return HamCycle(hedges, tuple(order), sum(cost[e] for e in hedges))
 
 
-def _ham_min_cost(sg: SquareGraph, cost: Sequence[int]) -> HamCycle:
-    """ham_min_cost without its checks, for contract's square graphs."""
+def _ham_edges(sg: SquareGraph, cost: Sequence[int]) -> frozenset[int]:
+    """The edge ids of ham_min_cost's cycle, without its checks, for
+    contract's square graphs."""
     g = sg.graph
     md = {g.dart_node(d): d for e in sg.matching for d in (2 * e, 2 * e + 1)}  # per corner
     darts, keyed = [], []
@@ -202,11 +209,7 @@ def _ham_min_cost(sg: SquareGraph, cost: Sequence[int]) -> HamCycle:
     pair = _split_greedy(darts, (choice for *_, choice in sorted(keyed)))
     # a square edge is kept when its corners' matching darts ended up paired
     kept = [e for sq in sg.squares for e in sq if md[g.edges[e][1]] in pair[md[g.edges[e][0]]]]
-    hedges = frozenset(sg.matching).union(kept)
-    # canonical order: from node 0 along its lower-id cycle edge
-    first = next(d >> 1 for d in g.darts_at(0) if d >> 1 in hedges)
-    _, order = walk_cycle(g, hedges, 0, first)
-    return HamCycle(hedges, tuple(order), sum(cost[e] for e in hedges))
+    return frozenset(sg.matching).union(kept)
 
 
 def verify_ham(sg: SquareGraph, hedges: frozenset[int]) -> bool:

@@ -117,40 +117,35 @@ class DisjointSet:
         return True
 
 
-def _reach(g: MultiGraph, start: int, skip_edges: frozenset[int]) -> list[int]:
-    seen = bytearray(g.node_count)
-    seen[start] = 1
-    stack = [start]
-    out = [start]
-    while stack:
-        v = stack.pop()
-        for d in g.darts_at(v):
-            if (d >> 1) in skip_edges:
-                continue
-            w = g.dart_other_node(d)
-            if not seen[w]:
-                seen[w] = 1
-                stack.append(w)
-                out.append(w)
-    return out
-
-
 def is_connected(g: MultiGraph) -> bool:
     """True iff every node is reachable from node 0 (vacuous for <= 1 node)."""
-    if g.node_count <= 1:
-        return True
-    return len(_reach(g, 0, frozenset())) == g.node_count
+    return connected_without(g, frozenset())
 
 
 def connected_without(g: MultiGraph, removed: frozenset[int]) -> bool:
     """Connectivity of g after deleting the given edge ids (nodes stay)."""
     if g.node_count <= 1:
         return True
-    return len(_reach(g, 0, removed)) == g.node_count
+    seen = bytearray(g.node_count)
+    seen[0] = 1
+    stack = [0]
+    reached = 1
+    while stack:
+        v = stack.pop()
+        for d in g.darts_at(v):
+            if (d >> 1) in removed:
+                continue
+            w = g.dart_other_node(d)
+            if not seen[w]:
+                seen[w] = 1
+                stack.append(w)
+                reached += 1
+    return reached == g.node_count
 
 
-def cut_labels(g: MultiGraph) -> list[int]:
-    """Cycle-space labels of a connected multigraph's edges, per edge id.
+def cut_labels(g: MultiGraph) -> list[int] | None:
+    """Cycle-space labels of a multigraph's edges, per edge id, or None if
+    the graph is disconnected.
 
     In a spanning tree from node 0, the i-th non-tree edge gets the bit
     1 << i, and each tree edge the XOR of the bits of the non-tree edges with
@@ -167,6 +162,8 @@ def cut_labels(g: MultiGraph) -> list[int]:
             if parent[w] == -1:
                 parent[w] = d
                 order.append(w)
+    if len(order) < g.node_count:
+        return None
     tree = {d >> 1 for d in parent[1:]}
     labels = [0] * len(edges)
     acc = [0] * g.node_count  # XOR of the non-tree bits met at each node
@@ -337,9 +334,11 @@ def eulerian_circuit(g: MultiGraph, start: int = 0) -> list[int]:
 def walk_cycle(
     g: MultiGraph, cycle: frozenset[int], start: int, first: int
 ) -> tuple[list[int], list[int]]:
-    """Walk the cycle formed by the given edge ids: leave start along edge
-    first, then leave every node along its other cycle edge.  Returns the
-    edge ids in walk order and, for each, the node it is left from."""
+    """Walk the cycle through start formed by the given edge ids: leave start
+    along edge first, then leave every node along its other cycle edge until
+    back at start.  The ids may form several node-disjoint cycles; only the
+    one through start is walked.  Returns the edge ids in walk order and, for
+    each, the node it is left from."""
     edges: list[int] = []
     nodes: list[int] = []
     e, v = first, start
@@ -348,5 +347,7 @@ def walk_cycle(
         nodes.append(v)
         a, b = g.edges[e]
         v = b if a == v else a
+        if v == start:
+            break
         e = next(d >> 1 for d in g.darts_at(v) if d >> 1 in cycle and d >> 1 != e)
     return edges, nodes

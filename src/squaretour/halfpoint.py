@@ -17,10 +17,10 @@ import enum
 from collections import Counter
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .deltamatroid import SquareGraph
-from .graphcore import MultiGraph, WeightedGraph, cut_labels, global_min_cut, is_connected
+from .graphcore import MultiGraph, WeightedGraph, cut_labels, global_min_cut, walk_cycle
 
 __all__ = [
     "EdgeKey",
@@ -88,10 +88,10 @@ class HalfIntegerPoint:
         return sum(costs[e] * x2 for e, x2 in self.support.items())
 
 
-def support_graph(x: HalfIntegerPoint) -> tuple[MultiGraph, list[EdgeKey]]:
-    """The support as a MultiGraph; edge id i corresponds to the i-th key."""
-    keys = sorted(x.support)
-    return MultiGraph(x.n, keys), keys
+def support_graph(x: HalfIntegerPoint) -> MultiGraph:
+    """The support as a MultiGraph; edge id i is the i-th key in sorted
+    order, so g.edges lists the keys."""
+    return MultiGraph(x.n, sorted(x.support))
 
 
 @dataclass(frozen=True)
@@ -175,13 +175,13 @@ def validate_subtour(x: HalfIntegerPoint) -> SubtourReport:
     for v in range(min(x.n, 2 * len(x.support) + 1)):
         if deg[v] != 4:
             return SubtourReport(False, "degree", node=v)
-    g, keys = support_graph(x)
-    if not is_connected(g):
-        return SubtourReport(False, "disconnected")
+    g = support_graph(x)
     labels = cut_labels(g)
-    halves = [a for a, k in zip(labels, keys) if x.support[k] == 1]
+    if labels is None:
+        return SubtourReport(False, "disconnected")
+    halves = [a for a, k in zip(labels, g.edges) if x.support[k] == 1]
     if 0 in labels or len(set(halves)) < len(halves):
-        val, side = global_min_cut(WeightedGraph(g, tuple(x.support[k] for k in keys)))
+        val, side = global_min_cut(WeightedGraph(g, tuple(x.support[k] for k in g.edges)))
         return SubtourReport(False, "cut", cut_side=side, cut_value_x2=val)
     return SubtourReport(True, support=g)
 
@@ -198,29 +198,27 @@ SQUARE_CLASSES = (PointClass.SQUARE, PointClass.BOYD_CARR)
 Cycle = tuple[int, ...]
 
 
-def _cycles(edges: Iterable[EdgeKey]) -> list[Cycle] | None:
-    """Cycles of the simple graph on the given edges, which has even degree
-    at every node; None if some node has degree above 2.  A cycle starts at
-    its lowest node and heads to that node's lower neighbour."""
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if any(len(nb) > 2 for nb in adj.values()):
+def _cycles(g: MultiGraph, half: list[int]) -> list[Cycle] | None:
+    """The cycles formed by the ascending edge ids half, which meet every
+    node of g an even number of times; None if some node meets more than
+    two.  Each cycle is walked from its lowest edge id, leaving from that
+    edge's lower end: ids follow the sorted keys, so the cycles come in
+    order of their lowest node, each heading to that node's lower
+    neighbour."""
+    meets = [0] * g.node_count
+    for e in half:
+        for v in g.edges[e]:
+            meets[v] += 1
+    if max(meets) > 2:
         return None
+    ids = frozenset(half)
+    walked: set[int] = set()
     cycles: list[Cycle] = []
-    seen: set[int] = set()
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        nodes = [start]
-        prev, cur = start, min(adj[start])
-        while cur != start:
-            nodes.append(cur)
-            nb = adj[cur]
-            prev, cur = cur, (nb[1] if nb[0] == prev else nb[0])
-        seen.update(nodes)
-        cycles.append(tuple(nodes))
+    for e in half:
+        if e not in walked:
+            cycle, _ = walk_cycle(g, ids, g.edges[e][0], e)
+            walked.update(cycle)
+            cycles.append(tuple(cycle))
     return cycles
 
 
@@ -234,10 +232,11 @@ def _checked(x: HalfIntegerPoint) -> tuple[SubtourReport, PointClass | None, lis
     report = validate_subtour(x)
     if not report:
         return report, None, None
-    cycles = _cycles(x.half_edges())
+    g = report.support
+    cycles = _cycles(g, [e for e, k in enumerate(g.edges) if x.support[k] == 1])
     cls = PointClass.OTHER_HALF_INTEGER
     if cycles is not None:
-        if all(len(nodes) == 4 for nodes in cycles):
+        if all(len(cycle) == 4 for cycle in cycles):
             # squares on all n nodes: cubic support, one 1-edge per node
             cls = PointClass.BOYD_CARR if 4 * len(cycles) == x.n else PointClass.SQUARE
         elif len(cycles) == 1 and len(cycles[0]) == x.n:
@@ -309,12 +308,8 @@ def square_point(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> SquarePoint:
         if c < 0:
             raise ValueError(f"negative cost on edge {e}")
     g = report.support
-    eid = {k: i for i, k in enumerate(g.edges)}
-    squares = tuple(
-        tuple(eid[edge_key(nodes[i], nodes[(i + 1) % 4])] for i in range(4)) for nodes in cycles
-    )
     weighted = WeightedGraph(g, tuple(costs[k] for k in g.edges))
-    return SquarePoint(x, g, _series_reduced(g), squares, weighted)
+    return SquarePoint(x, g, _series_reduced(g), tuple(cycles), weighted)
 
 
 def contract(sp: SquarePoint) -> tuple[SquareGraph, tuple[int, ...]]:

@@ -243,10 +243,10 @@ def everywhere_instance(g: MultiGraph, ham_edges: Iterable[int]) -> HalfIntegerP
             raise ValueError(f"node {v} has degree {g.degree(v)}, want 3")
     if n < 2:
         raise ValueError("min cut needs at least 2 nodes")
-    if not is_connected(g):
+    labels = cut_labels(g)
+    if labels is None:
         raise ValueError("disconnected graph")
     # 3-edge-connected: no bridge (label 0) and no 2-edge cut (equal labels)
-    labels = cut_labels(g)
     if 0 in labels or len(set(labels)) < len(labels):
         raise ValueError("graph is not 3-edge-connected")
     ham = frozenset(ham_edges)

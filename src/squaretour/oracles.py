@@ -39,8 +39,8 @@ class SizeCapError(ValueError):
     """Input exceeds the hard size cap of an exact engine."""
 
 
-def held_karp(d: Sequence[Sequence[int]], n: int | None = None) -> int:
-    """Exact TSP value on nodes 0..n-1 with distance matrix d.
+def held_karp(d: Sequence[Sequence[int]]) -> int:
+    """Exact TSP value on nodes 0..n-1 with the n x n distance matrix d.
 
     Bitmask DP over subsets of 1..n-1, vectorized per popcount layer in
     blocks of 2^14 masks, so temporaries stay small next to the table.  The
@@ -48,10 +48,7 @@ def held_karp(d: Sequence[Sequence[int]], n: int | None = None) -> int:
     table would not fit in memory.  Distances whose tour bound n * max d
     does not fit the table raise SizeCapError.
     """
-    if n is None:
-        n = len(d)
-    elif n != len(d):
-        raise ValueError("n does not match the distance matrix")
+    n = len(d)
     if n > HELD_KARP_CAP:
         raise SizeCapError("instance too large for exact oracle")
     if n == 0:

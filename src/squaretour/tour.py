@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .deltamatroid import _ham_min_cost
-from .graphcore import MultiGraph, eulerian_circuit, shortest_paths_from, walk_cycle
+from .deltamatroid import _ham_edges
+from .graphcore import MultiGraph, eulerian_circuit, is_connected, shortest_paths_from, walk_cycle
 from .halfpoint import EdgeKey, HalfIntegerPoint, SquarePoint, contract, square_point
 from .tjoin import min_t_join
 from .treesel import rainbow
@@ -56,9 +56,8 @@ def hamiltonian(sp: SquarePoint) -> SupportHam:
     if not sp.squares:
         ids = frozenset(range(len(sp.keys)))
     else:
-        sg, cost = contract(sp)
-        ham = _ham_min_cost(sg, cost)  # a checked point's square graph: no recheck
-        ids = frozenset(e for r in ham.edges for e in sp.reduction.chains[r])
+        sg, cost = contract(sp)  # from a checked point, so _ham_edges skips the check
+        ids = frozenset(e for r in _ham_edges(sg, cost) for e in sp.reduction.chains[r])
     first = next(d >> 1 for d in sp.graph.darts_at(0) if d >> 1 in ids)
     _, order = walk_cycle(sp.graph, ids, 0, first)
     hedges = frozenset(sp.keys[e] for e in ids)
@@ -77,7 +76,8 @@ def compute_y(x: HalfIntegerPoint, ham_edges: frozenset[EdgeKey]) -> dict[EdgeKe
             raise ValueError(f"cycle edge {e} is not a support edge")
         deg[e[0]] += 1
         deg[e[1]] += 1
-    if len(ham_edges) != x.n or any(d != 2 for d in deg):
+    # degree 2 everywhere makes disjoint cycles; one of them must span
+    if any(d != 2 for d in deg) or not is_connected(MultiGraph(x.n, ham_edges)):
         raise ValueError("not a Hamiltonian cycle of the support")
     return {e: 2 * x2 - (1 if e in ham_edges else 0) for e, x2 in x.support.items()}
 

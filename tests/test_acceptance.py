@@ -59,8 +59,8 @@ def tour_trials():
 
 def donut_opt(k):
     inst = make_donut(k)
-    g, keys = support_graph(inst.point)
-    wg = WeightedGraph(g, tuple(inst.costs[e] for e in keys))
+    g = support_graph(inst.point)
+    wg = WeightedGraph(g, tuple(inst.costs[e] for e in g.edges))
     return held_karp(metric_closure(wg))
 
 

@@ -103,6 +103,35 @@ def test_validate_invalid_point_exits_2(capsys, monkeypatch):
         assert err == "error: not a feasible point: degree node=3\n"
 
 
+def point_text(n, keys, x2):
+    return "".join([f"POINT {n}\n", *(f"E {u} {v} {x2} 1\n" for u, v in keys), "END\n"])
+
+
+K5_HALVES = point_text(5, [(u, v) for u in range(5) for v in range(u + 1, 5)], 1)
+
+
+def two_cycles(size):
+    """Two node-disjoint cycles of 1-edges, each on `size` nodes."""
+    return point_text(2 * size, [(b + i, b + (i + 1) % size) for b in (0, size)
+                                 for i in range(size)], 2)
+
+
+def test_validate_labels_general_and_disconnected_points(capsys, monkeypatch):
+    # every node of K5 meets four 1/2-edges: feasible, but no cycles to walk
+    assert run(["validate"], capsys, monkeypatch, stdin=K5_HALVES) == (0, "HALF-INTEGER\n", "")
+    code, out, err = run(["validate"], capsys, monkeypatch, stdin=two_cycles(3))
+    assert (code, out, err) == (2, "INVALID support disconnected\n", "")
+    code, out, err = run(["tour"], capsys, monkeypatch, stdin=two_cycles(3))
+    assert (code, out, err) == (2, "", "error: not a feasible point: support disconnected\n")
+
+
+def test_oracle_opt_rejects_disconnected_graphs(capsys, monkeypatch):
+    # 26 nodes are past the exact-engine cap: connectivity is checked first
+    for size in (3, 13):
+        code, out, err = run(["oracle", "opt"], capsys, monkeypatch, stdin=two_cycles(size))
+        assert (code, out, err) == (2, "", "error: disconnected graph\n"), size
+
+
 def test_ham_output_shape(capsys, monkeypatch):
     code, out, _ = run(["ham"], capsys, monkeypatch, stdin=donut_text(2))
     assert code == 0

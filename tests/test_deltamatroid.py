@@ -56,6 +56,9 @@ def test_check_square_graph_rejects_bad_inputs():
     g2 = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
     with pytest.raises(ValueError, match="not a square graph"):
         check_square_graph(SquareGraph(g2, frozenset({3, 4}), ((0, 1, 2, 3),)))
+    # a square listed twice covers the same edges, but partitions nothing
+    with pytest.raises(ValueError, match="squares do not partition"):
+        check_square_graph(SquareGraph(g, frozenset({4, 5}), ((0, 1, 2, 3), (0, 1, 2, 3))))
 
 
 def test_connected_square_graphs_have_no_bridge():

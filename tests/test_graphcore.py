@@ -149,6 +149,12 @@ def small_connected_multigraphs(draw):
     return MultiGraph(n, draw(st.permutations(edges)))
 
 
+def test_cut_labels_report_disconnection():
+    assert cut_labels(MultiGraph(3, [(0, 1), (1, 0)])) is None
+    assert cut_labels(MultiGraph(3, [(1, 2), (0, 0)])) is None
+    assert cut_labels(MultiGraph(1, [])) == []
+
+
 @given(small_connected_multigraphs())
 def test_cut_labels_find_every_one_and_two_edge_cut(g):
     labels = cut_labels(g)
@@ -249,3 +255,12 @@ def test_walk_cycle_leaves_along_first_edge():
     assert walk_cycle(g, cycle, 0, 0) == ([0, 1, 2, 3], [0, 1, 2, 3])
     assert walk_cycle(g, cycle, 0, 3) == ([3, 2, 1, 0], [0, 3, 2, 1])
     assert walk_cycle(g, cycle, 2, 1) == ([1, 0, 3, 2], [2, 1, 0, 3])
+
+
+def test_walk_cycle_walks_one_of_disjoint_cycles():
+    # a triangle 0-1-2 beside a 2-cycle 3-4 of parallel edges and a loop at 5
+    g = MultiGraph(6, [(0, 1), (3, 4), (1, 2), (3, 4), (0, 2), (5, 5)])
+    cycles = frozenset(range(6))
+    assert walk_cycle(g, cycles, 2, 2) == ([2, 0, 4], [2, 1, 0])
+    assert walk_cycle(g, cycles, 4, 3) == ([3, 1], [4, 3])
+    assert walk_cycle(g, cycles, 5, 5) == ([5], [5])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squaretour import halfpoint
+from squaretour import graphcore, halfpoint
 from squaretour.graphcore import (
     DisjointSet,
     WeightedGraph,
@@ -179,6 +179,32 @@ def test_min_cut_runs_only_for_witnesses(monkeypatch):
     assert sizes == [6]
 
 
+def test_validate_walks_the_support_once(monkeypatch):
+    # cut_labels' spanning tree also decides connectivity, so neither
+    # is_connected nor connected_without, which it searches through, runs
+    calls = []
+
+    def recording(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(halfpoint, "cut_labels", recording("cut_labels", cut_labels))
+    monkeypatch.setattr(halfpoint, "is_connected", recording("is_connected", is_connected),
+                        raising=False)
+    monkeypatch.setattr(graphcore, "connected_without",
+                        recording("connected_without", graphcore.connected_without))
+    triangles = {(0, 1): 2, (1, 2): 2, (0, 2): 2, (3, 4): 2, (4, 5): 2, (3, 5): 2}
+    for x in (make_donut(3).point, random_square_point(3, 2, 11), integral_cycle(5)):
+        calls.clear()
+        assert validate_subtour(x)
+        assert calls == ["cut_labels"]
+    calls.clear()
+    assert validate_subtour(HalfIntegerPoint(6, triangles)).witness() == "support disconnected"
+    assert calls == ["cut_labels"]
+
+
 def swap_pairs(x, rounds, pick):
     """Up to `rounds` swaps of two equal-valued edges a-b, c-d for a-c, b-d,
     each chosen by pick from all possible ones: doubled degrees stay 4,
@@ -287,8 +313,8 @@ def test_validate_finds_a_one_edge_bridge():
     piece = {(0, 1): 1, (0, 2): 1, (1, 3): 1, (1, 4): 2, (2, 3): 2, (2, 4): 1, (3, 4): 1}
     support = {**piece, **{(u + 5, v + 5): x2 for (u, v), x2 in piece.items()}, (0, 5): 2}
     x = HalfIntegerPoint(10, support)
-    g, keys = support_graph(x)
-    assert cut_labels(g)[keys.index((0, 5))] == 0
+    g = support_graph(x)
+    assert cut_labels(g)[g.edges.index((0, 5))] == 0
     rep = validate_subtour(x)
     assert (rep.reason, rep.cut_value_x2) == ("cut", 2)
     assert_agrees_with_brute_cuts(x)
@@ -301,11 +327,11 @@ def test_validate_decides_like_the_full_min_cut():
 
     def feasible(x):
         rep = validate_subtour(x)
-        g, keys = support_graph(x)
+        g = support_graph(x)
         if not is_connected(g):
             assert rep.reason == "disconnected"
             return False
-        val, side = global_min_cut(WeightedGraph(g, tuple(x.support[k] for k in keys)))
+        val, side = global_min_cut(WeightedGraph(g, tuple(x.support[k] for k in g.edges)))
         assert bool(rep) == (val >= 4)
         if not rep:
             assert (rep.cut_value_x2, rep.cut_side) == (val, side)
@@ -340,16 +366,16 @@ def test_validate_agrees_with_brute_cuts_on_perturbed_points(x):
 
 def test_donut_min_cut_is_two():
     inst = make_donut(2)
-    g, keys = support_graph(inst.point)
-    wg = WeightedGraph(g, tuple(inst.point.support[k] for k in keys))
+    g = support_graph(inst.point)
+    wg = WeightedGraph(g, tuple(inst.point.support[k] for k in g.edges))
     assert global_min_cut(wg)[0] == 4  # doubled weights, so x-cut 2
     assert brute_cuts(inst.point)[0] == 4
 
 
 def test_donut_metric_distance_across_ring():
     inst = make_donut(2)
-    g, keys = support_graph(inst.point)
-    wg = WeightedGraph(g, tuple(inst.costs[k] for k in keys))
+    g = support_graph(inst.point)
+    wg = WeightedGraph(g, tuple(inst.costs[k] for k in g.edges))
     dist = metric_closure(wg)
     for path in inst.inner_paths + inst.outer_paths:
         assert dist[path[0]][path[-1]] == 2
@@ -449,6 +475,9 @@ def test_classify_other_half_integer():
     x = HalfIntegerPoint(6, support)
     if validate_subtour(x):
         assert class_of(x) is PointClass.OTHER_HALF_INTEGER
+    # every node of K5 meets four 1/2-edges, so they form no disjoint cycles
+    k5 = HalfIntegerPoint(5, {(u, v): 1 for u in range(5) for v in range(u + 1, 5)})
+    assert class_of(k5) is PointClass.OTHER_HALF_INTEGER
 
 
 def test_classify_rejects_infeasible():

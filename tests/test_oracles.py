@@ -74,8 +74,6 @@ def test_held_karp_asymmetric():
 
 
 def test_held_karp_input_checks():
-    with pytest.raises(ValueError, match="does not match"):
-        held_karp([[0, 1], [1, 0]], n=3)
     with pytest.raises(ValueError, match="square"):
         held_karp([[0, 1], [1]])
     with pytest.raises(ValueError, match="nonnegative"):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squaretour import deltamatroid, halfpoint
+from squaretour import deltamatroid, halfpoint, tour
 from squaretour.graphcore import (
     DisjointSet,
     MultiGraph,
@@ -134,6 +134,7 @@ def test_hamiltonian_cycles_unchanged_at_scale():
         inst = make_donut(k)
         h.update(repr(hamiltonian(square_point(inst.point, inst.costs)).order).encode())
     assert h.hexdigest() == HAM_DIGESTS["donut"]
+    assert h.hexdigest() == HAM_DIGESTS["donut"]
 
 
 def k4_point():
@@ -180,6 +181,10 @@ def test_compute_y_errors():
         compute_y(x, frozenset({(0, 5), (0, 1), (1, 2), (2, 3), (0, 3), (2, 4)}))
     with pytest.raises(ValueError, match="not a Hamiltonian cycle"):
         compute_y(x, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
+    # three disjoint squares cover every node twice, but are no single cycle
+    x = random_square_point(3, 1, 5)
+    with pytest.raises(ValueError, match="not a Hamiltonian cycle"):
+        compute_y(x, frozenset(x.half_edges()))
 
 
 def j_star_degrees(n, mult):
@@ -243,8 +248,8 @@ def test_final_cost_is_metric_closure_price():
         cases.append((x, random_costs(x, seed)))
     for x, costs in cases:
         rep = run_tour(x, costs)
-        g, keys = support_graph(x)
-        dist = metric_closure(WeightedGraph(g, tuple(costs[k] for k in keys)))
+        g = support_graph(x)
+        dist = metric_closure(WeightedGraph(g, tuple(costs[k] for k in g.edges)))
         cyc = rep.final_cycle
         assert rep.final_cost == sum(dist[u][v] for u, v in zip(cyc, cyc[1:] + cyc[:1])), x.n
 
@@ -306,6 +311,24 @@ def test_run_tour_skips_the_square_graph_check(monkeypatch):
     for point, costs in ((inst.point, inst.costs), (x, random_costs(x, 3))):
         run_tour(point, costs)
     assert calls == []
+
+
+def test_run_tour_walks_the_hamiltonian_cycle_once(monkeypatch):
+    # the HAM stage walks its cycle on the support, not on the square graph
+    calls = {deltamatroid: [], tour: []}
+    for module in calls:
+        def recording(g, *args, _calls=calls[module], _fn=module.walk_cycle):
+            _calls.append(g.node_count)
+            return _fn(g, *args)
+
+        monkeypatch.setattr(module, "walk_cycle", recording)
+    inst = make_donut(3)
+    x = random_square_point(5, 2, 3)
+    for point, costs in ((inst.point, inst.costs), (x, random_costs(x, 3))):
+        calls[tour].clear()
+        run_tour(point, costs)
+        assert calls[tour] == [point.n]
+    assert calls[deltamatroid] == []
 
 
 def test_run_tour_builds_the_support_once(monkeypatch):
