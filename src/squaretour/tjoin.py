@@ -67,14 +67,21 @@ def _match(d: Sequence[Sequence[int]]) -> list[int]:
         return i
 
     def set_mate(u: int, v: int) -> None:
-        mate[u] = rep[v][u]
+        """Match u to v along the least-slack edge between them."""
+        match_along(u, rep[u][v], rep[v][u])
+
+    def match_along(u: int, a: int, z: int) -> None:
+        """Match u's point a to the point z outside u, making the kid that
+        holds a u's base.  Every level takes this one edge: with ties, a kid's
+        own least-slack edge towards z may be another one."""
+        mate[u] = z
         if u >= p:
-            k = kid_of[u][rep[u][v]]
+            k = kid_of[u][a]
             i = even_side(u, k)
             ks = kids[u]
             for j in range(i):
                 set_mate(ks[j], ks[j ^ 1])
-            set_mate(k, v)
+            match_along(k, a, z)
             kids[u] = ks[i:] + ks[:i]
 
     def augment(u: int, v: int) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -93,6 +94,16 @@ def test_matching_six_random_vs_fifteen_matchings():
         want = min(sum(d[i][j] for i, j in m) for m in matchings)
         _, w = min_weight_perfect_matching(d)
         assert w == want
+
+
+def test_matching_stays_perfect_when_nested_edges_tie():
+    # points 1, 4, 6 form a blossom inside a blossom; when it augments, two
+    # of its kids have least-slack edges of equal slack to the other
+    # blossom, and every level must take the one edge chosen at the top
+    d = [[0, 1, 3, 4, 2, 4, 2, 1], [1, 0, 4, 5, 1, 3, 1, 2], [3, 4, 0, 1, 3, 1, 3, 4],
+         [4, 5, 1, 0, 4, 2, 4, 3], [2, 1, 3, 4, 0, 2, 0, 3], [4, 3, 1, 2, 2, 0, 2, 5],
+         [2, 1, 3, 4, 0, 2, 0, 3], [1, 2, 4, 3, 3, 5, 3, 0]]
+    assert checked_matching_weight(d) == brute_matching_weight(d) == 5
 
 
 def all_matchings(points):
@@ -197,3 +208,45 @@ def test_t_join_matches_brute_force():
         join = min_t_join(wg, t_nodes)
         brute = brute_t_join(wg, t_nodes)
         assert join_weight(wg, join) == join_weight(wg, brute), seed
+
+
+def random_chained_multigraph(rng):
+    """A connected multigraph whose core (a random tree plus random extra
+    edges, loops and parallel edges among them) has every edge subdivided
+    into a chain of 1..4 edges, with weights 0..5, shuffled node labels and
+    edge order, and an even T drawn from all nodes, chain interiors
+    (degree 2) included."""
+    core = rng.randint(1, 6)
+    pairs = [(rng.randrange(v), v) for v in range(1, core)]
+    pairs += [(rng.randrange(core), rng.randrange(core)) for _ in range(rng.randint(0, 6))]
+    n = core
+    edges = []
+    for u, v in pairs:
+        length = rng.randint(1, 4)
+        nodes = [u, *range(n, n + length - 1), v]
+        n += length - 1
+        edges += zip(nodes, nodes[1:])
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [(label[u], label[v]) for u, v in edges]
+    rng.shuffle(edges)
+    wg = WeightedGraph(MultiGraph(n, edges), [rng.randint(0, 5) for _ in edges])
+    return wg, rng.sample(range(n), 2 * rng.randint(0, n // 2))
+
+
+def t_join_digest(seeds):
+    h = hashlib.sha256()
+    for seed in seeds:
+        wg, t_nodes = random_chained_multigraph(random.Random(seed))
+        h.update(f"{sorted(min_t_join(wg, t_nodes))}\n".encode())
+    return h.hexdigest()
+
+
+def test_t_join_edge_sets_are_pinned():
+    # the edge sets, not only their weights: with weights 0..5 ties abound
+    assert t_join_digest(range(1000)) == "0878140dabf10bed5408253b4b83fee05d45899874cb5923426347d354b42d7d"
+
+
+@pytest.mark.extended
+def test_t_join_edge_sets_are_pinned_extended():
+    assert t_join_digest(range(1000, 6000)) == "902b81ccb48865af6a546ddca859382f5c153af6f34a704c7b63a6125367f90e"

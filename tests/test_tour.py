@@ -427,3 +427,32 @@ def test_claim_case_two_on_pair_class_cuts():
                 case_two_seen += 1
                 assert len(f_star.edges & union) % 2 == 0, seed
     assert case_two_seen > 0
+
+
+def tour_reports_digest(square_seeds):
+    """sha256 over run_tour's j_star, final_cycle and final_cost on donuts
+    k=2..12 with their own costs and with costs 0..2, and on random square
+    points with 1-12 squares, 1-paths of length 1-5 and costs 0..2."""
+    cases = []
+    for k in range(2, 13):
+        inst = make_donut(k)
+        cases += [(inst.point, inst.costs), (inst.point, random_costs(inst.point, k, 0, 2))]
+    for seed in square_seeds:
+        rng = random.Random(seed)
+        x = random_square_point(rng.randint(1, 12), rng.randint(1, 5), rng)
+        cases.append((x, random_costs(x, rng, 0, 2)))
+    h = hashlib.sha256()
+    for x, costs in cases:
+        r = run_tour(x, costs)
+        h.update(f"{sorted(r.j_star.items())} {r.final_cycle} {r.final_cost}\n".encode())
+    return h.hexdigest()
+
+
+def test_tour_reports_are_pinned():
+    # ties among equal T-joins, 1-trees and shortcuts abound at costs 0..2
+    assert tour_reports_digest(range(150)) == "8e20df12c6f74e7726bde4087af7a3255a4d7ea72740ccedfb210fb6f36710d3"
+
+
+@pytest.mark.extended
+def test_tour_reports_are_pinned_extended():
+    assert tour_reports_digest(range(150, 900)) == "262af1155ed667a1dd5c8888542342ab7226df5c05a3ed526aed0453b8a07193"
