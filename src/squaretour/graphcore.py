@@ -1,4 +1,4 @@
-"""Small multigraph substrate: connectivity, cut labels, min cut, metric closure.
+"""Small multigraph substrate: cut labels, min cut, series reduction, shortest paths.
 
 Everything is exact integer arithmetic.  Edges are addressed by dense ids;
 each edge id e owns two darts 2*e and 2*e+1 (one per endpoint), which is the
@@ -8,18 +8,20 @@ only sane way to talk about parallel edges and loops.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "MultiGraph",
     "WeightedGraph",
+    "Reduction",
     "DisjointSet",
     "is_connected",
     "connected_without",
     "cut_labels",
     "global_min_cut",
+    "series_reduced",
     "shortest_paths_from",
     "path_edges_to",
     "metric_closure",
@@ -75,18 +77,29 @@ class MultiGraph:
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """A multigraph plus one nonnegative integer weight per edge id."""
+    """A multigraph plus one nonnegative integer weight per edge id; nbrs[v]
+    lists (other end, weight, dart at the other end) for v's darts in
+    darts_at order, loops left out, for the shortest-path searches."""
 
     graph: MultiGraph
     weight: tuple[int, ...]
+    nbrs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.weight) != self.graph.edge_count:
             raise ValueError("weight vector length must equal edge count")
-        for w in self.weight:
-            if not isinstance(w, Integral) or w < 0:
+        weight = []
+        nbrs: list[list[tuple[int, int, int]]] = [[] for _ in range(self.graph.node_count)]
+        for e, ((u, v), w) in enumerate(zip(self.graph.edges, self.weight)):
+            # the type test spares the slow isinstance call for a plain int
+            if not (type(w) is int or isinstance(w, Integral)) or w < 0:
                 raise ValueError("weights must be nonnegative integers")
-        object.__setattr__(self, "weight", tuple(int(w) for w in self.weight))
+            weight.append(int(w))
+            if u != v:
+                nbrs[u].append((v, weight[e], 2 * e + 1))
+                nbrs[v].append((u, weight[e], 2 * e))
+        object.__setattr__(self, "weight", tuple(weight))
+        object.__setattr__(self, "nbrs", tuple(map(tuple, nbrs)))
 
 
 class DisjointSet:
@@ -231,6 +244,51 @@ def global_min_cut(wg: WeightedGraph) -> tuple[int, frozenset[int]]:
     return best
 
 
+class Reduction(NamedTuple):
+    """A series-reduced graph; see series_reduced."""
+
+    kept: list[int]
+    weighted: WeightedGraph
+    chains: list[tuple[int, ...]]
+
+
+def series_reduced(wg: WeightedGraph, keep: Iterable[int] = ()) -> Reduction:
+    """Suppress every node of degree 2 not in keep, the series rule of
+    Padberg & Rinaldi (Math. Prog. 47, 1990): each path a-...-b through
+    suppressed nodes becomes one a-b edge weighing the path's sum.  Returns
+    the kept nodes (ascending), the reduced graph and, per reduced edge, its
+    chain of wg's edge ids walked from the kept node it is first met at;
+    kept nodes, then their darts, ascending number the edges.  Parts without
+    a kept node vanish.  A shortest path between kept nodes runs along every
+    chain it enters, so the reduction keeps their distances."""
+    g = wg.graph
+    keep = set(keep)
+    kept = [v for v in range(g.node_count) if g.degree(v) != 2 or v in keep]
+    new = [-1] * g.node_count
+    for i, v in enumerate(kept):
+        new[v] = i
+    used = bytearray(g.edge_count)
+    edges: list[tuple[int, int]] = []
+    chains: list[tuple[int, ...]] = []
+    for a in kept:
+        for d in g.darts_at(a):
+            if used[d >> 1]:
+                continue
+            used[d >> 1] = 1
+            chain = [d >> 1]
+            v = g.dart_other_node(d)
+            while new[v] < 0:
+                d1, d2 = g.darts_at(v)
+                d = d2 if d1 >> 1 == d >> 1 else d1
+                used[d >> 1] = 1
+                chain.append(d >> 1)
+                v = g.dart_other_node(d)
+            edges.append((new[a], new[v]))
+            chains.append(tuple(chain))
+    weight = tuple(sum(wg.weight[e] for e in chain) for chain in chains)
+    return Reduction(kept, WeightedGraph(MultiGraph(len(kept), edges), weight), chains)
+
+
 def shortest_paths_from(
     wg: WeightedGraph, source: int, targets: Iterable[int] | None = None
 ) -> tuple[list[int], list[int]]:
@@ -242,9 +300,8 @@ def shortest_paths_from(
     final only for settled nodes, which include the targets and every node
     on their shortest paths, and equal those of the full search there.
     """
-    g = wg.graph
-    edges, weight = g.edges, wg.weight
-    n = g.node_count
+    nbrs = wg.nbrs
+    n = len(nbrs)
     dist = [-1] * n
     parent = [-1] * n
     seen = [False] * n
@@ -260,14 +317,11 @@ def shortest_paths_from(
             pending.discard(v)
             if not pending:
                 break
-        for d in g.darts_at(v):
-            w = edges[d >> 1][1 - (d & 1)]
-            if w == v:
-                continue
-            nd = dv + weight[d >> 1]
+        for w, c, back in nbrs[v]:
+            nd = dv + c
             if not seen[w] and (dist[w] == -1 or nd < dist[w]):
                 dist[w] = nd
-                parent[w] = d ^ 1  # the dart of this edge at w's end
+                parent[w] = back
                 heapq.heappush(pq, (nd, w))
     return dist, parent
 

@@ -17,10 +17,10 @@ import enum
 from collections import Counter
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import NamedTuple
 
 from .deltamatroid import SquareGraph
-from .graphcore import MultiGraph, WeightedGraph, cut_labels, global_min_cut, walk_cycle
+from .graphcore import MultiGraph, Reduction, WeightedGraph, cut_labels, global_min_cut
+from .graphcore import series_reduced, walk_cycle
 
 __all__ = [
     "EdgeKey",
@@ -37,14 +37,6 @@ __all__ = [
 ]
 
 EdgeKey = tuple[int, int]
-
-
-class Reduction(NamedTuple):
-    """A series-reduced graph; see _series_reduced."""
-
-    kept: list[int]
-    graph: MultiGraph
-    chains: list[tuple[int, ...]]
 
 
 DEGENERATE_MSG = "integral point; tour is the 1-edge cycle"
@@ -123,38 +115,6 @@ class SubtourReport:
             return "support disconnected"
         side = ",".join(str(v) for v in sorted(self.cut_side or ()))
         return f"cut S={{{side}}} x2={self.cut_value_x2}"
-
-
-def _series_reduced(g: MultiGraph) -> Reduction:
-    """Suppress every node of degree 2, the series rule of Padberg & Rinaldi
-    (Math. Prog. 47, 1990): each path a-...-b through degree-2 nodes becomes
-    one a-b edge.  Returns the kept nodes (ascending), the reduced graph and,
-    per reduced edge, its chain of g's edge ids walked from the kept node it
-    is first met at; kept nodes, then their darts, ascending number the
-    edges.  Parts without a kept node vanish."""
-    kept = [v for v in range(g.node_count) if g.degree(v) != 2]
-    new = [-1] * g.node_count
-    for i, v in enumerate(kept):
-        new[v] = i
-    used = bytearray(g.edge_count)
-    edges: list[tuple[int, int]] = []
-    chains: list[tuple[int, ...]] = []
-    for a in kept:
-        for d in g.darts_at(a):
-            if used[d >> 1]:
-                continue
-            used[d >> 1] = 1
-            chain = [d >> 1]
-            v = g.dart_other_node(d)
-            while new[v] < 0:
-                d1, d2 = g.darts_at(v)
-                d = d2 if d1 >> 1 == d >> 1 else d1
-                used[d >> 1] = 1
-                chain.append(d >> 1)
-                v = g.dart_other_node(d)
-            edges.append((new[a], new[v]))
-            chains.append(tuple(chain))
-    return Reduction(kept, MultiGraph(len(kept), edges), chains)
 
 
 def validate_subtour(x: HalfIntegerPoint) -> SubtourReport:
@@ -264,8 +224,8 @@ class SquarePoint:
     support edge, as square_point checked it.
 
     graph is the support with edge id i for keys[i] (keys sorted), as
-    validation built it, and reduction its series reduction; weighted
-    carries the costs on the graph.  Every edge is named by its id: squares
+    validation built it, weighted carries the costs on the graph and
+    reduction its series reduction.  Every edge is named by its id: squares
     holds the four edge ids of each 1/2-edge 4-cycle in cyclic order from
     its lowest edge, the squares in order of their lowest node.  The
     pipeline stages take this object, so a point is validated once however
@@ -303,13 +263,13 @@ def square_point(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> SquarePoint:
         c = costs.get(e)
         if c is None:
             raise ValueError(f"missing cost for edge {e}")
-        if not isinstance(c, Integral):
+        if not (type(c) is int or isinstance(c, Integral)):
             raise ValueError(f"cost on edge {e} must be an integer")
         if c < 0:
             raise ValueError(f"negative cost on edge {e}")
     g = report.support
     weighted = WeightedGraph(g, tuple(costs[k] for k in g.edges))
-    return SquarePoint(x, g, _series_reduced(g), tuple(cycles), weighted)
+    return SquarePoint(x, g, series_reduced(weighted), tuple(cycles), weighted)
 
 
 def contract(sp: SquarePoint) -> tuple[SquareGraph, tuple[int, ...]]:
@@ -324,10 +284,10 @@ def contract(sp: SquarePoint) -> tuple[SquareGraph, tuple[int, ...]]:
     """
     if not sp.squares:
         raise ValueError(DEGENERATE_MSG)
-    _, graph, chains = sp.reduction
+    _, reduced, chains = sp.reduction
+    graph = reduced.graph  # its weights are the chains' summed costs
     # square corners have degree 3, so each square edge is a chain of its own
     rid = {c[0]: i for i, c in enumerate(chains) if len(c) == 1}
     sq_ids = tuple(tuple(rid[e] for e in sq) for sq in sp.squares)
     matching = frozenset(range(graph.edge_count)) - {e for sq in sq_ids for e in sq}
-    cost = tuple(sum(sp.weighted.weight[e] for e in c) for c in chains)
-    return SquareGraph(graph, matching, sq_ids), cost
+    return SquareGraph(graph, matching, sq_ids), reduced.weight

@@ -2,7 +2,8 @@
 
 Everything here is deliberately brute force (or a textbook exponential DP,
 or the textbook delta-matroid greedy over an extendability oracle) and
-shares no code path with the algorithms under test.  Hard size caps raise
+shares no code path with the algorithms under test, except dense_t_join,
+the plain T-join that pins min_t_join's edge set.  Hard size caps raise
 SizeCapError rather than grind forever.
 """
 
@@ -12,14 +13,17 @@ from itertools import product
 from typing import Iterable, Protocol, Sequence
 
 from .deltamatroid import SquareGraph, check_square_graph
-from .graphcore import DisjointSet, WeightedGraph, connected_without
+from .graphcore import DisjointSet, WeightedGraph, connected_without, path_edges_to
+from .graphcore import shortest_paths_from
 from .halfpoint import EdgeKey, HalfIntegerPoint, square_point
+from .tjoin import min_weight_perfect_matching
 
 __all__ = [
     "SizeCapError",
     "held_karp",
     "brute_ham",
     "brute_t_join",
+    "dense_t_join",
     "brute_rainbow",
     "brute_cuts",
     "DeltaMatroidOracle",
@@ -159,6 +163,19 @@ def brute_t_join(wg: WeightedGraph, t_set) -> frozenset[int]:
     costs = np.where(feasible, total, np.iinfo(np.int64).max)
     best = int(np.argmin(costs))
     return frozenset(e for e in range(m) if best >> e & 1)
+
+
+def dense_t_join(wg: WeightedGraph, t_set) -> frozenset[int]:
+    """Minimum T-join of a connected graph from one full search per T node
+    on the whole graph and the all-pairs matrix over T: the edge set that
+    min_t_join must return, not only its weight."""
+    t_nodes = sorted(set(t_set))
+    searches = [shortest_paths_from(wg, v) for v in t_nodes]
+    pairs, _ = min_weight_perfect_matching([[dist[t] for t in t_nodes] for dist, _ in searches])
+    join: set[int] = set()
+    for a, b in pairs:
+        join ^= set(path_edges_to(searches[a][1], wg.graph, t_nodes[b]))
+    return frozenset(join)
 
 
 def brute_rainbow(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> tuple[frozenset[EdgeKey], int]:

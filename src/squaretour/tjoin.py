@@ -1,17 +1,22 @@
 """Minimum T-joins via shortest paths and exact perfect matching.
 
 For nonnegative weights a minimum T-join is the symmetric difference of
-shortest paths between the pairs of a minimum-weight perfect matching on T,
-with distances from one shortest-path search per T node.  The matching is
-Edmonds' primal-dual blossom algorithm on the dense distance matrix, in
-Python integers, so it is exact at any cost magnitude.
+shortest paths between the pairs of a minimum-weight perfect matching on T
+(Edmonds & Johnson, Math. Prog. 5, 1973).  The distances between T nodes
+come from searches on the graph's series reduction, which keeps only the T
+nodes and the nodes not of degree 2, and keeps their distances; each
+matched pair's path then comes from one search on the graph that stops at
+the partner.  The
+matching is Edmonds' primal-dual blossom algorithm on the dense distance
+matrix, in Python integers, so it is exact at any cost magnitude.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .graphcore import WeightedGraph, is_connected, path_edges_to, shortest_paths_from
+from .graphcore import Reduction, WeightedGraph, is_connected, path_edges_to, series_reduced
+from .graphcore import shortest_paths_from
 
 __all__ = ["min_weight_perfect_matching", "min_t_join"]
 
@@ -66,33 +71,30 @@ def _match(d: Sequence[Sequence[int]]) -> list[int]:
             return len(ks) - i
         return i
 
-    def set_mate(u: int, v: int) -> None:
-        """Match u to v along the least-slack edge between them."""
-        match_along(u, rep[u][v], rep[v][u])
-
-    def match_along(u: int, a: int, z: int) -> None:
-        """Match u's point a to the point z outside u, making the kid that
-        holds a u's base.  Every level takes this one edge: with ties, a kid's
-        own least-slack edge towards z may be another one."""
+    def set_mate(u: int, a: int, z: int) -> None:
+        """Match u's point a to the point z outside u, the kid holding a
+        becoming u's base.  Every level takes this one edge: under ties a
+        kid's own least-slack edge towards z may be another."""
         mate[u] = z
         if u >= p:
             k = kid_of[u][a]
             i = even_side(u, k)
             ks = kids[u]
             for j in range(i):
-                set_mate(ks[j], ks[j ^ 1])
-            match_along(k, a, z)
+                x, y = ks[j], ks[j ^ 1]
+                set_mate(x, rep[x][y], rep[y][x])
+            set_mate(k, a, z)
             kids[u] = ks[i:] + ks[:i]
 
     def augment(u: int, v: int) -> None:
         while True:
             was = mate[u]
-            set_mate(u, v)
+            set_mate(u, rep[u][v], rep[v][u])
             if was < 0:
                 return
             v = top_of[was]
             u = top_of[pred[v]]
-            set_mate(v, u)
+            set_mate(v, rep[v][u], rep[u][v])
 
     def to_root(x: int) -> Iterator[int]:
         """The outer vertices on x's alternating path to its tree's root."""
@@ -266,15 +268,34 @@ def min_t_join(wg: WeightedGraph, t_set: Iterable[int]) -> frozenset[int]:
         raise ValueError("disconnected graph")
     if not t_nodes:
         return frozenset()
-    dists = []
-    parents = []
-    for v in t_nodes:
-        dist, parent = shortest_paths_from(wg, v, t_nodes)
-        dists.append(dist)
-        parents.append(parent)
-    d = [[dists[a][t_nodes[b]] for b in range(len(t_nodes))] for a in range(len(t_nodes))]
+    return _t_join(wg, series_reduced(wg, t_nodes), t_nodes)
+
+
+def _t_join(wg: WeightedGraph, red: Reduction, t_nodes: list[int]) -> frozenset[int]:
+    """Minimum T-join of a connected wg for the ascending T nodes t_nodes,
+    given red, a series reduction of wg that keeps every T node.
+
+    By construction the edge set is that of one full search per T node on
+    wg and the all-pairs matrix (oracles.dense_t_join).  A path between kept
+    nodes that enters a chain runs along all of it, so the distances between
+    T nodes, d, are the same on red, and so is the matching.  A search that
+    stops at t_b takes exactly the steps of a fuller search until t_b
+    settles, and every node on t_b's path settles before it with its final
+    parent, so each matched pair's path is the same too.
+    """
+    index = {v: i for i, v in enumerate(red.kept)}
+    if any(v not in index for v in t_nodes):
+        raise RuntimeError("T node not kept by the reduction")
+    ids = [index[v] for v in t_nodes]
+    p = len(ids)
+    d = [[0] * p for _ in range(p)]
+    for a in range(p - 1):
+        dist, _ = shortest_paths_from(red.weighted, ids[a], ids[a + 1 :])
+        for b in range(a + 1, p):
+            d[a][b] = d[b][a] = dist[ids[b]]
     pairs, _ = min_weight_perfect_matching(d)
     join: set[int] = set()
     for a, b in pairs:
-        join ^= set(path_edges_to(parents[a], g, t_nodes[b]))
+        _, parent = shortest_paths_from(wg, t_nodes[a], (t_nodes[b],))
+        join ^= set(path_edges_to(parent, wg.graph, t_nodes[b]))
     return frozenset(join)

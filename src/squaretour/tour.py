@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .deltamatroid import _ham_edges
 from .graphcore import MultiGraph, eulerian_circuit, is_connected, shortest_paths_from, walk_cycle
 from .halfpoint import EdgeKey, HalfIntegerPoint, SquarePoint, contract, square_point
-from .tjoin import min_t_join
+from .tjoin import _t_join
 from .treesel import rainbow
 
 __all__ = ["SupportHam", "TourReport", "hamiltonian", "compute_y", "run_tour"]
@@ -129,8 +129,9 @@ def run_tour(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> TourReport:
         for u, v in f_star.edges:
             deg[u] += 1
             deg[v] += 1
+        # T is kept by sp.reduction: F* holds both 1-edges at a degree-2 node
         t_set = [v for v in range(x.n) if deg[v] % 2]
-        join = min_t_join(sp.weighted, t_set)
+        join = _t_join(sp.weighted, sp.reduction, t_set)
         j_star = {e: 1 for e in f_star.edges}
         for eid in join:
             j_star[sp.keys[eid]] = j_star.get(sp.keys[eid], 0) + 1

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squaretour
-from squaretour import cli
+from squaretour import cli, tour
 from squaretour.cli import main
 from squaretour.instances import (
     make_donut,
@@ -191,6 +191,16 @@ def test_internal_error_exits_4(exc, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_tour", broken)
     code, out, err = run(["tour"], capsys, monkeypatch, stdin=donut_text(2))
     assert (code, out, err) == (4, "", f"error: internal: {exc}\n")
+
+
+def test_unkept_t_node_exits_4(capsys, monkeypatch):
+    # a reduction without the T nodes is a bug here, not a bad input
+    def unkept(wg, red, t_nodes, _fn=tour._t_join):
+        return _fn(wg, red._replace(kept=[]), t_nodes)
+
+    monkeypatch.setattr(tour, "_t_join", unkept)
+    code, out, err = run(["tour"], capsys, monkeypatch, stdin=donut_text(2))
+    assert (code, out, err) == (4, "", "error: internal: T node not kept by the reduction\n")
 
 
 def test_import_leaves_out_numpy_and_networkx():

@@ -2,6 +2,7 @@ import hashlib
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from squaretour.graphcore import (
     is_connected,
     metric_closure,
     path_edges_to,
+    series_reduced,
     shortest_paths_from,
     walk_cycle,
 )
@@ -246,6 +248,64 @@ def test_weighted_graph_rejects_negative():
         WeightedGraph(g, (-1,))
     with pytest.raises(ValueError):
         WeightedGraph(g, (1, 2))
+    for bad in (1.0, "1", None, np.int64(-1)):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            WeightedGraph(g, (bad,))
+
+
+def test_weighted_graph_accepts_numpy_integers():
+    g = MultiGraph(3, [(0, 1), (1, 2), (2, 2)])
+    wg = WeightedGraph(g, (np.int64(4), np.int32(0), True))
+    assert wg.weight == (4, 0, 1)
+    assert all(type(w) is int for w in wg.weight)
+    assert wg == WeightedGraph(g, (4, 0, 1))
+
+
+@given(small_connected_multigraphs(), st.randoms(use_true_random=False))
+def test_neighbour_lists_follow_the_darts(g, rng):
+    wg = WeightedGraph(g, [rng.randint(0, 5) for _ in g.edges])
+    for v in range(g.node_count):
+        want = [(g.dart_other_node(d), wg.weight[d >> 1], d ^ 1)
+                for d in g.darts_at(v) if g.dart_other_node(d) != v]
+        assert list(wg.nbrs[v]) == want
+
+
+@st.composite
+def chained_multigraphs(draw):
+    """small_connected_multigraphs with each edge subdivided into a chain of
+    1-3 edges, weights 0..5, and a set of nodes to keep."""
+    g = draw(small_connected_multigraphs())
+    n, edges = g.node_count, []
+    for u, v in g.edges:
+        length = draw(st.integers(1, 3))
+        nodes = [u, *range(n, n + length - 1), v]
+        n += length - 1
+        edges += zip(nodes, nodes[1:])
+    weights = draw(st.lists(st.integers(0, 5), min_size=len(edges), max_size=len(edges)))
+    return WeightedGraph(MultiGraph(n, edges), weights), draw(st.sets(st.integers(0, n - 1)))
+
+
+@given(chained_multigraphs())
+def test_series_reduction_keeps_nodes_chains_and_distances(case):
+    wg, keep = case
+    g = wg.graph
+    red = series_reduced(wg, keep)
+    assert red.kept == [v for v in range(g.node_count) if g.degree(v) != 2 or v in keep]
+    if not red.kept:  # a cycle with nothing to keep vanishes
+        assert g.edge_count == g.node_count and red.chains == []
+        return
+    assert sorted(e for chain in red.chains for e in chain) == list(range(g.edge_count))
+    kept = set(red.kept)
+    for (a, b), w, chain in zip(red.weighted.graph.edges, red.weighted.weight, red.chains):
+        assert w == sum(wg.weight[e] for e in chain)
+        walk = [red.kept[a]]
+        for e in chain:
+            u, v = g.edges[e]
+            assert walk[-1] in (u, v)
+            walk.append(v if walk[-1] == u else u)
+        assert walk[-1] == red.kept[b] and not kept & set(walk[1:-1])
+    full, reduced = metric_closure(wg), metric_closure(red.weighted)
+    assert reduced == [[full[u][v] for v in red.kept] for u in red.kept]
 
 
 def test_walk_cycle_leaves_along_first_edge():

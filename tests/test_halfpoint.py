@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -639,6 +640,15 @@ def test_square_point_rejects_non_integer_costs():
     del costs[(0, 1)]
     with pytest.raises(ValueError, match="missing cost"):
         square_point(x, costs)
+
+
+def test_square_point_accepts_numpy_integer_costs():
+    inst = make_donut(3)
+    sp = square_point(inst.point, {e: np.int64(c) for e, c in inst.costs.items()})
+    want = square_point(inst.point, inst.costs)
+    assert sp.weighted.weight == want.weighted.weight
+    assert sp.reduction.weighted.weight == want.reduction.weighted.weight
+    assert all(type(c) is int for c in sp.weighted.weight + contract(sp)[1])
 
 
 def test_square_nodes_have_two_half_edges():

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squaretour.graphcore import MultiGraph, WeightedGraph
-from squaretour.oracles import brute_t_join
-from squaretour.tjoin import min_t_join, min_weight_perfect_matching
+from squaretour import tjoin
+from squaretour.graphcore import MultiGraph, WeightedGraph, series_reduced
+from squaretour.instances import make_donut
+from squaretour.oracles import brute_t_join, dense_t_join
+from squaretour.tjoin import _t_join, min_t_join, min_weight_perfect_matching
+from squaretour.tour import run_tour
 
 
 def random_connected_weighted(rng, n, extra, hi=9):
@@ -250,3 +253,34 @@ def test_t_join_edge_sets_are_pinned():
 @pytest.mark.extended
 def test_t_join_edge_sets_are_pinned_extended():
     assert t_join_digest(range(1000, 6000)) == "902b81ccb48865af6a546ddca859382f5c153af6f34a704c7b63a6125367f90e"
+
+
+@settings(max_examples=100)
+@given(st.randoms(use_true_random=False))
+def test_t_join_is_the_dense_edge_set(rng):
+    # the same edges as one full search per T node, not only the same weight
+    wg, t_nodes = random_chained_multigraph(rng)
+    assert min_t_join(wg, t_nodes) == dense_t_join(wg, t_nodes)
+
+
+def test_t_join_needs_every_t_node_kept():
+    wg = WeightedGraph(MultiGraph(3, [(0, 1), (1, 2)]), [1, 1])
+    red = series_reduced(wg)
+    assert red.kept == [0, 2]
+    with pytest.raises(RuntimeError, match="^T node not kept by the reduction$"):
+        _t_join(wg, red, [0, 1])
+    assert _t_join(wg, series_reduced(wg, [1]), [0, 1]) == frozenset({0})
+
+
+def test_donut_t_join_searches_the_reduction(monkeypatch):
+    # k=12: 312 support nodes, 48 square corners, |T| = 24
+    searches = []
+
+    def recording(wg, source, targets=None, _fn=tjoin.shortest_paths_from):
+        searches.append((wg.graph.node_count, None if targets is None else len(targets)))
+        return _fn(wg, source, targets)
+
+    monkeypatch.setattr(tjoin, "shortest_paths_from", recording)
+    inst = make_donut(12)
+    run_tour(inst.point, inst.costs)
+    assert sorted(searches) == [(48, t) for t in range(1, 24)] + [(312, 1)] * 12

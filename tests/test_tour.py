@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squaretour import deltamatroid, halfpoint, tour
+from squaretour import deltamatroid, halfpoint, tjoin, tour
 from squaretour.graphcore import (
     DisjointSet,
     MultiGraph,
@@ -332,19 +332,21 @@ def test_run_tour_walks_the_hamiltonian_cycle_once(monkeypatch):
 
 
 def test_run_tour_builds_the_support_once(monkeypatch):
+    # the T-join reuses the point's series reduction instead of its own
     calls = []
-    for name in ("support_graph", "_series_reduced"):
-        def counting(*args, _name=name, _fn=getattr(halfpoint, name)):
+    for module, name in ((halfpoint, "support_graph"), (halfpoint, "series_reduced"),
+                         (tjoin, "series_reduced")):
+        def counting(*args, _name=name, _fn=getattr(module, name)):
             calls.append(_name)
             return _fn(*args)
 
-        monkeypatch.setattr(halfpoint, name, counting)
+        monkeypatch.setattr(module, name, counting)
     inst = make_donut(12)
     x = random_square_point(16, 1, 16)
     for point, costs in ((inst.point, inst.costs), (x, random_costs(x, 16))):
         calls.clear()
         run_tour(point, costs)
-        assert sorted(calls) == ["_series_reduced", "support_graph"]
+        assert sorted(calls) == ["series_reduced", "support_graph"]
 
 
 def test_run_tour_rejects_bad_inputs():
