@@ -285,7 +285,7 @@ def contract(sp: SquarePoint) -> tuple[SquareGraph, tuple[int, ...]]:
     if not sp.squares:
         raise ValueError(DEGENERATE_MSG)
     _, reduced, chains = sp.reduction
-    graph = reduced.graph  # its weights are the chains' summed costs
+    graph = reduced.graph
     # square corners have degree 3, so each square edge is a chain of its own
     rid = {c[0]: i for i, c in enumerate(chains) if len(c) == 1}
     sq_ids = tuple(tuple(rid[e] for e in sq) for sq in sp.squares)

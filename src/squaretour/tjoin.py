@@ -6,9 +6,9 @@ shortest paths between the pairs of a minimum-weight perfect matching on T
 come from searches on the graph's series reduction, which keeps only the T
 nodes and the nodes not of degree 2, and keeps their distances; each
 matched pair's path then comes from one search on the graph that stops at
-the partner.  The
-matching is Edmonds' primal-dual blossom algorithm on the dense distance
-matrix, in Python integers, so it is exact at any cost magnitude.
+the partner.  The matching is Edmonds' primal-dual blossom algorithm on the
+dense distance matrix, in Python integers, so it is exact at any cost
+magnitude.
 """
 
 from __future__ import annotations
