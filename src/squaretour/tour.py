@@ -4,12 +4,17 @@ Pipeline: a minimum-cost Hamiltonian cycle H of the support containing all
 1-edges, a minimum-cost rainbow 1-tree F*, a minimum T-join completing F* to
 a tour J*, the integer bound check 14*min(c_H, c_J) <= 10*(doubled c.x), and
 metric shortcutting of the cheaper of the two.  run_tour checks the point
-once with halfpoint.square_point; hamiltonian takes that checked point.
+once with halfpoint.square_point; hamiltonian takes that checked point.  H
+is already a Hamiltonian cycle, so its order is the final cycle; J* is
+shortcut along its Eulerian circuit.  Either cycle is priced on the point's
+series reduction, with chain offsets for the nodes inside 1-paths.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .deltamatroid import _ham_edges
 from .graphcore import MultiGraph, eulerian_circuit, is_connected, shortest_paths_from, walk_cycle
@@ -82,30 +87,67 @@ def compute_y(x: HalfIntegerPoint, ham_edges: frozenset[EdgeKey]) -> dict[EdgeKe
     return {e: 2 * x2 - (1 if e in ham_edges else 0) for e, x2 in x.support.items()}
 
 
-def _tour_multigraph(n: int, mult: dict[EdgeKey, int]) -> MultiGraph:
-    edges: list[tuple[int, int]] = []
-    for e in sorted(mult):
-        edges.extend([e] * mult[e])
-    return MultiGraph(n, edges)
+def _price(sp: SquarePoint, cycle: list[int]) -> int:
+    """Sum of the shortest-path distances between consecutive nodes of cycle,
+    the closing pair included, for any order of the nodes.
+
+    A node inside a chain of sp.reduction, off from the chain's first end a
+    and L - off from its other end b (L the chain's weight), leaves the
+    chain only through a or b; a kept node is its own exit at cost 0.  So a
+    pair's distance is the least o_u + D(a, b) + o_v over its exit pairs,
+    with D the distance between kept nodes, which the reduction keeps, and
+    the gap along the chain when both nodes lie on one.  If twice the gap is
+    at most L, the gap is exact and no search runs: any other route covers
+    the rest of the chain, which weighs L - gap >= gap.  D comes from one
+    search per distinct source exit, stopped at its targets.  A point
+    without squares is one cycle, of which the reduction keeps no node: a
+    pair's distance is the shorter arc between them, from prefix sums.
+    """
+    pairs = zip(cycle, cycle[1:] + cycle[:1])
+    g, weight = sp.graph, sp.weighted.weight
+    if not sp.squares:
+        ids, nodes = walk_cycle(g, frozenset(range(g.edge_count)), 0, g.darts_at(0)[0] >> 1)
+        pos = dict(zip(nodes, accumulate((weight[e] for e in ids), initial=0)))
+        total = sum(weight)
+        return sum(min(d := abs(pos[u] - pos[v]), total - d) for u, v in pairs)
+    red = sp.reduction
+    ends, length = red.weighted.graph.edges, red.weighted.weight
+    exits: list = [()] * g.node_count  # node -> ((reduced node, cost), ...), first end first
+    chain_of = [-1] * g.node_count
+    for i, v in enumerate(red.kept):
+        exits[v] = ((i, 0),)
+    for r, chain in enumerate(red.chains):
+        (a, b), v, off = ends[r], red.kept[ends[r][0]], 0
+        for e in chain[:-1]:
+            v = g.edges[e][0] + g.edges[e][1] - v  # e's other end
+            off += weight[e]
+            chain_of[v], exits[v] = r, ((a, off), (b, length[r] - off))
+    total, far, wanted = 0, [], defaultdict(list)
+    for u, v in pairs:
+        r = chain_of[u]
+        gap = abs(exits[u][0][1] - exits[v][0][1]) if r >= 0 and r == chain_of[v] else None
+        if gap is not None and 2 * gap <= length[r]:
+            total += gap
+            continue
+        far.append((u, v, gap))
+        for a, _ in exits[u]:
+            wanted[a] += exits[v]
+    dist = {}  # source exit -> {target exit: distance}
+    for a, targets in wanted.items():
+        row = shortest_paths_from(red.weighted, a, [b for b, _ in targets])[0]
+        dist[a] = {b: row[b] for b, _ in targets}
+    for u, v, gap in far:
+        best = min(ou + dist[a][b] + ov for a, ou in exits[u] for b, ov in exits[v])
+        total += best if gap is None else min(best, gap)
+    return total
 
 
 def _shortcut(sp: SquarePoint, mult: dict[EdgeKey, int]) -> tuple[tuple[int, ...], int]:
-    """Walk the tour along its canonical Eulerian circuit, skip nodes already
-    visited, and price each consecutive survivor pair by a shortest-path
-    search from the first that stops at the second."""
-    n = sp.point.n
-    walk = eulerian_circuit(_tour_multigraph(n, mult), 0)
-    seen = [False] * n
-    cycle: list[int] = []
-    for v in walk[:-1]:
-        if not seen[v]:
-            seen[v] = True
-            cycle.append(v)
-    total = 0
-    for i, u in enumerate(cycle):
-        v = cycle[(i + 1) % len(cycle)]
-        total += shortest_paths_from(sp.weighted, u, (v,))[0][v]
-    return tuple(cycle), total
+    """Walk the tour along its canonical Eulerian circuit (edge ids in key
+    order), keep each node's first visit, and price that cycle by _price."""
+    edges = [e for e in sorted(mult) for _ in range(mult[e])]
+    cycle = list(dict.fromkeys(eulerian_circuit(MultiGraph(sp.point.n, edges))))
+    return tuple(cycle), _price(sp, cycle)
 
 
 def run_tour(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> TourReport:
@@ -141,8 +183,14 @@ def run_tour(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> TourReport:
     bound_holds = 14 * best <= 10 * c_x2
     if not bound_holds:
         raise RuntimeError("theorem violated")
-    chosen = {e: 1 for e in ham.edges} if ham.cost <= c_j else j_star
-    final_cycle, final_cost = _shortcut(sp, chosen)
+    if ham.cost <= c_j:
+        # H's tour multigraph is one cycle; its canonical Euler walk leaves
+        # node 0 by the lowest dart, the smaller-key H edge at 0, which is the
+        # edge hamiltonian leaves by, and then every node has one unused edge
+        # left: shortcutting H gives exactly ham.order
+        final_cycle, final_cost = ham.order, _price(sp, list(ham.order))
+    else:
+        final_cycle, final_cost = _shortcut(sp, j_star)
     return TourReport(
         hamiltonian=ham,
         j_star=j_star,

@@ -240,7 +240,8 @@ def test_run_tour_structural_invariants():
 
 
 def test_final_cost_is_metric_closure_price():
-    # the shortcut prices each step by a search stopped at its successor
+    # the shortcut prices each step from chain offsets and searches on the
+    # series reduction; the full all-pairs closure must agree
     cases = [(inst.point, inst.costs) for inst in map(make_donut, range(2, 7))]
     for seed in range(30):
         rng = random.Random(seed)
@@ -252,6 +253,97 @@ def test_final_cost_is_metric_closure_price():
         dist = metric_closure(WeightedGraph(g, tuple(costs[k] for k in g.edges)))
         cyc = rep.final_cycle
         assert rep.final_cost == sum(dist[u][v] for u, v in zip(cyc, cyc[1:] + cyc[:1])), x.n
+
+
+def closure_price(sp, order):
+    dist = metric_closure(sp.weighted)
+    return sum(dist[u][v] for u, v in zip(order, order[1:] + order[:1]))
+
+
+def inside_one_path(x, v):
+    """Whether v lies inside a 1-path: both of its support edges are 1-edges."""
+    return sum(1 for e in x.one_edges() if v in e) == 2
+
+
+@st.composite
+def priced_orders(draw):
+    """A random square point with 1-6 squares and 1-paths of length 1-5, in
+    some draws with node 0 swapped into a 1-path, costs in 0..2 or 0..100,
+    in some draws one 1-path edge heavier than the rest of its path and in
+    some all costs raised by 2^90, and a random order of its nodes."""
+    x = random_square_point(draw(st.integers(1, 6)), draw(st.integers(1, 5)),
+                            draw(st.integers(0, 10**6)))
+    inner = [v for v in range(x.n) if inside_one_path(x, v)]
+    if inner and draw(st.booleans()):
+        swap = {0: (v := draw(st.sampled_from(inner))), v: 0}
+        x = HalfIntegerPoint(x.n, {edge_key(swap.get(a, a), swap.get(b, b)): x2
+                                   for (a, b), x2 in x.support.items()})
+    high = draw(st.sampled_from((2, 100)))
+    keys = sorted(x.support)
+    costs = dict(zip(keys, draw(st.lists(st.integers(0, high), min_size=len(keys),
+                                         max_size=len(keys)))))
+    order = draw(st.permutations(range(x.n)))
+    heavy = [e for e in keys if inside_one_path(x, e[0]) or inside_one_path(x, e[1])]
+    if heavy and draw(st.booleans()):
+        # longer than the other four edges of its 1-path together: its ends,
+        # made neighbours in the order, have 2 * gap > L if both are inside
+        a, b = draw(st.sampled_from(heavy))
+        costs[a, b] = 4 * high + 1
+        order.remove(b)
+        order.insert(order.index(a) + 1, b)
+    if draw(st.booleans()):
+        costs = {e: c + 2**90 for e, c in costs.items()}
+    return square_point(x, costs), order
+
+
+@settings(max_examples=150)
+@given(priced_orders())
+def test_price_matches_metric_closure_on_any_order(case):
+    sp, order = case
+    assert tour._price(sp, list(order)) == closure_price(sp, order)
+
+
+def test_price_matches_metric_closure_on_donuts_and_cycles():
+    rng = random.Random(5)
+    cases = [(inst.point, inst.costs) for inst in map(make_donut, range(2, 9))]
+    cases += [(integral_cycle(n), random_costs(integral_cycle(n), n)) for n in range(3, 10)]
+    for x, costs in cases:
+        sp = square_point(x, costs)
+        orders = [list(run_tour(x, costs).final_cycle)]
+        for _ in range(5):
+            orders.append(rng.sample(range(x.n), x.n))
+        for order in orders:
+            assert tour._price(sp, order) == closure_price(sp, order), (x.n, order)
+
+
+def test_integral_point_prices_the_shorter_arc():
+    # the heavy edge's ends are adjacent on the tour, yet the way round the
+    # rest of the cycle is shorter
+    x = integral_cycle(7)
+    costs = {e: 1 for e in x.support}
+    costs[(0, 1)] = 100
+    rep = run_tour(x, costs)
+    total = sum(costs.values())
+    assert rep.final_cost == sum(min(c, total - c) for c in costs.values()) < rep.c_h
+
+
+def test_shortcut_searches_only_the_reduction(monkeypatch):
+    calls = []
+
+    def recording(wg, *args, _fn=tour.shortest_paths_from):
+        calls.append(wg.graph.node_count)
+        return _fn(wg, *args)
+
+    monkeypatch.setattr(tour, "shortest_paths_from", recording)
+    inst = make_donut(12)
+    run_tour(inst.point, inst.costs)
+    # the 48 square corners; the 264 nodes inside 1-paths are priced by offsets
+    assert 0 < len(calls) <= 48 and set(calls) == {48}
+    calls.clear()
+    # no node of degree 2: one search per tour node, as on the full support
+    x = random_square_point(8, 1, 0)
+    run_tour(x, random_costs(x, 0))
+    assert calls == [x.n] * x.n
 
 
 @settings(max_examples=100)
@@ -431,10 +523,9 @@ def test_claim_case_two_on_pair_class_cuts():
     assert case_two_seen > 0
 
 
-def tour_reports_digest(square_seeds):
-    """sha256 over run_tour's j_star, final_cycle and final_cost on donuts
-    k=2..12 with their own costs and with costs 0..2, and on random square
-    points with 1-12 squares, 1-paths of length 1-5 and costs 0..2."""
+def tour_report_cases(square_seeds):
+    """Donuts k=2..12 with their own costs and with costs 0..2, and random
+    square points with 1-12 squares, 1-paths of length 1-5 and costs 0..2."""
     cases = []
     for k in range(2, 13):
         inst = make_donut(k)
@@ -443,8 +534,14 @@ def tour_reports_digest(square_seeds):
         rng = random.Random(seed)
         x = random_square_point(rng.randint(1, 12), rng.randint(1, 5), rng)
         cases.append((x, random_costs(x, rng, 0, 2)))
+    return cases
+
+
+def tour_reports_digest(square_seeds):
+    """sha256 over run_tour's j_star, final_cycle and final_cost on the
+    tour_report_cases."""
     h = hashlib.sha256()
-    for x, costs in cases:
+    for x, costs in tour_report_cases(square_seeds):
         r = run_tour(x, costs)
         h.update(f"{sorted(r.j_star.items())} {r.final_cycle} {r.final_cost}\n".encode())
     return h.hexdigest()
@@ -458,3 +555,15 @@ def test_tour_reports_are_pinned():
 @pytest.mark.extended
 def test_tour_reports_are_pinned_extended():
     assert tour_reports_digest(range(150, 900)) == "262af1155ed667a1dd5c8888542342ab7226df5c05a3ed526aed0453b8a07193"
+
+
+def test_final_cycle_is_the_ham_order_when_h_is_chosen():
+    # shortcutting H, one cycle through every node, skips nothing, so the
+    # final cycle is H's order itself
+    chosen = 0
+    for x, costs in tour_report_cases(range(150)):
+        rep = run_tour(x, costs)
+        if rep.c_h <= rep.c_j:
+            chosen += 1
+            assert rep.final_cycle == rep.hamiltonian.order
+    assert chosen > 0
