@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .graphcore import MultiGraph, connected_without, is_connected, walk_cycle
+from .graphcore import DisjointSet, MultiGraph, connected_without, is_connected, walk_cycle
 
 __all__ = [
     "SquareGraph",
@@ -129,42 +129,52 @@ def _split_greedy(
 
     darts[v] holds node v's four darts (d and d ^ 1 are the ends of one
     edge); choices holds, in settling order, each node's first and second
-    pairing.  The first is kept when its two pairs still reach each other:
-    Q was connected before, so that is exact, and lockstep searches from
-    both pairs stop once they meet or one runs dry.
+    pairing.  The first is kept when Q stays connected, else the second,
+    which then always does: of a node's three pairings at most one
+    disconnects.
+
+    Union-find over Q's edge ids answers these tests in sweeps: a pair
+    joins the edges of its two darts, an unsplit node all four.  Call the
+    settled nodes the prefix, and let U(k) split the prefix as decided, the
+    unsettled nodes before k by their first pairing, and leave the nodes
+    from k on unsplit.  The test at node j is U(j + 1).  Unsplitting a node
+    only joins parts, so U(k) is connected exactly for k <= i, for one i.
+    A sweep splits every unsettled node by its first pairing, U(n), then
+    unsplits nodes from the last down until U(i) connects: nodes before i
+    keep their first pairing and node i takes its second; reaching the
+    prefix unconnected means Q is not connected.  One sweep per second
+    pairing, plus one, each O(n) unions on a copy of the prefix's union-find.
     """
     size = max(map(max, darts)) + 1
     group: list[Sequence[int]] = [()] * size  # a dart's node, or its pair once split
     for ds in darts:
         for d in ds:
             group[d] = ds
-    seen = [0] * size  # darts reached by the two searches of test t hold 2t, 2t + 1
-    label = 0
-
-    def meets(pairing: Pairing) -> bool:
-        nonlocal label
-        label += 2
-        for side, pair in enumerate(pairing):
-            for d in pair:
-                group[d], seen[d] = pair, label + side
-        stacks = (list(pairing[0]), list(pairing[1]))
-        side = 0
-        while stacks[side]:
-            own = label + side
-            e = stacks[side].pop() ^ 1
-            if seen[e] == own ^ 1:
-                return True
-            if seen[e] != own:
-                for f in group[e]:
-                    seen[f] = own
-                    if f != e:
-                        stacks[side].append(f)
-            side ^= 1
-        return False
-
-    for first, second in choices:
-        if not meets(first) and not meets(second):  # pragma: no cover - one of them always connects
-            raise RuntimeError("no matching choice keeps the graph connected")
+    choices = list(choices)
+    n = len(choices)
+    settled = DisjointSet((size + 1) // 2)  # the prefix's parts of the edges
+    parts = 2 * len(darts)  # Q's edges: both darts of each are at its nodes
+    done = 0
+    while done < n:
+        trial = settled.copy()
+        union = trial.union
+        left = parts
+        for ((a, b), (c, d)), _ in choices[done:]:
+            left -= union(a >> 1, b >> 1) + union(c >> 1, d >> 1)
+        i = n
+        while left > 1:
+            i -= 1
+            if i < done:
+                raise RuntimeError("no matching choice keeps the graph connected")
+            (a, _), (c, _) = choices[i][0]
+            left -= union(a >> 1, c >> 1)
+        for j in range(done, min(i + 1, n)):
+            for pair in choices[j][j == i]:
+                a, b = pair
+                group[a] = group[b] = pair
+                if i < n:  # after the last sweep the prefix is not needed
+                    parts -= settled.union(a >> 1, b >> 1)
+        done = i + 1
     return group
 
 

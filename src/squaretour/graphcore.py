@@ -129,6 +129,11 @@ class DisjointSet:
         self.size[ra] += self.size[rb]
         return True
 
+    def copy(self) -> DisjointSet:
+        other = DisjointSet(0)
+        other.parent, other.size = self.parent[:], self.size[:]
+        return other
+
 
 def is_connected(g: MultiGraph) -> bool:
     """True iff every node is reachable from node 0 (vacuous for <= 1 node)."""

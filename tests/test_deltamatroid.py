@@ -5,10 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squaretour.deltamatroid import SquareGraph, check_square_graph, ham_min_cost, verify_ham
+from squaretour.deltamatroid import (
+    SquareGraph,
+    _split_greedy,
+    check_square_graph,
+    ham_min_cost,
+    verify_ham,
+)
 from squaretour.graphcore import MultiGraph, connected_without, is_connected, walk_cycle
 from squaretour.halfpoint import contract, square_point
-from squaretour.instances import make_donut, random_costs, random_square_graph, random_square_point
+from squaretour.instances import (
+    make_donut,
+    random_costs,
+    random_four_regular,
+    random_square_graph,
+    random_square_point,
+)
 from squaretour.oracles import ExplicitDeltaMatroid, SquareDeltaMatroid, brute_ham, greedy
 
 
@@ -312,6 +324,76 @@ def test_ham_min_cost_matches_deletion_greedy(s, seed, contracted, data):
     cost = data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
     ham = ham_min_cost(sg, cost)
     assert (ham.edges, ham.node_order) == deletion_greedy(sg, cost)
+
+
+def pairings(ds):
+    w, x, y, z = ds
+    return [((w, x), (y, z)), ((w, y), (x, z)), ((w, z), (x, y))]
+
+
+def naive_split_greedy(g, order, choose):
+    """The splitting greedy by a fresh connectivity check of the explicit
+    split graph per test.  groups[d] is the darts at dart d's node, or its
+    pair once split; choose(options, disconnecting) gives a node its first
+    and second pairing.  Returns the choices made and the final groups."""
+    groups = [g.darts_at(g.dart_node(d)) for d in range(2 * g.edge_count)]
+
+    def connects(pairing):
+        trial = groups[:]
+        for pair in pairing:
+            for d in pair:
+                trial[d] = pair
+        ids = {}
+        node = [ids.setdefault(t, len(ids)) for t in trial]
+        return is_connected(MultiGraph(len(ids), list(zip(node[0::2], node[1::2]))))
+
+    choices = []
+    for v in order:
+        options = pairings(g.darts_at(v))
+        bad = [p for p in options if not connects(p)]
+        assert len(bad) <= 1  # of a node's three pairings at most one disconnects
+        first, second = choose(options, bad)
+        choices.append((first, second))
+        for pair in second if first in bad else first:
+            for d in pair:
+                groups[d] = pair
+    return choices, groups
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 30), st.integers(0, 10**6), st.booleans(), st.booleans())
+def test_split_greedy_matches_fresh_connectivity_checks(n, seed, dense_failures, sparse):
+    # loops and parallel edges included; with dense_failures the first
+    # pairing is the disconnecting one whenever a node has one, as on donuts
+    rng = random.Random(seed)
+    g, _ = random_four_regular(n, rng)
+    order = rng.sample(range(n), n)
+
+    def choose(options, bad):
+        first, second = rng.sample(options, 2)
+        if dense_failures and bad:
+            first, second = bad[0], rng.choice([p for p in options if p != bad[0]])
+        return first, second
+
+    choices, want = naive_split_greedy(g, order, choose)
+    # matching darts of a square graph come from a sparse range of edge ids
+    lift = (lambda d: 6 * (d >> 1) + 4 + (d & 1)) if sparse else (lambda d: d)
+
+    def lifted(pairing):
+        return tuple(tuple(map(lift, pair)) for pair in pairing)
+
+    got = _split_greedy(
+        [tuple(map(lift, g.darts_at(v))) for v in range(n)],
+        ((lifted(first), lifted(second)) for first, second in choices),
+    )
+    assert [got[lift(d)] for d in range(2 * g.edge_count)] == [tuple(map(lift, p)) for p in want]
+
+
+def test_split_greedy_raises_on_a_disconnected_graph():
+    g = MultiGraph(4, [(0, 1)] * 4 + [(2, 3)] * 4)  # two bananas
+    darts = [g.darts_at(v) for v in range(4)]
+    with pytest.raises(RuntimeError, match="^no matching choice keeps the graph connected$"):
+        _split_greedy(darts, [pairings(ds)[:2] for ds in darts])
 
 
 def test_ham_node_order_is_a_cycle():

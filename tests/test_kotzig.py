@@ -113,6 +113,7 @@ TRAIL_DIGESTS = {
     300: "01288814c51160a9a4345ba4021c4e3f637576d823b6302183984de493222fdb",
     600: "8fcf7c79ae5b97e112260a6af5c7dc986577e78780aa479a2ebb0a1796cd2b15",
     1200: "97d3c47ba52344ccf39a11219348907e0887f31db104f633a1d50c207a5795cf",
+    2400: "e4cc5adf0a89f854d7e8f9e246f48fd81b001631e2d9b7ebabacf20cff7cff80",
 }
 
 

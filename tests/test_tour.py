@@ -134,7 +134,25 @@ def test_hamiltonian_cycles_unchanged_at_scale():
         inst = make_donut(k)
         h.update(repr(hamiltonian(square_point(inst.point, inst.costs)).order).encode())
     assert h.hexdigest() == HAM_DIGESTS["donut"]
-    assert h.hexdigest() == HAM_DIGESTS["donut"]
+
+
+# the same, on ladder points with 1-paths of length 1 and s up to 256 squares
+LADDER_HAM_DIGESTS = {
+    128: "ee3d47c734ad7781977ed9209d7681c90ca7541cfbe281788323db02d95676aa",
+    256: "b3253868b3cb61e8eefacdd3a62e70b8eaa0be4735d28ba61077868bdc5518d0",
+}
+
+
+@pytest.mark.extended
+def test_hamiltonian_cycles_unchanged_on_large_ladder_points():
+    for s, want in LADDER_HAM_DIGESTS.items():
+        h = hashlib.sha256()
+        for seed in range(3):
+            x = random_square_point(s, 1, seed)
+            for high in (2, 100):
+                costs = random_costs(x, seed, 0, high)
+                h.update(repr(hamiltonian(square_point(x, costs)).order).encode())
+        assert h.hexdigest() == want, s
 
 
 def k4_point():
