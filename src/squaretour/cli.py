@@ -149,6 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # exact at any cost size: lift CPython's int-str digit cap (3.11 on)
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except SizeCapError as exc:
@@ -160,6 +164,9 @@ def main(argv: list[str] | None = None) -> int:
     except (RuntimeError, AssertionError) as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

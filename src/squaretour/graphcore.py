@@ -2,7 +2,8 @@
 
 Everything is exact integer arithmetic.  Edges are addressed by dense ids;
 each edge id e owns two darts 2*e and 2*e+1 (one per endpoint), which is the
-only sane way to talk about parallel edges and loops.
+only sane way to talk about parallel edges and loops.  Union-find answers
+each yes/no connectivity test; cut_labels searches, for its spanning tree.
 """
 
 from __future__ import annotations
@@ -136,29 +137,16 @@ class DisjointSet:
 
 
 def is_connected(g: MultiGraph) -> bool:
-    """True iff every node is reachable from node 0 (vacuous for <= 1 node)."""
+    """True iff g has at most one component (vacuous for <= 1 node)."""
     return connected_without(g, frozenset())
 
 
 def connected_without(g: MultiGraph, removed: frozenset[int]) -> bool:
-    """Connectivity of g after deleting the given edge ids (nodes stay)."""
-    if g.node_count <= 1:
-        return True
-    seen = bytearray(g.node_count)
-    seen[0] = 1
-    stack = [0]
-    reached = 1
-    while stack:
-        v = stack.pop()
-        for d in g.darts_at(v):
-            if (d >> 1) in removed:
-                continue
-            w = g.dart_other_node(d)
-            if not seen[w]:
-                seen[w] = 1
-                stack.append(w)
-                reached += 1
-    return reached == g.node_count
+    """Connectivity of g after deleting the given edge ids (nodes stay): each
+    union that joins two parts leaves one part fewer."""
+    ds = DisjointSet(g.node_count)
+    joins = sum(ds.union(u, v) for e, (u, v) in enumerate(g.edges) if e not in removed)
+    return g.node_count - joins <= 1
 
 
 def cut_labels(g: MultiGraph) -> list[int] | None:

@@ -225,11 +225,11 @@ class SquarePoint:
 
     graph is the support with edge id i for keys[i] (keys sorted), as
     validation built it, weighted carries the costs on the graph and
-    reduction its series reduction.  Every edge is named by its id: squares
-    holds the four edge ids of each 1/2-edge 4-cycle in cyclic order from
-    its lowest edge, the squares in order of their lowest node.  The
-    pipeline stages take this object, so a point is validated once however
-    many stages use it.
+    reduction its series reduction, which keeps node 0 on a point without
+    squares.  Every edge is named by its id: squares holds the four edge ids
+    of each 1/2-edge 4-cycle in cyclic order from its lowest edge, the
+    squares in order of their lowest node.  The pipeline stages take this
+    object, so a point is validated once however many stages use it.
     """
 
     point: HalfIntegerPoint
@@ -269,7 +269,8 @@ def square_point(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> SquarePoint:
             raise ValueError(f"negative cost on edge {e}")
     g = report.support
     weighted = WeightedGraph(g, tuple(costs[k] for k in g.edges))
-    return SquarePoint(x, g, series_reduced(weighted), tuple(cycles), weighted)
+    red = series_reduced(weighted, () if cycles else (0,))
+    return SquarePoint(x, g, red, tuple(cycles), weighted)
 
 
 def contract(sp: SquarePoint) -> tuple[SquareGraph, tuple[int, ...]]:

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 from .deltamatroid import SquareGraph
 from .graphcore import MultiGraph, cut_labels, is_connected
 from .halfpoint import SQUARE_CLASSES, EdgeKey, HalfIntegerPoint, edge_key, validate_and_classify
-from .kotzig import BitransitionSystem, blow_up, check_system
+from .kotzig import BitransitionSystem, blow_up
 
 __all__ = [
     "DonutInstance",
@@ -148,9 +148,7 @@ def random_bitransition_system(n: int, seed: int | random.Random) -> Bitransitio
         darts = list(g.darts_at(v))
         rng.shuffle(darts)
         forbidden.append(((darts[0], darts[1]), (darts[2], darts[3])))
-    sys = BitransitionSystem(g, tuple(forbidden))
-    check_system(sys)
-    return sys
+    return BitransitionSystem(g, tuple(forbidden))
 
 
 def random_square_graph(num_squares: int, seed: int | random.Random) -> SquareGraph:
@@ -412,9 +410,7 @@ def parse_bts(text: str) -> BitransitionSystem:
     if missing is not None:
         raise ValueError(f"missing forbidden pairing for node {missing}")
     g = MultiGraph(n, [edge_rows[e] for e in range(m)])
-    sys = BitransitionSystem(g, tuple(forbidden[v] for v in range(n)))
-    check_system(sys)
-    return sys
+    return BitransitionSystem(g, tuple(forbidden[v] for v in range(n)))
 
 
 def serialize_bts(sys: BitransitionSystem) -> str:

@@ -9,6 +9,7 @@ always exists.  Contracting the squares again, a square left with one
 matching is its node split along a non-forbidden pairing, and the graph stays
 connected exactly when the blown-up one does: find_trail runs the HAM greedy's
 splitting form on the graph itself, and blow_up remains the proof device.
+A BitransitionSystem checks itself when built, so find_trail trusts it.
 """
 
 from __future__ import annotations
@@ -37,10 +38,14 @@ class BitransitionSystem:
     forbidden[v] is a pair of dart pairs ((a, b), (c, d)) covering exactly the
     four darts incident to v (a loop contributes both of its darts to its
     node, so it may be paired with itself or split across the two pairs).
+    Construction runs check_system, so every instance is a valid system.
     """
 
     graph: MultiGraph
     forbidden: tuple[tuple[DartPair, DartPair], ...]
+
+    def __post_init__(self):
+        check_system(self)
 
 
 @dataclass(frozen=True)
@@ -111,7 +116,6 @@ def find_trail(sys: BitransitionSystem) -> Trail:
     walk leaves along dart 0, then each node along the arriving dart's pair,
     and must close after every edge.
     """
-    check_system(sys)
     g = sys.graph
     choices = [(((a, c), (b, d)), ((c, b), (d, a))) for (a, b), (c, d) in sys.forbidden]
     pair = _split_greedy([g.darts_at(v) for v in range(g.node_count)], choices)

@@ -58,9 +58,11 @@ def _match(d: Sequence[Sequence[int]]) -> list[int]:
         best[x] = min(outer, key=lambda u: slack(u, x), default=-1)
 
     def set_top(x: int, b: int) -> None:
-        top_of[x] = b
-        for k in kids[x]:
-            set_top(k, b)
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            top_of[y] = b
+            stack += kids[y]
 
     def even_side(b: int, k: int) -> int:
         """Orient b's cycle so that kid k sits at an even position; return it."""
@@ -74,17 +76,21 @@ def _match(d: Sequence[Sequence[int]]) -> list[int]:
     def set_mate(u: int, a: int, z: int) -> None:
         """Match u's point a to the point z outside u, the kid holding a
         becoming u's base.  Every level takes this one edge: under ties a
-        kid's own least-slack edge towards z may be another."""
-        mate[u] = z
-        if u >= p:
-            k = kid_of[u][a]
-            i = even_side(u, k)
-            ks = kids[u]
-            for j in range(i):
-                x, y = ks[j], ks[j ^ 1]
-                set_mate(x, rep[x][y], rep[y][x])
-            set_mate(k, a, z)
-            kids[u] = ks[i:] + ks[:i]
+        kid's own least-slack edge towards z may be another.  Each frame
+        changes only its own sub-blossom, so the stack's order is free."""
+        stack = [(u, a, z)]
+        while stack:
+            u, a, z = stack.pop()
+            mate[u] = z
+            if u >= p:
+                k = kid_of[u][a]
+                i = even_side(u, k)
+                ks = kids[u]
+                for j in range(i):
+                    x, y = ks[j], ks[j ^ 1]
+                    stack.append((x, rep[x][y], rep[y][x]))
+                stack.append((k, a, z))
+                kids[u] = ks[i:] + ks[:i]
 
     def augment(u: int, v: int) -> None:
         while True:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .deltamatroid import _ham_edges
 from .graphcore import MultiGraph, eulerian_circuit, is_connected, shortest_paths_from, walk_cycle
@@ -100,16 +99,12 @@ def _price(sp: SquarePoint, cycle: list[int]) -> int:
     at most L, the gap is exact and no search runs: any other route covers
     the rest of the chain, which weighs L - gap >= gap.  D comes from one
     search per distinct source exit, stopped at its targets.  A point
-    without squares is one cycle, of which the reduction keeps no node: a
-    pair's distance is the shorter arc between them, from prefix sums.
+    without squares is one cycle, which the reduction keeps as a loop at
+    node 0: a pair's distance is then the shorter of the gap and the way
+    round through node 0.
     """
     pairs = zip(cycle, cycle[1:] + cycle[:1])
     g, weight = sp.graph, sp.weighted.weight
-    if not sp.squares:
-        ids, nodes = walk_cycle(g, frozenset(range(g.edge_count)), 0, g.darts_at(0)[0] >> 1)
-        pos = dict(zip(nodes, accumulate((weight[e] for e in ids), initial=0)))
-        total = sum(weight)
-        return sum(min(d := abs(pos[u] - pos[v]), total - d) for u, v in pairs)
     red = sp.reduction
     ends, length = red.weighted.graph.edges, red.weighted.weight
     exits: list = [()] * g.node_count  # node -> ((reduced node, cost), ...), first end first

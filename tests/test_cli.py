@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import squaretour
 from squaretour import cli, tour
 from squaretour.cli import main
+from squaretour.halfpoint import square_point
 from squaretour.instances import (
     make_donut,
     parse_bts,
@@ -24,6 +25,7 @@ from squaretour.instances import (
     serialize_point,
 )
 from squaretour.kotzig import Trail, verify_trail
+from squaretour.tour import hamiltonian, run_tour
 
 BANANA_BTS = """BTS 2
 E 0 0 1
@@ -280,6 +282,47 @@ def test_tour_exact_at_any_cost_scale(capsys, monkeypatch):
             f"cx={1593 * scale}/2 cH={701 * scale} cJ={905 * scale} "
             f"tour={687 * scale} bound=OK\n"
         )
+
+
+def digit_cap():
+    """CPython's cap on int-str digits (3.11 on), None where there is none."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+@contextlib.contextmanager
+def no_digit_cap():
+    cap = digit_cap()
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
+
+
+def test_cli_exact_past_the_int_str_digit_cap(capsys, monkeypatch):
+    # costs of 5001 digits, past the 4300 that CPython's int() reads and
+    # str() prints by default
+    inst = make_donut(3)
+    costs = {e: c + 10**5000 for e, c in inst.costs.items()}
+    with no_digit_cap():
+        text = serialize_point(inst.point, costs)
+        rep = run_tour(inst.point, costs)
+        want_tour = f"cx={rep.c_x2}/2 cH={rep.c_h} cJ={rep.c_j} tour={rep.final_cost} bound=OK\n"
+        ham = hamiltonian(square_point(inst.point, costs))
+        want_ham = f"cost={ham.cost}\ncycle=" + " ".join(map(str, ham.order)) + "\n"
+    cap = digit_cap()
+    for argv, want in ((["tour"], want_tour), (["ham"], want_ham)):
+        code, out, err = run(argv, capsys, monkeypatch, stdin=text)
+        assert (code, err) == (0, "") and out == want, argv
+        assert digit_cap() == cap
+    # a 5000-digit cost is read as an integer, then refused for its sign
+    minus = "-1" + "0" * 4999
+    code, out, err = run(["tour"], capsys, monkeypatch,
+                         stdin=f"POINT 3\nE 0 1 2 {minus}\nE 1 2 2 1\nE 0 2 2 1\nEND\n")
+    assert (code, out, err) == (2, "", "error: line 2: cost must be nonnegative\n")
+    assert digit_cap() == cap
 
 
 def random_point_text(squares, seed):

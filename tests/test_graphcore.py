@@ -69,6 +69,7 @@ def test_connectivity_and_edge_removal():
 
 
 def test_is_connected_small_cases():
+    assert connected_without(MultiGraph(0, []), frozenset())
     assert is_connected(MultiGraph(1, []))
     assert not is_connected(MultiGraph(2, []))
     assert is_connected(MultiGraph(2, [(0, 1)] * 4))
@@ -165,6 +166,24 @@ def test_cut_labels_find_every_one_and_two_edge_cut(g):
     for e, f in combinations(sorted(set(range(g.edge_count)) - bridges), 2):
         cut = not connected_without(g, frozenset({e, f}))
         assert (labels[e] == labels[f]) == cut
+
+
+@st.composite
+def multigraphs_with_removed_edges(draw):
+    """Free edges on 1..8 nodes, so loops, parallel edges and isolated nodes
+    all occur, and a random set of their ids."""
+    n = draw(st.integers(1, 8))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=14))
+    removed = draw(st.frozensets(st.sampled_from(range(len(edges))))) if edges else frozenset()
+    return MultiGraph(n, edges), removed
+
+
+@given(multigraphs_with_removed_edges())
+def test_connected_without_agrees_with_a_spanning_search(case):
+    g, removed = case
+    kept = MultiGraph(g.node_count, [uv for e, uv in enumerate(g.edges) if e not in removed])
+    assert connected_without(g, removed) == (cut_labels(kept) is not None)
 
 
 def test_dijkstra_against_floyd_warshall():

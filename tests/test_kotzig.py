@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from squaretour import kotzig
 from squaretour.graphcore import MultiGraph, connected_without, walk_cycle
-from squaretour.instances import random_bitransition_system
+from squaretour.instances import parse_bts, random_bitransition_system, serialize_bts
 from squaretour.kotzig import (
     BitransitionSystem,
     Trail,
@@ -47,6 +47,29 @@ def test_check_system_rejects_bad_systems():
         check_system(BitransitionSystem(two, fb))
     with pytest.raises(ValueError, match="empty"):
         check_system(BitransitionSystem(MultiGraph(0, []), ()))
+
+
+def test_a_bad_system_cannot_be_built():
+    g = MultiGraph(2, [(0, 1)] * 4)
+    with pytest.raises(ValueError, match="does not cover"):
+        BitransitionSystem(g, (((0, 2), (4, 5)), ((1, 3), (5, 7))))
+
+
+def test_a_system_is_checked_once_when_built(monkeypatch):
+    calls = []
+
+    def counting(sys, _fn=kotzig.check_system):
+        calls.append(sys)
+        _fn(sys)
+
+    monkeypatch.setattr(kotzig, "check_system", counting)
+    sys = random_bitransition_system(50, 1)
+    assert calls == [sys]
+    find_trail(sys)
+    assert calls == [sys]
+    calls.clear()
+    parse_bts(serialize_bts(sys))
+    assert len(calls) == 1
 
 
 def test_banana_hand_built_trails():

@@ -1,5 +1,7 @@
 import hashlib
+import inspect
 import random
+import sys
 from itertools import combinations
 
 import networkx as nx
@@ -107,6 +109,33 @@ def test_matching_stays_perfect_when_nested_edges_tie():
          [4, 5, 1, 0, 4, 2, 4, 3], [2, 1, 3, 4, 0, 2, 0, 3], [4, 3, 1, 2, 2, 0, 2, 5],
          [2, 1, 3, 4, 0, 2, 0, 3], [1, 2, 4, 3, 3, 5, 3, 0]]
     assert checked_matching_weight(d) == brute_matching_weight(d) == 5
+
+
+def test_matching_mates_are_pinned():
+    # tie-heavy costs 0..2, every tenth matrix on up to 64 points, and
+    # d(i, j) = i + j, whose blossoms nest: each point's mate, not only the
+    # weight, as the recursive blossom walks chose them
+    h = hashlib.sha256()
+    for seed in range(2000):
+        rng = random.Random(seed)
+        p = 2 * rng.randint(1, 32 if seed % 10 == 0 else 8)
+        d = [[rng.randint(0, 2) for _ in range(p)] for _ in range(p)]
+        h.update(repr(tjoin._match(d)).encode())
+    h.update(repr(tjoin._match([[i + j for j in range(64)] for i in range(64)])).encode())
+    assert h.hexdigest() == "f948cbb5cc083e64243e32849a1a122f4bea4acfc475e483c3c4d491a40aa704"
+
+
+def test_matching_nests_deeper_than_the_recursion_limit():
+    # d(i, j) = i + j nests 199 blossoms deep at p = 400
+    d = [[i + j for j in range(400)] for i in range(400)]
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        pairs, w = min_weight_perfect_matching(d)
+    finally:
+        sys.setrecursionlimit(old)
+    assert w == 79800 == sum(range(400))
+    assert sorted(v for ij in pairs for v in ij) == list(range(400))
 
 
 def all_matchings(points):

@@ -257,6 +257,28 @@ def test_run_tour_structural_invariants():
         assert 6 * join_cost <= sum(costs[e] * v for e, v in y.items()), seed
 
 
+def assert_bound_lemmas(x, costs):
+    """The lemmas the 10/7 bound rests on, and their sum: L1, 2 c(F*) <=
+    c_x2, as x is a convex combination of rainbow 1-trees; L2, 6 c(join) +
+    c_H <= 2 c_x2, as 6y = 4x - H dominates a T-join for T = odd(F*)."""
+    rep = run_tour(x, costs)
+    f_cost = rainbow(square_point(x, costs)).cost
+    assert 2 * f_cost <= rep.c_x2
+    assert 6 * (rep.c_j - f_cost) + rep.c_h <= 2 * rep.c_x2
+    assert rep.c_h + 6 * rep.c_j <= 5 * rep.c_x2
+
+
+@given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 10**6), st.sampled_from((2, 100)))
+def test_bound_lemmas_hold_on_square_points(s, length, seed, high):
+    x = random_square_point(s, length, seed)
+    assert_bound_lemmas(x, random_costs(x, seed, 0, high))
+
+
+def test_bound_lemmas_hold_on_donuts():
+    for inst in map(make_donut, range(2, 13)):
+        assert_bound_lemmas(inst.point, inst.costs)
+
+
 def test_final_cost_is_metric_closure_price():
     # the shortcut prices each step from chain offsets and searches on the
     # series reduction; the full all-pairs closure must agree
@@ -325,6 +347,12 @@ def test_price_matches_metric_closure_on_donuts_and_cycles():
     rng = random.Random(5)
     cases = [(inst.point, inst.costs) for inst in map(make_donut, range(2, 9))]
     cases += [(integral_cycle(n), random_costs(integral_cycle(n), n)) for n in range(3, 10)]
+    # integral cycles visiting their nodes in a random order, so node 0, the
+    # one their reduction keeps, has arbitrary neighbours
+    for n in range(3, 30, 2):
+        perm = random.Random(n).sample(range(n), n)
+        x = HalfIntegerPoint(n, {edge_key(perm[i - 1], perm[i]): 2 for i in range(n)})
+        cases += [(x, random_costs(x, n, 0, high)) for high in (1, 5, 100)]
     for x, costs in cases:
         sp = square_point(x, costs)
         orders = [list(run_tour(x, costs).final_cycle)]
