@@ -72,6 +72,14 @@ class MultiGraph:
     def dart_other_node(self, dart: int) -> int:
         return self.edges[dart >> 1][1 - (dart & 1)]
 
+    def __eq__(self, other: object) -> bool:  # the same edges under the same ids
+        if not isinstance(other, MultiGraph):
+            return NotImplemented
+        return (self.node_count, self.edges) == (other.node_count, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.node_count, self.edges))
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"MultiGraph({self.node_count}, {list(self.edges)})"
 

@@ -182,12 +182,8 @@ def random_square_point(
         g, position = _four_regular_attempt(num_squares, rng)
         if not is_connected(g):
             continue
-        corner = {d: 4 * g.dart_node(d) + position[d] for d in range(2 * g.edge_count)}
-        support: dict[EdgeKey, int] = {}
-        for i in range(num_squares):
-            b = 4 * i
-            for j in range(4):
-                support[edge_key(b + j, b + (j + 1) % 4)] = 1
+        sg, corner = blow_up(g, position)
+        support = {edge_key(*sg.graph.edges[e]): 1 for sq in sg.squares for e in sq}
         nxt = 4 * num_squares
         ok = True
         for e in range(g.edge_count):

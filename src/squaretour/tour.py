@@ -12,7 +12,6 @@ series reduction, with chain offsets for the nodes inside 1-paths.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .deltamatroid import _ham_edges
@@ -95,15 +94,14 @@ def _price(sp: SquarePoint, cycle: list[int]) -> int:
     chain only through a or b; a kept node is its own exit at cost 0.  So a
     pair's distance is the least o_u + D(a, b) + o_v over its exit pairs,
     with D the distance between kept nodes, which the reduction keeps, and
-    the gap along the chain when both nodes lie on one.  If twice the gap is
-    at most L, the gap is exact and no search runs: any other route covers
-    the rest of the chain, which weighs L - gap >= gap.  D comes from one
-    search per distinct source exit, stopped at its targets.  A point
-    without squares is one cycle, which the reduction keeps as a loop at
-    node 0: a pair's distance is then the shorter of the gap and the way
-    round through node 0.
+    the gap along the chain when the pair is on one: both nodes inside it,
+    or one inside it and the other one of its ends.  If twice the gap is at
+    most L, the gap is exact and no search runs: any other route covers the
+    rest of the chain, which weighs L - gap >= gap.  Every other pair runs
+    one search per exit of one node, one inside a chain if either is,
+    stopped at the other's exits.  A point without squares is one cycle,
+    which the reduction keeps as a loop at node 0, both ends of its chain.
     """
-    pairs = zip(cycle, cycle[1:] + cycle[:1])
     g, weight = sp.graph, sp.weighted.weight
     red = sp.reduction
     ends, length = red.weighted.graph.edges, red.weighted.weight
@@ -117,23 +115,21 @@ def _price(sp: SquarePoint, cycle: list[int]) -> int:
             v = g.edges[e][0] + g.edges[e][1] - v  # e's other end
             off += weight[e]
             chain_of[v], exits[v] = r, ((a, off), (b, length[r] - off))
-    total, far, wanted = 0, [], defaultdict(list)
-    for u, v in pairs:
+    total = 0
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        if chain_of[u] < 0:
+            u, v = v, u  # the node inside a chain first, if either is one
         r = chain_of[u]
-        gap = abs(exits[u][0][1] - exits[v][0][1]) if r >= 0 and r == chain_of[v] else None
-        if gap is not None and 2 * gap <= length[r]:
-            total += gap
-            continue
-        far.append((u, v, gap))
-        for a, _ in exits[u]:
-            wanted[a] += exits[v]
-    dist = {}  # source exit -> {target exit: distance}
-    for a, targets in wanted.items():
-        row = shortest_paths_from(red.weighted, a, [b for b, _ in targets])[0]
-        dist[a] = {b: row[b] for b, _ in targets}
-    for u, v, gap in far:
-        best = min(ou + dist[a][b] + ov for a, ou in exits[u] for b, ov in exits[v])
-        total += best if gap is None else min(best, gap)
+        if r >= 0 and chain_of[v] == r:
+            gap = abs(exits[u][0][1] - exits[v][0][1])
+        else:  # the gap to v if v is one of the chain's ends
+            gap = min((o for a, o in exits[u] if r >= 0 and exits[v] == ((a, 0),)), default=None)
+        if gap is None or 2 * gap > length[r]:
+            targets = [b for b, _ in exits[v]]
+            rows = [(ou, shortest_paths_from(red.weighted, a, targets)[0]) for a, ou in exits[u]]
+            best = min(ou + row[b] + ov for ou, row in rows for b, ov in exits[v])
+            gap = best if gap is None else min(gap, best)
+        total += gap
     return total
 
 
@@ -150,8 +146,8 @@ def run_tour(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> TourReport:
 
     The point and costs are checked once, by square_point, and every stage
     works on the checked point.  The returned report always satisfies
-    14*min(c_H, c_J) <= 10*c_x2; a violation raises instead, since it can
-    only mean a bug here.
+    14*min(c_H, c_J) <= 10*c_x2 and, with squares, the lemmas L1 and L2; a
+    violation raises instead, since it can only mean a bug here.
     """
     sp = square_point(x, costs)
     ham = hamiltonian(sp)
@@ -173,6 +169,12 @@ def run_tour(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> TourReport:
         for eid in join:
             j_star[sp.keys[eid]] = j_star.get(sp.keys[eid], 0) + 1
         c_j = sum(costs[e] * m for e, m in j_star.items())
+        # the lemmas the bound rests on: x is a convex combination of rainbow
+        # 1-trees, and 6y = 4x - H dominates a T-join for T = odd(F*)
+        if 2 * f_star.cost > c_x2:
+            raise RuntimeError("lemma L1 violated: 2 c(F*) > c_x2")
+        if 6 * (c_j - f_star.cost) + ham.cost > 2 * c_x2:
+            raise RuntimeError("lemma L2 violated: 6 c(join) + c_H > 2 c_x2")
 
     best = min(ham.cost, c_j)
     bound_holds = 14 * best <= 10 * c_x2

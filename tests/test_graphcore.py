@@ -43,6 +43,15 @@ def test_multigraph_darts():
     assert g.darts_at(1) == (1, 2, 4, 5)
 
 
+def test_multigraph_compares_by_value():
+    g = MultiGraph(3, [(0, 1), (1, 2), (1, 1)])
+    assert g == MultiGraph(3, [(0, 1), (1, 2), (1, 1)])
+    assert hash(g) == hash(MultiGraph(3, [(0, 1), (1, 2), (1, 1)]))
+    # edge ids are part of a graph: the same edges in another order differ
+    assert g != MultiGraph(3, [(1, 2), (0, 1), (1, 1)])
+    assert g != MultiGraph(4, [(0, 1), (1, 2), (1, 1)])
+
+
 def test_multigraph_rejects_bad_edges():
     with pytest.raises(ValueError):
         MultiGraph(2, [(0, 2)])

@@ -587,6 +587,13 @@ def test_contract_builds_square_graphs():
         check_square_graph(contract(square_point(inst.point, inst.costs))[0])
 
 
+def test_checked_points_and_square_graphs_compare_by_value():
+    x = random_square_point(4, 3, 11)
+    costs = {e: 1 + sum(e) % 5 for e in x.support}
+    assert square_point(x, costs) == square_point(x, costs)
+    assert contract(square_point(x, costs))[0] == contract(square_point(x, costs))[0]
+
+
 def test_contract_unit_paths_keep_support_shape():
     x = random_square_point(2, 1, 7)
     costs = {e: 1 for e in x.support}

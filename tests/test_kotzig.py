@@ -72,6 +72,12 @@ def test_a_system_is_checked_once_when_built(monkeypatch):
     assert len(calls) == 1
 
 
+def test_parsed_systems_compare_by_value():
+    text = serialize_bts(random_bitransition_system(20, 3))
+    assert parse_bts(text) == parse_bts(text)
+    assert hash(parse_bts(text)) == hash(parse_bts(text))
+
+
 def test_banana_hand_built_trails():
     sys = two_node_banana()
     # interleaved order e0,e2,e1,e3 avoids both forbidden pairings

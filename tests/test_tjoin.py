@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import random
 import sys
+from collections import Counter
 from itertools import combinations
 
 import networkx as nx
@@ -10,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squaretour import tjoin
-from squaretour.graphcore import MultiGraph, WeightedGraph, series_reduced
-from squaretour.instances import make_donut
+from squaretour.graphcore import MultiGraph, WeightedGraph, series_reduced, shortest_paths_from
+from squaretour.halfpoint import square_point
+from squaretour.instances import make_donut, random_costs, random_square_point
 from squaretour.oracles import brute_t_join, dense_t_join
 from squaretour.tjoin import _t_join, min_t_join, min_weight_perfect_matching
 from squaretour.tour import run_tour
+from squaretour.treesel import rainbow
 
 
 def random_connected_weighted(rng, n, extra, hi=9):
@@ -111,18 +114,45 @@ def test_matching_stays_perfect_when_nested_edges_tie():
     assert checked_matching_weight(d) == brute_matching_weight(d) == 5
 
 
-def test_matching_mates_are_pinned():
-    # tie-heavy costs 0..2, every tenth matrix on up to 64 points, and
-    # d(i, j) = i + j, whose blossoms nest: each point's mate, not only the
-    # weight, as the recursive blossom walks chose them
-    h = hashlib.sha256()
-    for seed in range(2000):
+def tie_matrices(seeds):
+    """Tie-heavy costs 0..2 on up to 16 points, every tenth matrix on up to 64."""
+    for seed in seeds:
         rng = random.Random(seed)
         p = 2 * rng.randint(1, 32 if seed % 10 == 0 else 8)
-        d = [[rng.randint(0, 2) for _ in range(p)] for _ in range(p)]
+        yield [[rng.randint(0, 2) for _ in range(p)] for _ in range(p)]
+
+
+def t_distance_matrix(x, costs):
+    """The distances between the T nodes that run_tour matches on x: the
+    odd-degree nodes of its rainbow 1-tree."""
+    sp = square_point(x, costs)
+    deg = Counter(v for e in rainbow(sp).edges for v in e)
+    t = sorted(v for v in deg if deg[v] % 2)
+    rows = [shortest_paths_from(sp.weighted, a, t)[0] for a in t]
+    return [[row[b] for b in t] for row in rows]
+
+
+def mates_digest(matrices):
+    """sha256 over _match's mates, not only the weight, on each matrix."""
+    h = hashlib.sha256()
+    for d in matrices:
         h.update(repr(tjoin._match(d)).encode())
-    h.update(repr(tjoin._match([[i + j for j in range(64)] for i in range(64)])).encode())
-    assert h.hexdigest() == "f948cbb5cc083e64243e32849a1a122f4bea4acfc475e483c3c4d491a40aa704"
+    return h.hexdigest()
+
+
+def test_matching_mates_are_pinned():
+    # ties; d(i, j) = i + j, whose blossoms nest; and the T-distance
+    # matrices of ladder points at s=64 and s=128, as the blossom walks
+    # chose their mates
+    ladder = [random_square_point(s, 1, 0) for s in (64, 128)]
+    matrices = [*tie_matrices(range(2000)), [[i + j for j in range(64)] for i in range(64)],
+                *(t_distance_matrix(x, random_costs(x, 0)) for x in ladder)]
+    assert mates_digest(matrices) == "f3cd3453ec47fce360e0f225eb446eaac3b5bba1ee3631a12050b5858f531c71"
+
+
+@pytest.mark.extended
+def test_matching_mates_are_pinned_extended():
+    assert mates_digest(tie_matrices(range(2000, 12000))) == "28bae4dfbfe97b754139b36a922b67910043bb5caec3a3db88c0d16364a8f10c"
 
 
 def test_matching_nests_deeper_than_the_recursion_limit():
@@ -277,6 +307,16 @@ def t_join_digest(seeds):
 def test_t_join_edge_sets_are_pinned():
     # the edge sets, not only their weights: with weights 0..5 ties abound
     assert t_join_digest(range(1000)) == "0878140dabf10bed5408253b4b83fee05d45899874cb5923426347d354b42d7d"
+
+
+@pytest.mark.extended
+def test_t_join_on_a_star_of_2200_leaves():
+    # every leaf is a T node, so the join is every edge; d(i, j) = i + j
+    # nests 1099 blossoms deep
+    wg = WeightedGraph(MultiGraph(2201, [(0, i) for i in range(1, 2201)]), tuple(range(2200)))
+    join = min_t_join(wg, range(1, 2201))
+    assert join == frozenset(range(2200))
+    assert sum(wg.weight[e] for e in join) == sum(range(2200))
 
 
 @pytest.mark.extended

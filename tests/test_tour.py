@@ -1,7 +1,9 @@
 import hashlib
 import random
+from collections import Counter
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -279,6 +281,56 @@ def test_bound_lemmas_hold_on_donuts():
         assert_bound_lemmas(inst.point, inst.costs)
 
 
+def test_lemma_two_catches_a_costlier_t_join(monkeypatch):
+    # a square is a cycle, so adding its edges mod 2 keeps a T-join; on donut
+    # k=2 that join costs 6 more, H stays chosen and the final check still
+    # holds, but L2 does not
+    inst = make_donut(2)
+    sp = square_point(inst.point, inst.costs)
+    rep = run_tour(inst.point, inst.costs)
+    assert rep.c_h <= rep.c_j
+
+    def costlier(*args, _fn=tour._t_join):
+        return _fn(*args) ^ frozenset(sp.squares[0])
+
+    monkeypatch.setattr(tour, "_t_join", costlier)
+    with pytest.raises(RuntimeError, match="lemma L2"):
+        run_tour(inst.point, inst.costs)
+
+
+def t_odd_cut_values(x, costs):
+    """The capacities of the T-odd cuts of a Gomory-Hu tree for the
+    capacities 6y = compute_y(x, H), with T the odd nodes of F*: by Padberg
+    & Rao (Math. Oper. Res. 7, 1982) a least T-odd cut is among them."""
+    sp = square_point(x, costs)
+    deg = Counter(v for e in rainbow(sp).edges for v in e)
+    odd = {v for v in deg if deg[v] % 2}
+    g = nx.Graph()
+    for (u, v), c in compute_y(x, hamiltonian(sp).edges).items():
+        g.add_edge(u, v, capacity=c)
+    tree = nx.gomory_hu_tree(g)
+    for u, v, w in list(tree.edges(data="weight")):
+        tree.remove_edge(u, v)
+        if len(nx.node_connected_component(tree, u) & odd) % 2:
+            yield w
+        tree.add_edge(u, v, weight=w)
+
+
+def test_y_dominates_a_t_join():
+    # every T-odd cut of y is at least 1, so c(join) <= c.y: the fact L2
+    # rests on, checked without the T-join
+    cases = [(inst.point, inst.costs) for inst in map(make_donut, range(2, 7))]
+    cases += [(x, random_costs(x, s)) for s in (8, 16, 24, 32) for x in [random_square_point(s, 1, s)]]
+    for x, costs in cases:
+        assert min(t_odd_cut_values(x, costs)) >= 6, x.n
+
+
+@pytest.mark.extended
+def test_y_dominates_a_t_join_on_the_tour_report_cases():
+    for x, costs in tour_report_cases(range(150)):
+        assert min(t_odd_cut_values(x, costs)) >= 6, x.n
+
+
 def test_final_cost_is_metric_closure_price():
     # the shortcut prices each step from chain offsets and searches on the
     # series reduction; the full all-pairs closure must agree
@@ -383,13 +435,23 @@ def test_shortcut_searches_only_the_reduction(monkeypatch):
     monkeypatch.setattr(tour, "shortest_paths_from", recording)
     inst = make_donut(12)
     run_tour(inst.point, inst.costs)
-    # the 48 square corners; the 264 nodes inside 1-paths are priced by offsets
-    assert 0 < len(calls) <= 48 and set(calls) == {48}
+    # the 48 square corners; the 264 nodes inside 1-paths are priced by
+    # offsets, and a step to the end of a node's own 1-path runs no search
+    assert 0 < len(calls) <= 24 and set(calls) == {48}
     calls.clear()
     # no node of degree 2: one search per tour node, as on the full support
     x = random_square_point(8, 1, 0)
     run_tour(x, random_costs(x, 0))
     assert calls == [x.n] * x.n
+    calls.clear()
+    # an integral point is one loop chain at node 0: with no edge heavier
+    # than half the cycle, every step is priced by offsets, node 0's too
+    for n in (7, 20):
+        x = integral_cycle(n)
+        costs = {e: 1 + i % 3 for i, e in enumerate(sorted(x.support))}
+        assert 2 * max(costs.values()) <= sum(costs.values())
+        assert run_tour(x, costs).final_cost == sum(costs.values())
+    assert calls == []
 
 
 @settings(max_examples=100)
