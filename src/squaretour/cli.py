@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 invalid input, 3 exact-engine size cap, 4 failed
-internal check (one ``error: internal:`` line).  Output is deterministic for
-a fixed input and seed, so commands can be piped, e.g.
+Exit codes: 0 success, 2 invalid input, 3 exact-engine size cap or out of
+memory, 4 failed internal check (one ``error: internal:`` line).  Output is
+deterministic for a fixed input and seed, so commands can be piped, e.g.
 ``squaretour donut --k 2 | squaretour tour``.
 """
 
@@ -157,6 +157,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

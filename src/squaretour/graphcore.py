@@ -251,6 +251,8 @@ class Reduction(NamedTuple):
     kept: list[int]
     weighted: WeightedGraph
     chains: list[tuple[int, ...]]
+    place: list[int | tuple[int, int] | None]
+    chain_of: list[int]
 
 
 def series_reduced(wg: WeightedGraph, keep: Iterable[int] = ()) -> Reduction:
@@ -259,35 +261,40 @@ def series_reduced(wg: WeightedGraph, keep: Iterable[int] = ()) -> Reduction:
     suppressed nodes becomes one a-b edge weighing the path's sum.  Returns
     the kept nodes (ascending), the reduced graph and, per reduced edge, its
     chain of wg's edge ids walked from the kept node it is first met at;
-    kept nodes, then their darts, ascending number the edges.  Parts without
-    a kept node vanish.  A shortest path between kept nodes runs along every
-    chain it enters, so the reduction keeps their distances."""
-    g = wg.graph
+    kept nodes, then their darts, ascending number the edges.  The walk also
+    gives each edge its chain r and each node its place: its kept id, or (r,
+    off) at weight off from chain r's first end.  Parts without a kept node
+    vanish (place None, chain -1).  A shortest path between kept nodes runs
+    along every chain it enters, so the reduction keeps their distances."""
+    g, w = wg.graph, wg.weight
     keep = set(keep)
     kept = [v for v in range(g.node_count) if g.degree(v) != 2 or v in keep]
-    new = [-1] * g.node_count
+    place: list[int | tuple[int, int] | None] = [None] * g.node_count
     for i, v in enumerate(kept):
-        new[v] = i
-    used = bytearray(g.edge_count)
+        place[v] = i
+    chain_of = [-1] * g.edge_count
     edges: list[tuple[int, int]] = []
     chains: list[tuple[int, ...]] = []
+    weight: list[int] = []
     for a in kept:
         for d in g.darts_at(a):
-            if used[d >> 1]:
-                continue
-            used[d >> 1] = 1
-            chain = [d >> 1]
-            v = g.dart_other_node(d)
-            while new[v] < 0:
-                d1, d2 = g.darts_at(v)
-                d = d2 if d1 >> 1 == d >> 1 else d1
-                used[d >> 1] = 1
-                chain.append(d >> 1)
-                v = g.dart_other_node(d)
-            edges.append((new[a], new[v]))
-            chains.append(tuple(chain))
-    weight = tuple(sum(wg.weight[e] for e in chain) for chain in chains)
-    return Reduction(kept, WeightedGraph(MultiGraph(len(kept), edges), weight), chains)
+            if chain_of[d >> 1] < 0:
+                r, chain, off = len(chains), [], 0
+                while True:
+                    chain_of[d >> 1] = r
+                    chain.append(d >> 1)
+                    off += w[d >> 1]
+                    v = g.dart_other_node(d)
+                    if place[v] is not None:
+                        break
+                    place[v] = (r, off)
+                    d1, d2 = g.darts_at(v)
+                    d = d2 if d1 >> 1 == d >> 1 else d1
+                edges.append((place[a], place[v]))
+                chains.append(tuple(chain))
+                weight.append(off)
+    reduced = WeightedGraph(MultiGraph(len(kept), edges), tuple(weight))
+    return Reduction(kept, reduced, chains, place, chain_of)
 
 
 def shortest_paths_from(

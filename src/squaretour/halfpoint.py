@@ -285,10 +285,8 @@ def contract(sp: SquarePoint) -> tuple[SquareGraph, tuple[int, ...]]:
     """
     if not sp.squares:
         raise ValueError(DEGENERATE_MSG)
-    _, reduced, chains = sp.reduction
-    graph = reduced.graph
+    reduced = sp.reduction.weighted
     # square corners have degree 3, so each square edge is a chain of its own
-    rid = {c[0]: i for i, c in enumerate(chains) if len(c) == 1}
-    sq_ids = tuple(tuple(rid[e] for e in sq) for sq in sp.squares)
-    matching = frozenset(range(graph.edge_count)) - {e for sq in sq_ids for e in sq}
-    return SquareGraph(graph, matching, sq_ids), reduced.weight
+    sq_ids = tuple(tuple(sp.reduction.chain_of[e] for e in sq) for sq in sp.squares)
+    matching = frozenset(range(reduced.graph.edge_count)) - {e for sq in sq_ids for e in sq}
+    return SquareGraph(reduced.graph, matching, sq_ids), reduced.weight

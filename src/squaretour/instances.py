@@ -104,22 +104,6 @@ def _as_rng(seed: int | random.Random) -> random.Random:
     return seed if isinstance(seed, random.Random) else random.Random(seed)
 
 
-def _four_regular_attempt(n: int, rng: random.Random) -> tuple[MultiGraph, dict[int, int]]:
-    """One uniform dart pairing; may be disconnected."""
-    slots = list(range(4 * n))
-    rng.shuffle(slots)
-    edges: list[tuple[int, int]] = []
-    position: dict[int, int] = {}
-    for e in range(2 * n):
-        a, b = slots[2 * e], slots[2 * e + 1]
-        if a // 4 > b // 4:
-            a, b = b, a
-        edges.append((a // 4, b // 4))
-        position[2 * e] = a % 4
-        position[2 * e + 1] = b % 4
-    return MultiGraph(n, edges), position
-
-
 def random_four_regular(
     n: int, seed: int | random.Random
 ) -> tuple[MultiGraph, dict[int, int]]:
@@ -132,7 +116,18 @@ def random_four_regular(
         raise ValueError("need at least one node")
     rng = _as_rng(seed)
     for _ in range(GENERATION_ATTEMPTS):
-        g, position = _four_regular_attempt(n, rng)
+        slots = list(range(4 * n))
+        rng.shuffle(slots)
+        edges: list[tuple[int, int]] = []
+        position: dict[int, int] = {}
+        for e in range(2 * n):
+            a, b = slots[2 * e], slots[2 * e + 1]
+            if a // 4 > b // 4:
+                a, b = b, a
+            edges.append((a // 4, b // 4))
+            position[2 * e] = a % 4
+            position[2 * e + 1] = b % 4
+        g = MultiGraph(n, edges)
         if is_connected(g):
             return g, position
     raise ValueError("generation failed")
@@ -179,9 +174,7 @@ def random_square_point(
         raise ValueError("paths need length at least 1")
     rng = _as_rng(seed)
     for _ in range(GENERATION_ATTEMPTS):
-        g, position = _four_regular_attempt(num_squares, rng)
-        if not is_connected(g):
-            continue
+        g, position = random_four_regular(num_squares, rng)
         sg, corner = blow_up(g, position)
         support = {edge_key(*sg.graph.edges[e]): 1 for sq in sg.squares for e in sq}
         nxt = 4 * num_squares

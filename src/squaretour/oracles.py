@@ -10,6 +10,7 @@ SizeCapError rather than grind forever.
 from __future__ import annotations
 
 from itertools import product
+from operator import index
 from typing import Iterable, Protocol, Sequence
 
 from .deltamatroid import SquareGraph, check_square_graph
@@ -50,7 +51,7 @@ def held_karp(d: Sequence[Sequence[int]]) -> int:
     blocks of 2^14 masks, so temporaries stay small next to the table.  The
     table dtype shrinks to uint16 or int32 above 21 nodes, where an int64
     table would not fit in memory.  Distances whose tour bound n * max d
-    does not fit the table raise SizeCapError.
+    does not fit the table raise SizeCapError, non-integers TypeError.
     """
     n = len(d)
     if n > HELD_KARP_CAP:
@@ -60,7 +61,7 @@ def held_karp(d: Sequence[Sequence[int]]) -> int:
     for row in d:
         if len(row) != n:
             raise ValueError("distance matrix must be square")
-    if any(v < 0 for row in d for v in row):
+    if any(index(v) < 0 for row in d for v in row):
         raise ValueError("distances must be nonnegative")
     if n == 1:
         return 0

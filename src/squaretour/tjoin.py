@@ -13,6 +13,7 @@ magnitude.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .graphcore import Reduction, WeightedGraph, is_connected, path_edges_to, series_reduced
@@ -35,7 +36,7 @@ def _match(d: Sequence[Sequence[int]]) -> list[int]:
     edge to a vertex x outside b: b's points move their duals together.
     """
     p, m = len(d), 2 * len(d)
-    w = [[-2 * int(d[i][j] if i < j else d[j][i]) for j in range(p)] for i in range(p)]
+    w = [[-2 * index(d[i][j] if i < j else d[j][i]) for j in range(p)] for i in range(p)]
     dual = [max(map(max, w)) // 2] * p + [0] * p  # the diagonal is never read after this
     mate = [-1] * m  # the point matched to x's base
     pred = [-1] * m  # for inner x: the outer point across its tree edge
@@ -240,7 +241,7 @@ def min_weight_perfect_matching(d: Sequence[Sequence[int]]) -> tuple[list[tuple[
     """Minimum-weight perfect matching on points 0..p-1 with distance d.
 
     Returns (pairs, total weight), pairs ascending with i < j in each.  Only
-    the upper triangle of d counts.
+    the upper triangle of d counts; a non-integer distance raises TypeError.
     """
     p = len(d)
     if p % 2:
@@ -253,7 +254,7 @@ def min_weight_perfect_matching(d: Sequence[Sequence[int]]) -> tuple[list[tuple[
     if any(v < 0 or mate[v] != u for u, v in enumerate(mate)):
         raise RuntimeError("matching is not perfect")
     pairs = [(u, v) for u, v in enumerate(mate) if u < v]
-    return pairs, sum(int(d[i][j]) for i, j in pairs)
+    return pairs, sum(index(d[i][j]) for i, j in pairs)
 
 
 def min_t_join(wg: WeightedGraph, t_set: Iterable[int]) -> frozenset[int]:
@@ -289,10 +290,9 @@ def _t_join(wg: WeightedGraph, red: Reduction, t_nodes: list[int]) -> frozenset[
     settles, and every node on t_b's path settles before it with its final
     parent, so each matched pair's path is the same too.
     """
-    index = {v: i for i, v in enumerate(red.kept)}
-    if any(v not in index for v in t_nodes):
+    ids = [red.place[v] for v in t_nodes]
+    if any(type(i) is not int for i in ids):
         raise RuntimeError("T node not kept by the reduction")
-    ids = [index[v] for v in t_nodes]
     p = len(ids)
     d = [[0] * p for _ in range(p)]
     for a in range(p - 1):

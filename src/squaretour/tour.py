@@ -89,45 +89,41 @@ def _price(sp: SquarePoint, cycle: list[int]) -> int:
     """Sum of the shortest-path distances between consecutive nodes of cycle,
     the closing pair included, for any order of the nodes.
 
-    A node inside a chain of sp.reduction, off from the chain's first end a
-    and L - off from its other end b (L the chain's weight), leaves the
-    chain only through a or b; a kept node is its own exit at cost 0.  So a
-    pair's distance is the least o_u + D(a, b) + o_v over its exit pairs,
-    with D the distance between kept nodes, which the reduction keeps, and
-    the gap along the chain when the pair is on one: both nodes inside it,
-    or one inside it and the other one of its ends.  If twice the gap is at
-    most L, the gap is exact and no search runs: any other route covers the
-    rest of the chain, which weighs L - gap >= gap.  Every other pair runs
-    one search per exit of one node, one inside a chain if either is,
-    stopped at the other's exits.  A point without squares is one cycle,
-    which the reduction keeps as a loop at node 0, both ends of its chain.
+    A node at place (r, off) in sp.reduction, off from the first end a of
+    chain r and L - off from its other end b (L the chain's weight), leaves
+    the chain only through a or b; a kept node is its own exit at cost 0.
+    So a pair's distance is the least o_u + D(a, b) + o_v over its exit
+    pairs, with D the distance between kept nodes, which the reduction
+    keeps, and the gap along the chain when the pair is on one: both nodes
+    inside it, or one inside it and the other one of its ends.  If twice
+    the gap is at most L, the gap is exact and no search runs: any other
+    route covers the rest of the chain, which weighs L - gap >= gap.  Every
+    other pair runs one search per exit of one node, one inside a chain if
+    either is, stopped at the other's exits.  An integral point's reduction
+    is one loop at node 0, both ends of its chain.
     """
-    g, weight = sp.graph, sp.weighted.weight
     red = sp.reduction
     ends, length = red.weighted.graph.edges, red.weighted.weight
-    exits: list = [()] * g.node_count  # node -> ((reduced node, cost), ...), first end first
-    chain_of = [-1] * g.node_count
-    for i, v in enumerate(red.kept):
-        exits[v] = ((i, 0),)
-    for r, chain in enumerate(red.chains):
-        (a, b), v, off = ends[r], red.kept[ends[r][0]], 0
-        for e in chain[:-1]:
-            v = g.edges[e][0] + g.edges[e][1] - v  # e's other end
-            off += weight[e]
-            chain_of[v], exits[v] = r, ((a, off), (b, length[r] - off))
+
+    def exits(v: int) -> tuple[int, tuple[tuple[int, int], ...]]:  # chain (-1: kept), exits
+        if type(red.place[v]) is int:
+            return -1, ((red.place[v], 0),)
+        r, off = red.place[v]
+        return r, ((ends[r][0], off), (ends[r][1], length[r] - off))
+
     total = 0
     for u, v in zip(cycle, cycle[1:] + cycle[:1]):
-        if chain_of[u] < 0:
-            u, v = v, u  # the node inside a chain first, if either is one
-        r = chain_of[u]
-        if r >= 0 and chain_of[v] == r:
-            gap = abs(exits[u][0][1] - exits[v][0][1])
+        (r, eu), (s, ev) = exits(u), exits(v)
+        if r < 0:  # the node inside a chain first, if either is one
+            (r, eu), (s, ev) = (s, ev), (r, eu)
+        if r >= 0 and s == r:
+            gap = abs(eu[0][1] - ev[0][1])
         else:  # the gap to v if v is one of the chain's ends
-            gap = min((o for a, o in exits[u] if r >= 0 and exits[v] == ((a, 0),)), default=None)
+            gap = min((o for a, o in eu if r >= 0 and ev == ((a, 0),)), default=None)
         if gap is None or 2 * gap > length[r]:
-            targets = [b for b, _ in exits[v]]
-            rows = [(ou, shortest_paths_from(red.weighted, a, targets)[0]) for a, ou in exits[u]]
-            best = min(ou + row[b] + ov for ou, row in rows for b, ov in exits[v])
+            targets = [b for b, _ in ev]
+            rows = [(ou, shortest_paths_from(red.weighted, a, targets)[0]) for a, ou in eu]
+            best = min(ou + row[b] + ov for ou, row in rows for b, ov in ev)
             gap = best if gap is None else min(gap, best)
         total += gap
     return total
@@ -145,36 +141,33 @@ def run_tour(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> TourReport:
     """Run the full pipeline on a square point with nonnegative costs.
 
     The point and costs are checked once, by square_point, and every stage
-    works on the checked point.  The returned report always satisfies
-    14*min(c_H, c_J) <= 10*c_x2 and, with squares, the lemmas L1 and L2; a
+    works on the checked point.  An integral point takes the same path: its
+    1-edge cycle is F*, T is empty and J* is H.  The returned report always
+    satisfies 14*min(c_H, c_J) <= 10*c_x2 and the lemmas L1 and L2; a
     violation raises instead, since it can only mean a bug here.
     """
     sp = square_point(x, costs)
     ham = hamiltonian(sp)
     c_x2 = x.cost_x2(costs)
 
-    if not sp.squares:
-        j_star = {e: 1 for e in ham.edges}
-        c_j = ham.cost
-    else:
-        f_star = rainbow(sp)
-        deg = [0] * x.n
-        for u, v in f_star.edges:
-            deg[u] += 1
-            deg[v] += 1
-        # T is kept by sp.reduction: F* holds both 1-edges at a degree-2 node
-        t_set = [v for v in range(x.n) if deg[v] % 2]
-        join = _t_join(sp.weighted, sp.reduction, t_set)
-        j_star = {e: 1 for e in f_star.edges}
-        for eid in join:
-            j_star[sp.keys[eid]] = j_star.get(sp.keys[eid], 0) + 1
-        c_j = sum(costs[e] * m for e, m in j_star.items())
-        # the lemmas the bound rests on: x is a convex combination of rainbow
-        # 1-trees, and 6y = 4x - H dominates a T-join for T = odd(F*)
-        if 2 * f_star.cost > c_x2:
-            raise RuntimeError("lemma L1 violated: 2 c(F*) > c_x2")
-        if 6 * (c_j - f_star.cost) + ham.cost > 2 * c_x2:
-            raise RuntimeError("lemma L2 violated: 6 c(join) + c_H > 2 c_x2")
+    f_star = rainbow(sp)
+    deg = [0] * x.n
+    for u, v in f_star.edges:
+        deg[u] += 1
+        deg[v] += 1
+    # T is kept by sp.reduction: F* holds both 1-edges at a degree-2 node
+    t_set = [v for v in range(x.n) if deg[v] % 2]
+    join = _t_join(sp.weighted, sp.reduction, t_set)
+    j_star = {e: 1 for e in f_star.edges}
+    for eid in join:
+        j_star[sp.keys[eid]] = j_star.get(sp.keys[eid], 0) + 1
+    c_j = sum(costs[e] * m for e, m in j_star.items())
+    # the lemmas the bound rests on: x is a convex combination of rainbow
+    # 1-trees, and 6y = 4x - H dominates a T-join for T = odd(F*)
+    if 2 * f_star.cost > c_x2:
+        raise RuntimeError("lemma L1 violated: 2 c(F*) > c_x2")
+    if 6 * (c_j - f_star.cost) + ham.cost > 2 * c_x2:
+        raise RuntimeError("lemma L2 violated: 6 c(join) + c_H > 2 c_x2")
 
     best = min(ham.cost, c_j)
     bound_holds = 14 * best <= 10 * c_x2

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphcore import DisjointSet
-from .halfpoint import DEGENERATE_MSG, EdgeKey, SquarePoint
+from .halfpoint import EdgeKey, SquarePoint
 
 __all__ = ["RainbowOneTree", "rainbow"]
 
@@ -33,11 +33,10 @@ def rainbow(sp: SquarePoint) -> RainbowOneTree:
     """Minimum-cost rainbow 1-tree of a checked square point.
 
     Every common basis contains each 1-edge, so the 1-edges are forced first
-    (cost-neutral) and the intersection runs on the 1/2-edges alone.
+    (cost-neutral) and the intersection runs on the 1/2-edges alone; an
+    integral point has none, and its tree is its 1-edge cycle.
     """
     x, ends, cost = sp.point, sp.graph.edges, sp.weighted.weight
-    if not sp.squares:
-        raise ValueError(DEGENERATE_MSG)
     ones = frozenset(e for e, k in enumerate(sp.keys) if x.support[k] == 2)
     chosen = _cheapest_rainbow(sp, ones)
     if chosen is None:  # pragma: no cover - impossible for feasible square points

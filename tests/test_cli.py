@@ -198,11 +198,36 @@ def test_internal_error_exits_4(exc, capsys, monkeypatch):
 def test_unkept_t_node_exits_4(capsys, monkeypatch):
     # a reduction without the T nodes is a bug here, not a bad input
     def unkept(wg, red, t_nodes, _fn=tour._t_join):
-        return _fn(wg, red._replace(kept=[]), t_nodes)
+        return _fn(wg, red._replace(place=[None] * len(red.place)), t_nodes)
 
     monkeypatch.setattr(tour, "_t_join", unkept)
     code, out, err = run(["tour"], capsys, monkeypatch, stdin=donut_text(2))
     assert (code, out, err) == (4, "", "error: internal: T node not kept by the reduction\n")
+
+
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    def exhausted(k):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "make_donut", exhausted)
+    code, out, err = run(["donut", "--k", "2"], capsys, monkeypatch)
+    assert (code, out, err) == (3, "", "error: out of memory\n")
+
+
+def test_out_of_memory_in_a_limited_child_exits_3():
+    # donut k=3000 has 18,006,000 nodes; the address-space limit is set in
+    # the child alone, after the fork, so this process keeps its own
+    resource = pytest.importorskip("resource")
+    limit = 400 * 2**20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(squaretour.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-m", "squaretour.cli", "donut", "--k", "3000"],
+                         capture_output=True, text=True, env=env, preexec_fn=cap)
+    assert (out.returncode, out.stdout, out.stderr) == (3, "", "error: out of memory\n")
 
 
 def test_import_leaves_out_numpy_and_networkx():

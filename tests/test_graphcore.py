@@ -321,17 +321,26 @@ def test_series_reduction_keeps_nodes_chains_and_distances(case):
     assert red.kept == [v for v in range(g.node_count) if g.degree(v) != 2 or v in keep]
     if not red.kept:  # a cycle with nothing to keep vanishes
         assert g.edge_count == g.node_count and red.chains == []
+        assert red.place == [None] * g.node_count and red.chain_of == [-1] * g.edge_count
         return
     assert sorted(e for chain in red.chains for e in chain) == list(range(g.edge_count))
     kept = set(red.kept)
-    for (a, b), w, chain in zip(red.weighted.graph.edges, red.weighted.weight, red.chains):
+    place: list = [None] * g.node_count
+    for i, v in enumerate(red.kept):
+        place[v] = i
+    for r, ((a, b), w, chain) in enumerate(zip(red.weighted.graph.edges, red.weighted.weight, red.chains)):
         assert w == sum(wg.weight[e] for e in chain)
-        walk = [red.kept[a]]
+        assert all(red.chain_of[e] == r for e in chain)
+        walk, off = [red.kept[a]], 0
         for e in chain:
             u, v = g.edges[e]
             assert walk[-1] in (u, v)
             walk.append(v if walk[-1] == u else u)
+            off += wg.weight[e]
+            if walk[-1] not in kept:  # offsets are prefix sums from the first end
+                place[walk[-1]] = (r, off)
         assert walk[-1] == red.kept[b] and not kept & set(walk[1:-1])
+    assert red.place == place
     full, reduced = metric_closure(wg), metric_closure(red.weighted)
     assert reduced == [[full[u][v] for v in red.kept] for u in red.kept]
 

@@ -41,6 +41,13 @@ def test_held_karp_tiny_instances():
     assert held_karp([[0, 3], [4, 0]]) == 7
 
 
+def test_held_karp_rejects_non_integer_distances():
+    with pytest.raises(TypeError):
+        held_karp([[0 if i == j else 1.7 for j in range(3)] for i in range(3)])
+    np = pytest.importorskip("numpy")
+    assert held_karp(np.array([[0, 2, 3], [2, 0, 4], [3, 4, 0]], dtype=np.int64)) == 9
+
+
 def test_held_karp_matches_permutations():
     for seed in range(40):
         rng = random.Random(seed)

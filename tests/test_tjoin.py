@@ -62,6 +62,17 @@ def test_matching_empty_and_odd():
         min_weight_perfect_matching([[0, 1], [1]])
 
 
+def test_matching_rejects_non_integer_distances():
+    # truncating 0.9 and 0.1 to 0 would make every matching tie at weight 0
+    d = [[0, .9, .1, .9], [.9, 0, .9, .1], [.1, .9, 0, .9], [.9, .1, .9, 0]]
+    for bad in (d, [[0, "7"], ["7", 0]]):
+        with pytest.raises(TypeError):
+            min_weight_perfect_matching(bad)
+    np = pytest.importorskip("numpy")
+    d = np.array([[0, 9, 1, 9], [9, 0, 9, 1], [1, 9, 0, 9], [9, 1, 9, 0]], dtype=np.int64)
+    assert min_weight_perfect_matching(d) == ([(0, 2), (1, 3)], 2)
+
+
 def brute_matching_weight(d):
     p = len(d)
     best = None

@@ -24,7 +24,7 @@ from squaretour.instances import (
     random_square_point,
 )
 from squaretour.tour import compute_y, hamiltonian, run_tour
-from squaretour.treesel import rainbow
+from squaretour.treesel import RainbowOneTree, rainbow
 
 
 def integral_cycle(n):
@@ -239,6 +239,19 @@ def test_run_tour_integral_ratio_one():
     assert 2 * rep.c_h == rep.c_x2
 
 
+def test_integral_point_takes_the_square_point_path():
+    # zero squares: the 1-edge cycle is the rainbow 1-tree, T = odd(F*) is
+    # empty and so is its join, and L1 holds with equality
+    for n in range(3, 10):
+        x = integral_cycle(n)
+        costs = random_costs(x, n)
+        sp = square_point(x, costs)
+        tree = rainbow(sp)
+        assert tree.edges == frozenset(x.support) and 2 * tree.cost == x.cost_x2(costs), n
+        assert tjoin._t_join(sp.weighted, sp.reduction, []) == frozenset(), n
+        assert_bound_lemmas(x, costs)
+
+
 def test_run_tour_structural_invariants():
     for seed in range(40):
         rng = random.Random(seed)
@@ -270,7 +283,8 @@ def assert_bound_lemmas(x, costs):
     assert rep.c_h + 6 * rep.c_j <= 5 * rep.c_x2
 
 
-@given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 10**6), st.sampled_from((2, 100)))
+@settings(max_examples=100)
+@given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 10**6), st.sampled_from((2, 100)))
 def test_bound_lemmas_hold_on_square_points(s, length, seed, high):
     x = random_square_point(s, length, seed)
     assert_bound_lemmas(x, random_costs(x, seed, 0, high))
@@ -295,6 +309,20 @@ def test_lemma_two_catches_a_costlier_t_join(monkeypatch):
 
     monkeypatch.setattr(tour, "_t_join", costlier)
     with pytest.raises(RuntimeError, match="lemma L2"):
+        run_tour(inst.point, inst.costs)
+
+
+def test_lemma_one_catches_a_costlier_rainbow(monkeypatch):
+    # the same 1-tree priced above c_x2 / 2: F* and so c_J are unchanged,
+    # but L1 no longer holds
+    inst = make_donut(2)
+    c_x2 = inst.point.cost_x2(inst.costs)
+
+    def costlier(sp, _fn=tour.rainbow):
+        return RainbowOneTree(_fn(sp).edges, c_x2 // 2 + 1)
+
+    monkeypatch.setattr(tour, "rainbow", costlier)
+    with pytest.raises(RuntimeError, match="lemma L1"):
         run_tour(inst.point, inst.costs)
 
 
@@ -663,6 +691,30 @@ def test_tour_reports_are_pinned():
 @pytest.mark.extended
 def test_tour_reports_are_pinned_extended():
     assert tour_reports_digest(range(150, 900)) == "262af1155ed667a1dd5c8888542342ab7226df5c05a3ed526aed0453b8a07193"
+
+
+def scale_reports_digest(cases):
+    """sha256 over run_tour's j_star, final_cycle, final_cost and HAM order
+    on random_square_point(s, 1, seed) with costs 0..high."""
+    h = hashlib.sha256()
+    for s, seed, high in cases:
+        x = random_square_point(s, 1, seed)
+        r = run_tour(x, random_costs(x, seed, 0, high))
+        h.update(f"{sorted(r.j_star.items())} {r.final_cycle} {r.final_cost} {r.hamiltonian.order}\n".encode())
+    return h.hexdigest()
+
+
+def test_tour_reports_are_pinned_at_scale():
+    # the sizes where the matching and the rainbow take most of the time,
+    # with the ties of costs 0..2 among them
+    cases = [(64, 0, 100), (64, 1, 100), (64, 0, 2), (64, 1, 2), (128, 0, 2)]
+    assert scale_reports_digest(cases) == "61996636bdbae69a3df4892ea16d4c59f37a06b6bf8930fc6c36a684d05c0841"
+
+
+@pytest.mark.extended
+def test_tour_reports_are_pinned_at_scale_extended():
+    cases = [(256, 0, 100), (256, 1, 100), (256, 0, 2), (256, 1, 2)]
+    assert scale_reports_digest(cases) == "bff5d3d774626c2d09f80b3581381320da221d001344d33ed979a257a6519328"
 
 
 def test_final_cycle_is_the_ham_order_when_h_is_chosen():

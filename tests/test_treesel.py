@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squaretour.graphcore import DisjointSet
-from squaretour.halfpoint import DEGENERATE_MSG, HalfIntegerPoint, edge_key, square_point
+from squaretour.halfpoint import HalfIntegerPoint, edge_key, square_point
 from squaretour.instances import make_donut, random_costs, random_square_point
 from squaretour.oracles import brute_rainbow
-from squaretour.treesel import rainbow
+from squaretour.treesel import RainbowOneTree, rainbow
 
 
 def single_square_point():
@@ -94,15 +94,32 @@ SCALE_DIGESTS = {
 }
 
 
+# the same digest at the sizes where the rainbow's rounds cost most
+SCALE_DIGESTS_EXTENDED = {
+    128: "a11158094216b90374546a5f2a02fd2c292e92177b09e4044a5706be19035097",
+    256: "4a4a6b819e5b441fe29ea10d95563bd02b6c3651c210d83d58f7c1b4edeceba6",
+}
+
+
+def scale_trees_digest(s):
+    h = hashlib.sha256()
+    for j in range(4):
+        x = random_square_point(s, 1, s + 100 * j)
+        tree = rainbow(square_point(x, random_costs(x, s + 100 * j)))
+        h.update(repr(sorted(tree.edges)).encode())
+    return h.hexdigest()
+
+
 def test_rainbow_trees_unchanged_at_scale():
     # past brute_rainbow's 6-square cap: the trees themselves are pinned
     for s, want in SCALE_DIGESTS.items():
-        h = hashlib.sha256()
-        for j in range(4):
-            x = random_square_point(s, 1, s + 100 * j)
-            tree = rainbow(square_point(x, random_costs(x, s + 100 * j)))
-            h.update(repr(sorted(tree.edges)).encode())
-        assert h.hexdigest() == want, s
+        assert scale_trees_digest(s) == want, s
+
+
+@pytest.mark.extended
+def test_rainbow_trees_unchanged_at_scale_extended():
+    for s, want in SCALE_DIGESTS_EXTENDED.items():
+        assert scale_trees_digest(s) == want, s
 
 
 def test_rainbow_trees_unchanged_on_many_ties():
@@ -221,9 +238,9 @@ def test_rainbow_square_pair_cuts_met_twice():
 
 
 def test_rainbow_rejects_degenerate_and_bad_costs():
+    # an integral point's rainbow 1-tree is its 1-edge cycle
     cyc = HalfIntegerPoint(5, {edge_key(i, (i + 1) % 5): 2 for i in range(5)})
-    with pytest.raises(ValueError, match=DEGENERATE_MSG):
-        rainbow(square_point(cyc, {e: 1 for e in cyc.support}))
+    assert rainbow(square_point(cyc, {e: 1 for e in cyc.support})) == RainbowOneTree(frozenset(cyc.support), 5)
     x = single_square_point()
     costs = {e: 1 for e in x.support}
     del costs[(0, 1)]
