@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .graphcore import DisjointSet, MultiGraph, connected_without, is_connected, walk_cycle
+from .graphcore import DisjointSet, MultiGraph, hamiltonian_order, is_connected
 
 __all__ = [
     "SquareGraph",
@@ -188,16 +188,16 @@ def ham_min_cost(sg: SquareGraph, cost: Sequence[int]) -> HamCycle:
     square gives a 4-regular multigraph Q on the edges M: an intact square is
     an unsplit node of Q, a square left with one matching is its node split
     along the corner pairing of that matching, so the square graph is
-    connected exactly when Q is, and _split_greedy decides on Q.
+    connected exactly when Q is, and _split_greedy decides on Q.  The order
+    is hamiltonian_order's; a result that is not one raises RuntimeError.
     """
     check_square_graph(sg)
     if len(cost) != sg.graph.edge_count:
         raise ValueError("cost vector length must equal edge count")
     hedges = _ham_edges(sg, cost)
-    g = sg.graph
-    # canonical order: from node 0 along its lower-id cycle edge
-    first = next(d >> 1 for d in g.darts_at(0) if d >> 1 in hedges)
-    _, order = walk_cycle(g, hedges, 0, first)
+    order = hamiltonian_order(sg.graph, hedges)
+    if order is None:
+        raise RuntimeError("HAM is not a Hamiltonian cycle")
     return HamCycle(hedges, tuple(order), sum(cost[e] for e in hedges))
 
 
@@ -223,22 +223,9 @@ def _ham_edges(sg: SquareGraph, cost: Sequence[int]) -> frozenset[int]:
 
 
 def verify_ham(sg: SquareGraph, hedges: frozenset[int]) -> bool:
-    """Check that hedges is a Hamiltonian cycle containing M that uses exactly
-    one perfect matching per square."""
-    g = sg.graph
-    if not sg.matching <= hedges:
-        return False
-    deg = [0] * g.node_count
-    for e in hedges:
-        u, v = g.edges[e]
-        if u == v:
-            return False
-        deg[u] += 1
-        deg[v] += 1
-    if any(d != 2 for d in deg):
-        return False
-    outside = frozenset(range(g.edge_count)) - hedges
-    if not connected_without(g, outside):
+    """Check that hedges is a Hamiltonian cycle (hamiltonian_order) containing
+    M that uses exactly one perfect matching per square."""
+    if not sg.matching <= hedges or hamiltonian_order(sg.graph, hedges) is None:
         return False
     for si in range(len(sg.squares)):
         m1, m2 = sg.square_matchings(si)

@@ -28,6 +28,8 @@ __all__ = [
     "metric_closure",
     "eulerian_circuit",
     "walk_cycle",
+    "cycles",
+    "hamiltonian_order",
 ]
 
 
@@ -413,3 +415,33 @@ def walk_cycle(
             break
         e = next(d >> 1 for d in g.darts_at(v) if d >> 1 in cycle and d >> 1 != e)
     return edges, nodes
+
+
+def cycles(g: MultiGraph, ids: Iterable[int]) -> list[tuple[list[int], list[int]]] | None:
+    """The cycles the edge ids form, each as walk_cycle returns it, or None
+    unless every node meets 0 or 2 of the ids (a loop meets its node twice).
+    The cycles come in order of their lowest node, each walked from that
+    node along its lower-id edge."""
+    ids = frozenset(ids)
+    meets = [0] * g.node_count
+    for e in ids:
+        for v in g.edges[e]:
+            meets[v] += 1
+    if not set(meets) <= {0, 2}:
+        return None
+    found = []
+    for v in range(g.node_count):
+        if meets[v]:  # v is the lowest node of a cycle not yet walked
+            first = next(d >> 1 for d in g.darts_at(v) if d >> 1 in ids)
+            edges, nodes = walk_cycle(g, ids, v, first)
+            for u in nodes:
+                meets[u] = 0
+            found.append((edges, nodes))
+    return found
+
+
+def hamiltonian_order(g: MultiGraph, ids: Iterable[int]) -> list[int] | None:
+    """The node order of the edge ids, walked as cycles walks it, when they
+    form one cycle through every node; else None."""
+    found = cycles(g, ids)  # a first cycle through every node is the only one
+    return found[0][1] if found and len(found[0][1]) == g.node_count else None

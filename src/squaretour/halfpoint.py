@@ -14,13 +14,14 @@ edge keys appear only in the input and in the stages' results.
 from __future__ import annotations
 
 import enum
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from numbers import Integral
 
 from .deltamatroid import SquareGraph
-from .graphcore import MultiGraph, Reduction, WeightedGraph, cut_labels, global_min_cut
-from .graphcore import series_reduced, walk_cycle
+from .graphcore import MultiGraph, Reduction, WeightedGraph, cut_labels, cycles, global_min_cut
+from .graphcore import series_reduced
 
 __all__ = [
     "EdgeKey",
@@ -42,6 +43,12 @@ EdgeKey = tuple[int, int]
 DEGENERATE_MSG = "integral point; tour is the 1-edge cycle"
 
 
+def _integral(value: object) -> bool:
+    """An integer, numpy's included; the type test spares the slow
+    isinstance call for a plain int."""
+    return type(value) is int or isinstance(value, Integral)
+
+
 def edge_key(u: int, v: int) -> EdgeKey:
     return (u, v) if u < v else (v, u)
 
@@ -52,21 +59,26 @@ class HalfIntegerPoint:
 
     n: number of nodes (ids 0..n-1).
     support: edge key (u, v) with u < v  ->  doubled value in {1, 2}.
+    n, the node ids and the doubled values must be integers (numpy's
+    pass) and are stored as Python ints.
     """
 
     n: int
     support: dict[EdgeKey, int]
 
     def __post_init__(self):
+        if not _integral(self.n):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("n must be positive")
         clean: dict[EdgeKey, int] = {}
         for (u, v), x2 in sorted(self.support.items()):
-            if not (0 <= u < v < self.n):
+            if not (_integral(u) and _integral(v) and 0 <= u < v < self.n):
                 raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
-            if x2 not in (1, 2):
+            if not _integral(x2) or x2 not in (1, 2):
                 raise ValueError(f"doubled value must be 1 or 2, got {x2} on ({u}, {v})")
-            clean[(u, v)] = x2
+            clean[(int(u), int(v))] = int(x2)
+        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "support", clean)
 
     def half_edges(self) -> list[EdgeKey]:
@@ -76,8 +88,9 @@ class HalfIntegerPoint:
         return [e for e, x2 in self.support.items() if x2 == 2]
 
     def cost_x2(self, costs: dict[EdgeKey, int]) -> int:
-        """Doubled objective value: sum of cost * x2 over the support."""
-        return sum(costs[e] * x2 for e, x2 in self.support.items())
+        """Doubled objective value: sum of cost * x2 over the support, in
+        Python ints, so that numpy integer costs cannot overflow."""
+        return sum(operator.index(costs[e]) * x2 for e, x2 in self.support.items())
 
 
 def support_graph(x: HalfIntegerPoint) -> MultiGraph:
@@ -155,36 +168,12 @@ class PointClass(enum.Enum):
 
 SQUARE_CLASSES = (PointClass.SQUARE, PointClass.BOYD_CARR)
 
-Cycle = tuple[int, ...]
+Walk = tuple[list[int], list[int]]  # a cycle's edge ids and nodes in walk order
 
 
-def _cycles(g: MultiGraph, half: list[int]) -> list[Cycle] | None:
-    """The cycles formed by the ascending edge ids half, which meet every
-    node of g an even number of times; None if some node meets more than
-    two.  Each cycle is walked from its lowest edge id, leaving from that
-    edge's lower end: ids follow the sorted keys, so the cycles come in
-    order of their lowest node, each heading to that node's lower
-    neighbour."""
-    meets = [0] * g.node_count
-    for e in half:
-        for v in g.edges[e]:
-            meets[v] += 1
-    if max(meets) > 2:
-        return None
-    ids = frozenset(half)
-    walked: set[int] = set()
-    cycles: list[Cycle] = []
-    for e in half:
-        if e not in walked:
-            cycle, _ = walk_cycle(g, ids, g.edges[e][0], e)
-            walked.update(cycle)
-            cycles.append(tuple(cycle))
-    return cycles
-
-
-def _checked(x: HalfIntegerPoint) -> tuple[SubtourReport, PointClass | None, list[Cycle] | None]:
+def _checked(x: HalfIntegerPoint) -> tuple[SubtourReport, PointClass | None, list[Walk] | None]:
     """One validation pass and, for a feasible point, one walk of the
-    1/2-edges: the report, the class and the 1/2-edge cycles.
+    1/2-edges: the report, the class and the walks of the 1/2-edge cycles.
 
     A feasible point has even 1/2-degree everywhere, so the 1/2-edges form
     node-disjoint cycles unless some node has four of them.
@@ -193,15 +182,15 @@ def _checked(x: HalfIntegerPoint) -> tuple[SubtourReport, PointClass | None, lis
     if not report:
         return report, None, None
     g = report.support
-    cycles = _cycles(g, [e for e, k in enumerate(g.edges) if x.support[k] == 1])
+    half = cycles(g, [e for e, k in enumerate(g.edges) if x.support[k] == 1])
     cls = PointClass.OTHER_HALF_INTEGER
-    if cycles is not None:
-        if all(len(cycle) == 4 for cycle in cycles):
+    if half is not None:
+        if all(len(edges) == 4 for edges, _ in half):
             # squares on all n nodes: cubic support, one 1-edge per node
-            cls = PointClass.BOYD_CARR if 4 * len(cycles) == x.n else PointClass.SQUARE
-        elif len(cycles) == 1 and len(cycles[0]) == x.n:
+            cls = PointClass.BOYD_CARR if 4 * len(half) == x.n else PointClass.SQUARE
+        elif len(half) == 1 and len(half[0][0]) == x.n:
             cls = PointClass.CARR_VEMPALA
-    return report, cls, cycles
+    return report, cls, half
 
 
 def validate_and_classify(x: HalfIntegerPoint) -> tuple[SubtourReport, PointClass | None]:
@@ -254,7 +243,7 @@ def square_point(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> SquarePoint:
     """Every check the pipeline needs, run once: x is feasible (one subtour
     validation), x is a square point, and every support edge has a
     nonnegative integer cost, raising ValueError at the first that fails."""
-    report, cls, cycles = _checked(x)
+    report, cls, half = _checked(x)
     if cls is None:
         raise ValueError(f"not a feasible point: {report.witness()}")
     if cls not in SQUARE_CLASSES:
@@ -263,14 +252,14 @@ def square_point(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> SquarePoint:
         c = costs.get(e)
         if c is None:
             raise ValueError(f"missing cost for edge {e}")
-        if not (type(c) is int or isinstance(c, Integral)):
+        if not _integral(c):
             raise ValueError(f"cost on edge {e} must be an integer")
         if c < 0:
             raise ValueError(f"negative cost on edge {e}")
     g = report.support
     weighted = WeightedGraph(g, tuple(costs[k] for k in g.edges))
-    red = series_reduced(weighted, () if cycles else (0,))
-    return SquarePoint(x, g, red, tuple(cycles), weighted)
+    red = series_reduced(weighted, () if half else (0,))
+    return SquarePoint(x, g, red, tuple(tuple(edges) for edges, _ in half), weighted)
 
 
 def contract(sp: SquarePoint) -> tuple[SquareGraph, tuple[int, ...]]:

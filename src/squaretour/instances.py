@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .deltamatroid import SquareGraph
-from .graphcore import MultiGraph, cut_labels, is_connected
+from .graphcore import MultiGraph, cut_labels, hamiltonian_order, is_connected
 from .halfpoint import SQUARE_CLASSES, EdgeKey, HalfIntegerPoint, edge_key, validate_and_classify
 from .kotzig import BitransitionSystem, blow_up
 
@@ -239,17 +239,11 @@ def everywhere_instance(g: MultiGraph, ham_edges: Iterable[int]) -> HalfIntegerP
     ham = frozenset(ham_edges)
     if len(ham) != n:
         raise ValueError("Hamiltonian cycle must have one edge per node")
-    deg = [0] * n
     for e in ham:
         if not 0 <= e < g.edge_count:
             raise ValueError(f"unknown edge id {e}")
-        u, v = g.edges[e]
-        deg[u] += 1
-        deg[v] += 1
-    if any(d != 2 for d in deg):
-        raise ValueError("cycle edges must cover every node twice")
-    if not is_connected(MultiGraph(n, [g.edges[e] for e in ham])):
-        raise ValueError("cycle edges are not connected")
+    if hamiltonian_order(g, ham) is None:
+        raise ValueError("cycle edges are not one cycle through every node")
     support = {
         edge_key(u, v): (1 if e in ham else 2) for e, (u, v) in enumerate(g.edges)
     }

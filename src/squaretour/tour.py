@@ -4,10 +4,10 @@ Pipeline: a minimum-cost Hamiltonian cycle H of the support containing all
 1-edges, a minimum-cost rainbow 1-tree F*, a minimum T-join completing F* to
 a tour J*, the integer bound check 14*min(c_H, c_J) <= 10*(doubled c.x), and
 metric shortcutting of the cheaper of the two.  run_tour checks the point
-once with halfpoint.square_point; hamiltonian takes that checked point.  H
-is already a Hamiltonian cycle, so its order is the final cycle; J* is
-shortcut along its Eulerian circuit.  Either cycle is priced on the point's
-series reduction, with chain offsets for the nodes inside 1-paths.
+once with halfpoint.square_point; hamiltonian takes that checked point and
+checks that H is a Hamiltonian cycle, so its order is the final cycle; J*
+is shortcut along its Eulerian circuit.  Either cycle is priced on the
+point's series reduction, with chain offsets for the nodes inside 1-paths.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .deltamatroid import _ham_edges
-from .graphcore import MultiGraph, eulerian_circuit, is_connected, shortest_paths_from, walk_cycle
+from .graphcore import MultiGraph, eulerian_circuit, hamiltonian_order, shortest_paths_from
 from .halfpoint import EdgeKey, HalfIntegerPoint, SquarePoint, contract, square_point
 from .tjoin import _t_join
 from .treesel import rainbow
@@ -52,17 +52,18 @@ def hamiltonian(sp: SquarePoint) -> SupportHam:
 
     An integral point is its own answer; otherwise contract the 1-paths,
     solve on the square graph, and take the support edges of the chosen
-    edges' chains.  The order starts at node 0 and heads to its smaller
-    cycle neighbour: on the support graph, edge ids follow the sorted keys,
-    so that is node 0's lower-id cycle edge.
+    edges' chains.  RuntimeError unless they form one Hamiltonian cycle,
+    walked by hamiltonian_order: ids follow the sorted keys, so it heads
+    from node 0 to its lower cycle neighbour.
     """
     if not sp.squares:
         ids = frozenset(range(len(sp.keys)))
     else:
         sg, cost = contract(sp)  # from a checked point, so _ham_edges skips the check
         ids = frozenset(e for r in _ham_edges(sg, cost) for e in sp.reduction.chains[r])
-    first = next(d >> 1 for d in sp.graph.darts_at(0) if d >> 1 in ids)
-    _, order = walk_cycle(sp.graph, ids, 0, first)
+    order = hamiltonian_order(sp.graph, ids)
+    if order is None:
+        raise RuntimeError("HAM is not a Hamiltonian cycle")
     hedges = frozenset(sp.keys[e] for e in ids)
     return SupportHam(hedges, tuple(order), sum(sp.weighted.weight[e] for e in ids))
 
@@ -71,16 +72,13 @@ def compute_y(x: HalfIntegerPoint, ham_edges: frozenset[EdgeKey]) -> dict[EdgeKe
     """The vector 2/3*x - 1/6*(cycle indicator), in integer sixths.
 
     Values per support edge: half-edge on the cycle 1, half-edge off it 2,
-    1-edge on the cycle 3, 1-edge off it 4.
+    1-edge on the cycle 3, 1-edge off it 4.  ValueError unless ham_edges
+    are support edges forming one cycle through every node.
     """
-    deg = [0] * x.n
     for e in ham_edges:
         if e not in x.support:
             raise ValueError(f"cycle edge {e} is not a support edge")
-        deg[e[0]] += 1
-        deg[e[1]] += 1
-    # degree 2 everywhere makes disjoint cycles; one of them must span
-    if any(d != 2 for d in deg) or not is_connected(MultiGraph(x.n, ham_edges)):
+    if hamiltonian_order(MultiGraph(x.n, ham_edges), range(len(ham_edges))) is None:
         raise ValueError("not a Hamiltonian cycle of the support")
     return {e: 2 * x2 - (1 if e in ham_edges else 0) for e, x2 in x.support.items()}
 
@@ -143,8 +141,10 @@ def run_tour(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> TourReport:
     The point and costs are checked once, by square_point, and every stage
     works on the checked point.  An integral point takes the same path: its
     1-edge cycle is F*, T is empty and J* is H.  The returned report always
-    satisfies 14*min(c_H, c_J) <= 10*c_x2 and the lemmas L1 and L2; a
-    violation raises instead, since it can only mean a bug here.
+    has H one cycle through every node and satisfies 14*min(c_H, c_J) <=
+    10*c_x2 and the lemmas L1 and L2; a violation raises RuntimeError
+    instead, since it can only mean a bug here.  Every cost is summed as a
+    Python int, so numpy integer costs cannot overflow.
     """
     sp = square_point(x, costs)
     ham = hamiltonian(sp)
@@ -161,7 +161,7 @@ def run_tour(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> TourReport:
     j_star = {e: 1 for e in f_star.edges}
     for eid in join:
         j_star[sp.keys[eid]] = j_star.get(sp.keys[eid], 0) + 1
-    c_j = sum(costs[e] * m for e, m in j_star.items())
+    c_j = f_star.cost + sum(sp.weighted.weight[e] for e in join)
     # the lemmas the bound rests on: x is a convex combination of rainbow
     # 1-trees, and 6y = 4x - H dominates a T-join for T = odd(F*)
     if 2 * f_star.cost > c_x2:

@@ -205,6 +205,13 @@ def test_unkept_t_node_exits_4(capsys, monkeypatch):
     assert (code, out, err) == (4, "", "error: internal: T node not kept by the reduction\n")
 
 
+def test_ham_of_two_cycles_exits_4(capsys, monkeypatch):
+    # the greedy's square matchings on donut k=2 with one square flipped
+    monkeypatch.setattr(tour, "_ham_edges", lambda sg, cost: frozenset({0, 2, 4, 5, 6, 7, 8, 11}))
+    code, out, err = run(["tour"], capsys, monkeypatch, stdin=donut_text(2))
+    assert (code, out, err) == (4, "", "error: internal: HAM is not a Hamiltonian cycle\n")
+
+
 def test_out_of_memory_exits_3(capsys, monkeypatch):
     def exhausted(k):
         raise MemoryError
@@ -276,6 +283,9 @@ def test_donut_out_file(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert out == ""
     assert path.read_text() == donut_text(3)
+    for cmd in (["validate"], ["ham"], ["tour"]):  # a path reads like stdin
+        want = run(cmd, capsys, monkeypatch, stdin=donut_text(3))
+        assert run(cmd + [str(path)], capsys, monkeypatch) == want
 
 
 def test_parse_error_exits_2(capsys, monkeypatch):

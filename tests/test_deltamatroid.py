@@ -71,6 +71,15 @@ def test_check_square_graph_rejects_bad_inputs():
     # a square listed twice covers the same edges, but partitions nothing
     with pytest.raises(ValueError, match="squares do not partition"):
         check_square_graph(SquareGraph(g, frozenset({4, 5}), ((0, 1, 2, 3), (0, 1, 2, 3))))
+    looped = MultiGraph(2, [(0, 0), (0, 1), (1, 1)])  # cubic, a loop at each end
+    for sg, msg in [
+        (SquareGraph(g, frozenset({4, 9}), ((0, 1, 2, 3),)), "matching edge id 9 out of range"),
+        (SquareGraph(looped, frozenset({0}), ()), "matching edge 0 is a loop"),
+        (SquareGraph(g, frozenset({4, 5}), ((0, 1, 0, 3),)), "square 0 repeats an edge id"),
+        (SquareGraph(g, frozenset({4, 5}), ((0, 2, 1, 3),)), "square 0 edges 0,2 do not chain"),
+    ]:
+        with pytest.raises(ValueError, match=f"^not a square graph: {msg}$"):
+            check_square_graph(sg)
 
 
 def test_connected_square_graphs_have_no_bridge():
@@ -222,6 +231,8 @@ def test_ham_k4_unit_costs():
     assert {4, 5} <= set(ham.edges)
     assert verify_ham(k4_square_graph(), ham.edges)
     assert len(ham.node_order) == 4
+    with pytest.raises(ValueError, match="^cost vector length must equal edge count$"):
+        ham_min_cost(k4_square_graph(), [1] * 5)
 
 
 def test_ham_donut_contracted():

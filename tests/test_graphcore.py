@@ -2,6 +2,7 @@ import hashlib
 import random
 from itertools import combinations
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,8 +14,10 @@ from squaretour.graphcore import (
     WeightedGraph,
     connected_without,
     cut_labels,
+    cycles,
     eulerian_circuit,
     global_min_cut,
+    hamiltonian_order,
     is_connected,
     metric_closure,
     path_edges_to,
@@ -57,6 +60,8 @@ def test_multigraph_rejects_bad_edges():
         MultiGraph(2, [(0, 2)])
     with pytest.raises(ValueError):
         MultiGraph(2, [(-1, 0)])
+    with pytest.raises(ValueError, match="^node_count must be nonnegative$"):
+        MultiGraph(-1, [])
 
 
 def test_disjoint_set():
@@ -243,6 +248,7 @@ def test_eulerian_circuit_canonical():
     assert walk[0] == walk[-1] == 0
     assert len(walk) == g.edge_count + 1
     assert walk == eulerian_circuit(g, 0)  # deterministic
+    assert eulerian_circuit(MultiGraph(3, []), 2) == [2]  # no edges: the start alone
 
 
 def test_eulerian_circuit_covers_each_edge_once():
@@ -361,3 +367,61 @@ def test_walk_cycle_walks_one_of_disjoint_cycles():
     assert walk_cycle(g, cycles, 2, 2) == ([2, 0, 4], [2, 1, 0])
     assert walk_cycle(g, cycles, 4, 3) == ([3, 1], [4, 3])
     assert walk_cycle(g, cycles, 5, 5) == ([5], [5])
+
+
+def test_cycles_come_by_lowest_node():
+    # a triangle 0-1-2 beside a 2-cycle 3-4 of parallel edges and a loop at 5
+    g = MultiGraph(6, [(0, 1), (3, 4), (1, 2), (3, 4), (0, 2), (5, 5)])
+    assert cycles(g, range(6)) == [([0, 2, 4], [0, 1, 2]), ([1, 3], [3, 4]), ([5], [5])]
+    assert cycles(g, []) == []
+    assert cycles(g, {0, 2}) is None  # nodes 0 and 2 meet one id each
+    assert hamiltonian_order(g, range(6)) is None
+    assert hamiltonian_order(MultiGraph(2, [(0, 1), (1, 0)]), {1, 0}) == [0, 1]
+
+
+@st.composite
+def multigraphs_with_edge_sets(draw):
+    """Free edges on 1..8 nodes, so loops and parallel edges occur, and a set
+    of their ids: either any set, or node-disjoint cycles (a loop, two
+    parallel edges or longer) that the other edges surround."""
+    n = draw(st.integers(1, 8))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=10))
+    if draw(st.booleans()):
+        ids = draw(st.frozensets(st.sampled_from(range(len(edges))))) if edges else frozenset()
+        return MultiGraph(n, edges), ids
+    nodes = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n), min_size=1)))
+    start = 0
+    first = len(edges)
+    for end in cuts:
+        ring = nodes[start:end]
+        edges += [(u, v) for u, v in zip(ring, ring[1:] + ring[:1])]
+        start = end
+    order = draw(st.permutations(range(len(edges))))
+    ids = frozenset(order.index(e) for e in range(first, len(edges)))
+    return MultiGraph(n, [edges[e] for e in order]), ids
+
+
+@given(multigraphs_with_edge_sets())
+def test_cycles_agree_with_networkx(case):
+    g, ids = case
+    h = nx.MultiGraph()
+    h.add_nodes_from(range(g.node_count))
+    h.add_edges_from(g.edges[e] for e in ids)
+    found = cycles(g, ids)
+    if any(d not in (0, 2) for _, d in h.degree()):
+        assert found is None and hamiltonian_order(g, ids) is None
+        return
+    parts = sorted((sorted(c) for c in nx.connected_components(h) if h.degree(min(c))),
+                   key=min)
+    assert [sorted(nodes) for _, nodes in found] == parts
+    assert sorted(e for edges, _ in found for e in edges) == sorted(ids)
+    for edges, nodes in found:
+        # from the lowest node along its lower-id edge, one edge per step
+        assert nodes[0] == min(nodes)
+        assert edges[0] == min(e for e in ids if nodes[0] in g.edges[e])
+        for e, u, v in zip(edges, nodes, nodes[1:] + nodes[:1]):
+            assert sorted(g.edges[e]) == sorted((u, v))
+    spans = len(parts) == 1 and len(parts[0]) == g.node_count
+    assert hamiltonian_order(g, ids) == (found[0][1] if spans else None)

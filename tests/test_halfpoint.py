@@ -87,6 +87,17 @@ def test_point_construction_rejects_bad_values():
         HalfIntegerPoint(2, {(0, 2): 1})
     with pytest.raises(ValueError):
         HalfIntegerPoint(2, {(1, 1): 2})
+    # integers only, so a float never reaches the pipeline or the POINT text
+    with pytest.raises(ValueError, match="^n must be an integer, got 3.0$"):
+        HalfIntegerPoint(3.0, {(0, 1): 2})
+    with pytest.raises(ValueError, match=r"^bad edge \(0.0, 1\) for n=3$"):
+        HalfIntegerPoint(3, {(0.0, 1): 2})
+    with pytest.raises(ValueError, match=r"^doubled value must be 1 or 2, got 2.0 on \(0, 1\)$"):
+        HalfIntegerPoint(3, {(0, 1): 2.0})
+    # numpy integers and bools pass, stored as Python ints
+    x = HalfIntegerPoint(np.int64(3), {(np.int64(0), np.int32(1)): True, (1, 2): np.int8(2)})
+    assert (x.n, x.support) == (3, {(0, 1): 1, (1, 2): 2})
+    assert all(type(v) is int for (u, w), x2 in x.support.items() for v in (x.n, u, w, x2))
 
 
 def test_validate_integral_cycle():

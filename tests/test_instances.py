@@ -203,10 +203,10 @@ def test_everywhere_instance_rejects_bad_cycles():
         everywhere_instance(k4_graph(), {0, 1, 2})
     with pytest.raises(ValueError, match="unknown edge id"):
         everywhere_instance(k4_graph(), {0, 1, 2, 9})
-    with pytest.raises(ValueError, match="cover every node twice"):
-        everywhere_instance(k4_graph(), {0, 1, 4, 5})
-    with pytest.raises(ValueError, match="not connected"):
-        everywhere_instance(prism_graph(), {0, 1, 2, 3, 4, 5})
+    # a node met by three cycle edges, and two triangles
+    for g, ham in ((k4_graph(), {0, 1, 4, 5}), (prism_graph(), {0, 1, 2, 3, 4, 5})):
+        with pytest.raises(ValueError, match="^cycle edges are not one cycle through every node$"):
+            everywhere_instance(g, ham)
 
 
 def test_point_round_trip():
@@ -223,6 +223,10 @@ def test_point_round_trip():
         costs = random_costs(x, seed)
         y, c2 = parse_point(serialize_point(x, costs))
         assert y.support == x.support and c2 == costs
+    u, v = min(costs)
+    del costs[(u, v)]
+    with pytest.raises(ValueError, match=f"^missing cost for edge {u}-{v}$"):
+        serialize_point(x, costs)
 
 
 @st.composite
@@ -325,6 +329,8 @@ def test_bts_parse_errors():
         (head + f0 + f1 + "X 1\nEND\n", "unknown record 'X'"),
         (head + f0 + f1 + "X 1\nEND\nE 4 0 1\n", "line 8: unknown record 'X'"),
         (head + "F 0 0.0 1.0 2.0 3.1\n" + f1 + "END\n", "does not cover"),
+        (head + "E 4 0 2\n" + f0 + f1 + "END\n", "line 6: node id out of range 0..1"),
+        (head + f0 + f1 + "F 2 0.0 1.0 2.0 3.0\nEND\n", "line 8: node id out of range 0..1"),
     ]
     for text, msg in cases:
         with pytest.raises(ValueError) as err:

@@ -96,6 +96,7 @@ def test_verify_trail_rejects_malformed():
     assert not verify_trail(sys, Trail((1, 0, 5, 4, 2, 3, 7, 6)))  # wrong direction
     assert not verify_trail(sys, Trail((0, 0, 5, 4, 2, 3, 7, 6)))  # repeated dart
     assert not verify_trail(sys, Trail((0, 3, 5, 4, 2, 1, 7, 6)))  # darts of two edges
+    assert not verify_trail(sys, Trail((0, 1, 5, 4, 2, 3, 7, 8)))  # a dart out of range
 
 
 def test_find_trail_banana():
@@ -220,6 +221,8 @@ def test_blow_up_shape():
     assert corner[0] == 0 and corner[1] == 4
     with pytest.raises(ValueError, match="not a bijection"):
         blow_up(g, {**position, 2: 0})
+    with pytest.raises(ValueError, match="^node 0 has degree 3, want 4$"):
+        blow_up(MultiGraph(2, [(0, 1)] * 3), position)
 
 
 def trail_count_by_transitions(sys):

@@ -4,11 +4,13 @@ from collections import Counter
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squaretour import deltamatroid, halfpoint, tjoin, tour
+from squaretour import deltamatroid, graphcore, halfpoint, tjoin, tour
+from squaretour.deltamatroid import ham_min_cost
 from squaretour.graphcore import (
     DisjointSet,
     MultiGraph,
@@ -16,7 +18,7 @@ from squaretour.graphcore import (
     is_connected,
     metric_closure,
 )
-from squaretour.halfpoint import HalfIntegerPoint, edge_key, square_point, support_graph
+from squaretour.halfpoint import HalfIntegerPoint, contract, edge_key, square_point, support_graph
 from squaretour.instances import (
     everywhere_instance,
     make_donut,
@@ -541,22 +543,48 @@ def test_run_tour_skips_the_square_graph_check(monkeypatch):
     assert calls == []
 
 
-def test_run_tour_walks_the_hamiltonian_cycle_once(monkeypatch):
-    # the HAM stage walks its cycle on the support, not on the square graph
-    calls = {deltamatroid: [], tour: []}
-    for module in calls:
-        def recording(g, *args, _calls=calls[module], _fn=module.walk_cycle):
-            _calls.append(g.node_count)
-            return _fn(g, *args)
+def test_a_ham_of_two_cycles_raises(monkeypatch):
+    # the greedy's square matchings on donut k=2 with one square flipped
+    def two_cycles(sg, cost):
+        return frozenset({0, 2, 4, 5, 6, 7, 8, 11})
 
-        monkeypatch.setattr(module, "walk_cycle", recording)
+    inst = make_donut(2)
+    sg, cost = contract(square_point(inst.point, inst.costs))
+    for module in (tour, deltamatroid):
+        monkeypatch.setattr(module, "_ham_edges", two_cycles)
+    with pytest.raises(RuntimeError, match="^HAM is not a Hamiltonian cycle$"):
+        run_tour(inst.point, inst.costs)
+    with pytest.raises(RuntimeError, match="^HAM is not a Hamiltonian cycle$"):
+        ham_min_cost(sg, cost)
+
+
+def test_run_tour_exact_on_numpy_integer_costs():
+    # np.int64 sums near 2**61 wrap; every cost in the report is a Python int
+    inst = make_donut(3)
+    costs = {e: 2**61 + c for e, c in inst.costs.items()}
+    rep = run_tour(inst.point, {e: np.int64(c) for e, c in costs.items()})
+    assert rep == run_tour(inst.point, costs)
+    assert all(type(c) is int for c in (rep.c_h, rep.c_j, rep.c_x2, rep.final_cost))
+
+
+def test_run_tour_walks_the_hamiltonian_cycle_once(monkeypatch):
+    # the HAM stage walks its cycle on the support, not on the square graph;
+    # the other walks are the squares
+    walks = []
+
+    def recording(g, *args, _fn=graphcore.walk_cycle):
+        edges, nodes = _fn(g, *args)
+        walks.append((g, len(nodes)))
+        return edges, nodes
+
+    monkeypatch.setattr(graphcore, "walk_cycle", recording)
     inst = make_donut(3)
     x = random_square_point(5, 2, 3)
     for point, costs in ((inst.point, inst.costs), (x, random_costs(x, 3))):
-        calls[tour].clear()
+        walks.clear()
         run_tour(point, costs)
-        assert calls[tour] == [point.n]
-    assert calls[deltamatroid] == []
+        assert all(g == support_graph(point) for g, _ in walks)
+        assert [size for _, size in walks].count(point.n) == 1
 
 
 def test_run_tour_builds_the_support_once(monkeypatch):
