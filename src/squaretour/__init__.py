@@ -58,7 +58,7 @@ from .oracles import (
     held_karp,
 )
 from .tjoin import min_t_join, min_weight_perfect_matching
-from .tour import SupportHam, TourReport, compute_y, hamiltonian, run_tour
+from .tour import TourReport, compute_y, hamiltonian, run_tour
 from .treesel import RainbowOneTree, rainbow
 
 __version__ = "0.1.0"
@@ -78,7 +78,6 @@ __all__ = [
     "SquareGraph",
     "SquarePoint",
     "SubtourReport",
-    "SupportHam",
     "TourReport",
     "Trail",
     "WeightedGraph",

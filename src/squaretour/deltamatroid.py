@@ -88,17 +88,12 @@ def check_square_graph(sg: SquareGraph) -> None:
     for si, sq in enumerate(sg.squares):
         if len(set(sq)) != 4:
             bad(f"square {si} repeats an edge id")
-        corners: list[int] = []
         for j in range(4):
             e, f = sq[j], sq[(j + 1) % 4]
             if e in sg.matching:
                 bad(f"square {si} contains matching edge {e}")
-            shared = set(g.edges[e]) & set(g.edges[f])
-            if len(shared) != 1:
+            if len(set(g.edges[e]) & set(g.edges[f])) != 1:
                 bad(f"square {si} edges {e},{f} do not chain")
-            corners.append(next(iter(shared)))
-        if len(set(corners)) != 4:
-            bad(f"square {si} is not a 4-cycle on distinct nodes")
         seen.update(sq)
     non_matching = set(range(g.edge_count)) - set(sg.matching)
     # equal unions alone would let a square be listed twice
@@ -113,8 +108,12 @@ def check_square_graph(sg: SquareGraph) -> None:
 
 @dataclass(frozen=True)
 class HamCycle:
-    edges: frozenset[int]
-    node_order: tuple[int, ...]
+    """A Hamiltonian cycle: its edges, its node order as hamiltonian_order
+    walks it, and its cost.  ham_min_cost names the edges by id in the square
+    graph, tour.hamiltonian by key in the point's support."""
+
+    edges: frozenset
+    order: tuple[int, ...]
     cost: int
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "path_edges_to",
     "metric_closure",
     "eulerian_circuit",
-    "walk_cycle",
     "cycles",
     "hamiltonian_order",
 ]
@@ -395,47 +394,33 @@ def eulerian_circuit(g: MultiGraph, start: int = 0) -> list[int]:
     return walk
 
 
-def walk_cycle(
-    g: MultiGraph, cycle: frozenset[int], start: int, first: int
-) -> tuple[list[int], list[int]]:
-    """Walk the cycle through start formed by the given edge ids: leave start
-    along edge first, then leave every node along its other cycle edge until
-    back at start.  The ids may form several node-disjoint cycles; only the
-    one through start is walked.  Returns the edge ids in walk order and, for
-    each, the node it is left from."""
-    edges: list[int] = []
-    nodes: list[int] = []
-    e, v = first, start
-    for _ in range(len(cycle)):
-        edges.append(e)
-        nodes.append(v)
-        a, b = g.edges[e]
-        v = b if a == v else a
-        if v == start:
-            break
-        e = next(d >> 1 for d in g.darts_at(v) if d >> 1 in cycle and d >> 1 != e)
-    return edges, nodes
-
-
 def cycles(g: MultiGraph, ids: Iterable[int]) -> list[tuple[list[int], list[int]]] | None:
-    """The cycles the edge ids form, each as walk_cycle returns it, or None
-    unless every node meets 0 or 2 of the ids (a loop meets its node twice).
-    The cycles come in order of their lowest node, each walked from that
-    node along its lower-id edge."""
-    ids = frozenset(ids)
-    meets = [0] * g.node_count
-    for e in ids:
+    """The cycles the edge ids form, each as its edge ids in walk order and,
+    for each, the node it is left from; or None unless every node meets 0 or
+    2 of the ids (a loop meets its node twice).  The cycles come in order of
+    their lowest node, each walked from that node along its lower-id edge,
+    then out of every node along the id it was not entered by."""
+    at: list[list[int]] = [[] for _ in range(g.node_count)]  # each node's ids, ascending
+    for e in sorted(set(ids)):
         for v in g.edges[e]:
-            meets[v] += 1
-    if not set(meets) <= {0, 2}:
+            at[v].append(e)
+    if not {len(pair) for pair in at} <= {0, 2}:
         return None
     found = []
-    for v in range(g.node_count):
-        if meets[v]:  # v is the lowest node of a cycle not yet walked
-            first = next(d >> 1 for d in g.darts_at(v) if d >> 1 in ids)
-            edges, nodes = walk_cycle(g, ids, v, first)
-            for u in nodes:
-                meets[u] = 0
+    for start, pair in enumerate(at):
+        if pair:  # start is the lowest node of a cycle not yet walked
+            edges, nodes, e, v = [], [], pair[0], start
+            while True:
+                edges.append(e)
+                nodes.append(v)
+                a, b = g.edges[e]
+                v = b if a == v else a
+                if v == start:
+                    break
+                x, y = at[v]
+                e = y if x == e else x
+            for v in nodes:
+                at[v] = []
             found.append((edges, nodes))
     return found
 

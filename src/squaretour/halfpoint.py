@@ -17,6 +17,7 @@ import enum
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral
 
 from .deltamatroid import SquareGraph
@@ -104,20 +105,28 @@ class SubtourReport:
     """Outcome of validate_subtour; truthy iff the point is feasible.
 
     reason is one of "ok", "degree", "disconnected", "cut"; node carries the
-    offending node for degree violations, cut_side / cut_value_x2 carry a
-    violated cut (doubled value < 4).  A feasible report keeps the support
-    graph, so later stages reuse it instead of building it again.
+    offending node for degree violations.  A "cut" report keeps the support
+    with its x2 weights, and cut_side / cut_value_x2 give a violated cut
+    (doubled value < 4), which Stoer-Wagner finds the first time either is
+    read; they are None for any other reason.  A feasible report keeps the
+    support graph, so later stages reuse it instead of building it again.
     """
 
     ok: bool
     reason: str = "ok"
     node: int | None = None
-    cut_side: frozenset[int] | None = None
-    cut_value_x2: int | None = None
     support: MultiGraph | None = field(default=None, repr=False, compare=False)
+    weighted: WeightedGraph | None = field(default=None, repr=False, compare=False)
 
     def __bool__(self) -> bool:
         return self.ok
+
+    @cached_property
+    def _min_cut(self) -> tuple[int | None, frozenset[int] | None]:
+        return global_min_cut(self.weighted) if self.weighted else (None, None)
+
+    cut_value_x2 = property(lambda self: self._min_cut[0])
+    cut_side = property(lambda self: self._min_cut[1])
 
     def witness(self) -> str:
         if self.ok:
@@ -137,8 +146,8 @@ def validate_subtour(x: HalfIntegerPoint) -> SubtourReport:
     degrees hold, x2(delta(S)) = 4|S| - 2 x2(E(S)) is even, so a
     connected support violates a cut iff one 1-edge (a bridge) or two
     1/2-edges make up a whole cut, which cut_labels finds in linear time
-    (Pritchard & Thurimella, ACM Trans. Algorithms 7(4), 2011).  Only then
-    does Stoer-Wagner cut the support, for the witness."""
+    (Pritchard & Thurimella, ACM Trans. Algorithms 7(4), 2011).  No min cut
+    runs here: the report cuts its support only when its witness is read."""
     deg: Counter[int] = Counter()
     for (u, v), x2 in x.support.items():
         deg[u] += x2
@@ -154,8 +163,8 @@ def validate_subtour(x: HalfIntegerPoint) -> SubtourReport:
         return SubtourReport(False, "disconnected")
     halves = [a for a, k in zip(labels, g.edges) if x.support[k] == 1]
     if 0 in labels or len(set(halves)) < len(halves):
-        val, side = global_min_cut(WeightedGraph(g, tuple(x.support[k] for k in g.edges)))
-        return SubtourReport(False, "cut", cut_side=side, cut_value_x2=val)
+        weighted = WeightedGraph(g, tuple(x.support[k] for k in g.edges))
+        return SubtourReport(False, "cut", weighted=weighted)
     return SubtourReport(True, support=g)
 
 

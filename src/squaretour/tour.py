@@ -14,29 +14,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .deltamatroid import _ham_edges
+from .deltamatroid import HamCycle, _ham_edges
 from .graphcore import MultiGraph, eulerian_circuit, hamiltonian_order, shortest_paths_from
 from .halfpoint import EdgeKey, HalfIntegerPoint, SquarePoint, contract, square_point
 from .tjoin import _t_join
 from .treesel import rainbow
 
-__all__ = ["SupportHam", "TourReport", "hamiltonian", "compute_y", "run_tour"]
-
-
-@dataclass(frozen=True)
-class SupportHam:
-    """Hamiltonian cycle of the support: edges, canonical cyclic order, cost."""
-
-    edges: frozenset[EdgeKey]
-    order: tuple[int, ...]
-    cost: int
+__all__ = ["TourReport", "hamiltonian", "compute_y", "run_tour"]
 
 
 @dataclass(frozen=True)
 class TourReport:
     """Everything TOUR produced, with exact integer costs throughout."""
 
-    hamiltonian: SupportHam
+    hamiltonian: HamCycle
     j_star: dict[EdgeKey, int]
     c_h: int
     c_j: int
@@ -46,7 +37,7 @@ class TourReport:
     final_cost: int
 
 
-def hamiltonian(sp: SquarePoint) -> SupportHam:
+def hamiltonian(sp: SquarePoint) -> HamCycle:
     """Minimum-cost Hamiltonian cycle of a checked square point's support
     containing every 1-edge.
 
@@ -54,7 +45,8 @@ def hamiltonian(sp: SquarePoint) -> SupportHam:
     solve on the square graph, and take the support edges of the chosen
     edges' chains.  RuntimeError unless they form one Hamiltonian cycle,
     walked by hamiltonian_order: ids follow the sorted keys, so it heads
-    from node 0 to its lower cycle neighbour.
+    from node 0 to its lower cycle neighbour.  The HamCycle names its edges
+    by support key.
     """
     if not sp.squares:
         ids = frozenset(range(len(sp.keys)))
@@ -65,7 +57,7 @@ def hamiltonian(sp: SquarePoint) -> SupportHam:
     if order is None:
         raise RuntimeError("HAM is not a Hamiltonian cycle")
     hedges = frozenset(sp.keys[e] for e in ids)
-    return SupportHam(hedges, tuple(order), sum(sp.weighted.weight[e] for e in ids))
+    return HamCycle(hedges, tuple(order), sum(sp.weighted.weight[e] for e in ids))
 
 
 def compute_y(x: HalfIntegerPoint, ham_edges: frozenset[EdgeKey]) -> dict[EdgeKey, int]:

@@ -12,7 +12,7 @@ from squaretour.deltamatroid import (
     ham_min_cost,
     verify_ham,
 )
-from squaretour.graphcore import MultiGraph, connected_without, is_connected, walk_cycle
+from squaretour.graphcore import MultiGraph, connected_without, hamiltonian_order, is_connected
 from squaretour.halfpoint import contract, square_point
 from squaretour.instances import (
     make_donut,
@@ -230,7 +230,7 @@ def test_ham_k4_unit_costs():
     assert ham.cost == 4
     assert {4, 5} <= set(ham.edges)
     assert verify_ham(k4_square_graph(), ham.edges)
-    assert len(ham.node_order) == 4
+    assert len(ham.order) == 4
     with pytest.raises(ValueError, match="^cost vector length must equal edge count$"):
         ham_min_cost(k4_square_graph(), [1] * 5)
 
@@ -316,8 +316,7 @@ def deletion_greedy(sg, cost):
         removed |= drop
     hedges = frozenset(range(g.edge_count)) - removed
     assert verify_ham(sg, hedges)
-    start = next(d >> 1 for d in g.darts_at(0) if d >> 1 in hedges)
-    return hedges, tuple(walk_cycle(g, hedges, 0, start)[1])
+    return hedges, tuple(hamiltonian_order(g, hedges))
 
 
 @settings(max_examples=150)
@@ -334,7 +333,7 @@ def test_ham_min_cost_matches_deletion_greedy(s, seed, contracted, data):
     m = sg.graph.edge_count
     cost = data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
     ham = ham_min_cost(sg, cost)
-    assert (ham.edges, ham.node_order) == deletion_greedy(sg, cost)
+    assert (ham.edges, ham.order) == deletion_greedy(sg, cost)
 
 
 def pairings(ds):
@@ -413,7 +412,7 @@ def test_ham_node_order_is_a_cycle():
         sg = random_square_graph(rng.randint(1, 4), 4000 + seed)
         cost = [rng.randint(0, 9) for _ in range(sg.graph.edge_count)]
         ham = ham_min_cost(sg, cost)
-        order = ham.node_order
+        order = ham.order
         assert sorted(order) == list(range(sg.graph.node_count))
         edge_pairs = {tuple(sorted(sg.graph.edges[e])) for e in ham.edges}
         for i, u in enumerate(order):

@@ -23,7 +23,6 @@ from squaretour.graphcore import (
     path_edges_to,
     series_reduced,
     shortest_paths_from,
-    walk_cycle,
 )
 
 
@@ -351,22 +350,22 @@ def test_series_reduction_keeps_nodes_chains_and_distances(case):
     assert reduced == [[full[u][v] for v in red.kept] for u in red.kept]
 
 
-def test_walk_cycle_leaves_along_first_edge():
+def test_cycles_leave_the_lowest_node_along_its_lower_id_edge():
     # 4-cycle 0-1-2-3 with the chord 0-2 outside the cycle
     g = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
-    cycle = frozenset({0, 1, 2, 3})
-    assert walk_cycle(g, cycle, 0, 0) == ([0, 1, 2, 3], [0, 1, 2, 3])
-    assert walk_cycle(g, cycle, 0, 3) == ([3, 2, 1, 0], [0, 3, 2, 1])
-    assert walk_cycle(g, cycle, 2, 1) == ([1, 0, 3, 2], [2, 1, 0, 3])
+    assert cycles(g, {0, 1, 2, 3}) == [([0, 1, 2, 3], [0, 1, 2, 3])]
+    assert hamiltonian_order(g, [3, 2, 1, 0]) == [0, 1, 2, 3]
+    # the triangle 0-3-2 closed by the chord: node 0 meets ids 3 and 4
+    assert cycles(g, [4, 2, 3]) == [([3, 2, 4], [0, 3, 2])]
 
 
-def test_walk_cycle_walks_one_of_disjoint_cycles():
+def test_cycles_walk_each_of_disjoint_cycles():
     # a triangle 0-1-2 beside a 2-cycle 3-4 of parallel edges and a loop at 5
     g = MultiGraph(6, [(0, 1), (3, 4), (1, 2), (3, 4), (0, 2), (5, 5)])
-    cycles = frozenset(range(6))
-    assert walk_cycle(g, cycles, 2, 2) == ([2, 0, 4], [2, 1, 0])
-    assert walk_cycle(g, cycles, 4, 3) == ([3, 1], [4, 3])
-    assert walk_cycle(g, cycles, 5, 5) == ([5], [5])
+    assert cycles(g, {4, 2, 0}) == [([0, 2, 4], [0, 1, 2])]
+    assert cycles(g, {3, 1}) == [([1, 3], [3, 4])]
+    assert cycles(g, {5}) == [([5], [5])]
+    assert cycles(g, [5, 3, 1, 3]) == [([1, 3], [3, 4]), ([5], [5])]
 
 
 def test_cycles_come_by_lowest_node():
@@ -410,6 +409,7 @@ def test_cycles_agree_with_networkx(case):
     h.add_nodes_from(range(g.node_count))
     h.add_edges_from(g.edges[e] for e in ids)
     found = cycles(g, ids)
+    assert cycles(g, sorted(ids, reverse=True) * 2) == found  # unsorted, with repeats
     if any(d not in (0, 2) for _, d in h.degree()):
         assert found is None and hamiltonian_order(g, ids) is None
         return

@@ -186,9 +186,10 @@ def test_min_cut_runs_only_for_witnesses(monkeypatch):
     assert validate_subtour(make_donut(12).point)
     assert validate_subtour(random_square_point(3, 1, 5))
     assert sizes == []
-    # a violated cut is cut once, on the full support, for its witness
-    assert not validate_subtour(single_square_point_adjacent_paths())
-    assert sizes == [6]
+    # a violated cut is cut once, on the full support, when its witness is read
+    rep = validate_subtour(single_square_point_adjacent_paths())
+    assert not rep and sizes == []
+    assert rep.witness() == rep.witness() and sizes == [6]
 
 
 def test_validate_walks_the_support_once(monkeypatch):

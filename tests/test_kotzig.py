@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squaretour import kotzig
-from squaretour.graphcore import MultiGraph, connected_without, walk_cycle
+from squaretour.graphcore import MultiGraph, connected_without
 from squaretour.instances import parse_bts, random_bitransition_system, serialize_bts
 from squaretour.kotzig import (
     BitransitionSystem,
@@ -176,7 +176,13 @@ def blow_up_trail(sys):
     corner_dart = {c: d for d, c in corner.items()}
     first = 4 * g.node_count  # the matching edge of original edge 0
     ham = frozenset(range(sg.graph.edge_count)) - removed
-    edges, nodes = walk_cycle(sg.graph, ham, corner[0], first)
+    edges, nodes, e, v = [], [], first, corner[0]
+    while not nodes or v != corner[0]:  # leave every node along its other H edge
+        edges.append(e)
+        nodes.append(v)
+        a, b = sg.graph.edges[e]
+        v = b if a == v else a
+        e = next(d >> 1 for d in sg.graph.darts_at(v) if d >> 1 in ham and d >> 1 != e)
     darts = []
     for i, e in enumerate(edges):
         if e >= first:

@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squaretour import deltamatroid, graphcore, halfpoint, tjoin, tour
-from squaretour.deltamatroid import ham_min_cost
+from squaretour.deltamatroid import HamCycle, ham_min_cost
 from squaretour.graphcore import (
     DisjointSet,
     MultiGraph,
     WeightedGraph,
+    hamiltonian_order,
     is_connected,
     metric_closure,
 )
@@ -572,12 +573,13 @@ def test_run_tour_walks_the_hamiltonian_cycle_once(monkeypatch):
     # the other walks are the squares
     walks = []
 
-    def recording(g, *args, _fn=graphcore.walk_cycle):
-        edges, nodes = _fn(g, *args)
-        walks.append((g, len(nodes)))
-        return edges, nodes
+    def recording(g, ids, _fn=graphcore.cycles):
+        found = _fn(g, ids)
+        walks.extend((g, len(nodes)) for _, nodes in found or ())
+        return found
 
-    monkeypatch.setattr(graphcore, "walk_cycle", recording)
+    monkeypatch.setattr(graphcore, "cycles", recording)
+    monkeypatch.setattr(halfpoint, "cycles", recording)  # imported by name
     inst = make_donut(3)
     x = random_square_point(5, 2, 3)
     for point, costs in ((inst.point, inst.costs), (x, random_costs(x, 3))):
@@ -585,6 +587,21 @@ def test_run_tour_walks_the_hamiltonian_cycle_once(monkeypatch):
         run_tour(point, costs)
         assert all(g == support_graph(point) for g, _ in walks)
         assert [size for _, size in walks].count(point.n) == 1
+
+
+def test_hamiltonian_and_ham_min_cost_return_one_ham_cycle_type():
+    # ham_min_cost names the edges by square-graph id, hamiltonian by support key
+    inst = make_donut(3)
+    x = random_square_point(5, 2, 3)
+    for point, costs in ((inst.point, inst.costs), (x, random_costs(x, 3))):
+        sp = square_point(point, costs)
+        ham = hamiltonian(sp)
+        ids = [e for e, k in enumerate(sp.keys) if k in ham.edges]
+        assert type(ham) is HamCycle and list(ham.order) == hamiltonian_order(sp.graph, ids)
+        sg, cost = contract(sp)
+        ham = ham_min_cost(sg, cost)
+        assert type(ham) is HamCycle
+        assert list(ham.order) == hamiltonian_order(sg.graph, ham.edges)
 
 
 def test_run_tour_builds_the_support_once(monkeypatch):
