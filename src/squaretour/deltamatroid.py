@@ -132,17 +132,17 @@ def _split_greedy(
     which then always does: of a node's three pairings at most one
     disconnects.
 
-    Union-find over Q's edge ids answers these tests in sweeps: a pair
-    joins the edges of its two darts, an unsplit node all four.  Call the
-    settled nodes the prefix, and let U(k) split the prefix as decided, the
-    unsettled nodes before k by their first pairing, and leave the nodes
-    from k on unsplit.  The test at node j is U(j + 1).  Unsplitting a node
-    only joins parts, so U(k) is connected exactly for k <= i, for one i.
-    A sweep splits every unsettled node by its first pairing, U(n), then
-    unsplits nodes from the last down until U(i) connects: nodes before i
-    keep their first pairing and node i takes its second; reaching the
-    prefix unconnected means Q is not connected.  One sweep per second
-    pairing, plus one, each O(n) unions on a copy of the prefix's union-find.
+    Union-find over Q's edge ids answers these tests in sweeps: a pair joins
+    the edges of its two darts, an unsplit node all four.  Call the settled
+    nodes the prefix, and let U(k) split the prefix as decided, the unsettled
+    nodes before k by their first pairing, and leave the nodes from k on
+    unsplit.  The test at node j is U(j + 1).  Unsplitting a node only joins
+    parts, so U(k) is connected exactly for k <= i, for one i.  A sweep splits
+    every unsettled node by its first pairing, U(n), then unsplits nodes from
+    the last down until U(i) connects: nodes before i keep their first pairing
+    and node i takes its second; reaching the prefix unconnected means Q is not
+    connected.  One sweep per node taking its second pairing, plus one unless
+    the last node does, each O(n) unions on a copy of the prefix's union-find.
     """
     size = max(map(max, darts)) + 1
     group: list[Sequence[int]] = [()] * size  # a dart's node, or its pair once split

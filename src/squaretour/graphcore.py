@@ -113,7 +113,8 @@ class WeightedGraph:
 
 
 class DisjointSet:
-    """Union-find with path halving; merge by size."""
+    """Union-find with path halving; merge by size.  union, the hot call of
+    _split_greedy's sweeps, finds a's root and then b's with find's writes."""
 
     __slots__ = ("parent", "size")
 
@@ -130,13 +131,20 @@ class DisjointSet:
 
     def union(self, a: int, b: int) -> bool:
         """Merge the sets of a and b; return False if already joined."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        p = self.parent
+        while p[a] != a:
+            p[a] = p[p[a]]
+            a = p[a]
+        while p[b] != b:
+            p[b] = p[p[b]]
+            b = p[b]
+        if a == b:
             return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+        size = self.size
+        if size[a] < size[b]:
+            a, b = b, a
+        p[b] = a
+        size[a] += size[b]
         return True
 
     def copy(self) -> DisjointSet:

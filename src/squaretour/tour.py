@@ -164,6 +164,8 @@ def run_tour(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> TourReport:
     best = min(ham.cost, c_j)
     bound_holds = 14 * best <= 10 * c_x2
     if not bound_holds:
+        # unreachable once L1 and L2 pass (6 c_J <= 5 c_x2 - c_H, so 14 c_H > 10 c_x2
+        # forces 14 c_J < 10 c_x2), but kept: the certificate is never skipped
         raise RuntimeError("theorem violated")
     if ham.cost <= c_j:
         # H's tour multigraph is one cycle; its canonical Euler walk leaves

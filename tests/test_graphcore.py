@@ -52,6 +52,9 @@ def test_multigraph_compares_by_value():
     # edge ids are part of a graph: the same edges in another order differ
     assert g != MultiGraph(3, [(1, 2), (0, 1), (1, 1)])
     assert g != MultiGraph(4, [(0, 1), (1, 2), (1, 1)])
+    # a graph is unequal to anything that is not a graph
+    assert g != (3, ((0, 1), (1, 2), (1, 1)))
+    assert g != object()
 
 
 def test_multigraph_rejects_bad_edges():
@@ -70,6 +73,66 @@ def test_disjoint_set():
     assert ds.union(2, 3)
     assert ds.find(3) == ds.find(2)
     assert ds.find(0) != ds.find(2)
+
+
+def reference_union(parent, size, a, b):
+    """union as find, find, link: each root by path halving, a's first; the
+    smaller set goes under the larger, b's root under a's on a tie."""
+    roots = []
+    for x in (a, b):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        roots.append(x)
+    ra, rb = roots
+    if ra == rb:
+        return False
+    if size[ra] < size[rb]:
+        ra, rb = rb, ra
+    parent[rb] = ra
+    size[ra] += size[rb]
+    return True
+
+
+@st.composite
+def union_sequences(draw):
+    """n nodes and a sequence of unions: optionally a binomial build first
+    (blocks of 1, 2, 4, ... merged pairwise, so trees grow log n deep and
+    later finds must halve long paths), then random pairs, pairs a == a and
+    repeats of earlier pairs."""
+    n = draw(st.integers(1, 40))
+    pairs = []
+    if draw(st.booleans()):
+        h = 1
+        while h < n:
+            pairs += [(i + h, i) if draw(st.booleans()) else (i, i + h)
+                      for i in range(0, n - h, 2 * h)]
+            h *= 2
+    node = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 60))):
+        kind = draw(st.sampled_from(("pair", "same", "repeat")))
+        if kind == "same":
+            a = draw(node)
+            pairs.append((a, a))
+        elif kind == "repeat" and pairs:
+            pairs.append(draw(st.sampled_from(pairs)))
+        else:
+            pairs.append((draw(node), draw(node)))
+    return n, pairs, draw(st.integers(0, max(len(pairs) - 1, 0)))
+
+
+@given(union_sequences())
+def test_union_writes_what_find_then_link_writes(case):
+    n, pairs, midway = case
+    ds, parent, size = DisjointSet(n), list(range(n)), [1] * n
+    for i, (a, b) in enumerate(pairs):
+        if i == midway:
+            snapshot, frozen = ds.copy(), (parent[:], size[:])
+        assert ds.union(a, b) == reference_union(parent, size, a, b)
+        assert (ds.parent, ds.size) == (parent, size)
+    if pairs:
+        # the copy shares no list with the original, which has moved on
+        assert (snapshot.parent, snapshot.size) == frozen
 
 
 def test_connectivity_and_edge_removal():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squaretour import kotzig
-from squaretour.graphcore import MultiGraph, connected_without
+from squaretour.graphcore import DisjointSet, MultiGraph, connected_without
 from squaretour.instances import parse_bts, random_bitransition_system, serialize_bts
 from squaretour.kotzig import (
     BitransitionSystem,
@@ -153,6 +153,35 @@ def test_trails_unchanged_at_scale():
         for j in range(3):
             h.update(repr(find_trail(random_bitransition_system(n, n + 100 * j)).darts).encode())
         assert h.hexdigest() == want, n
+
+
+def test_split_greedy_sweeps_once_per_second_pairing(monkeypatch):
+    """Each sweep starts from a copy of the prefix's union-find: one per node
+    that takes its second pairing, plus one unless the last node takes it.
+    Pinned on the kotzig benchmark's seed-0 systems."""
+    copies, took_second = [0], []
+    copy, split = DisjointSet.copy, kotzig._split_greedy
+
+    def counted_copy(self):
+        copies[0] += 1
+        return copy(self)
+
+    def recorded_split(darts, choices):
+        pair = split(darts, choices)
+        took_second.append([pair[first[0][0]] != first[0] for first, _ in choices])
+        return pair
+
+    monkeypatch.setattr(DisjointSet, "copy", counted_copy)
+    monkeypatch.setattr(kotzig, "_split_greedy", recorded_split)
+    sweeps = []
+    for n in range(50, 301, 25):
+        system = random_bitransition_system(n, n)
+        copies[0] = 0
+        find_trail(system)
+        second = took_second.pop()
+        assert copies[0] == sum(second) + (not second[-1]), n
+        sweeps.append(copies[0])
+    assert sweeps == [3, 2, 3, 3, 5, 2, 5, 3, 3, 3, 3]
 
 
 def blow_up_trail(sys):

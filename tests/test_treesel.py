@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from squaretour import treesel
 from squaretour.graphcore import DisjointSet
 from squaretour.halfpoint import HalfIntegerPoint, edge_key, square_point
 from squaretour.instances import make_donut, random_costs, random_square_point
@@ -61,6 +62,24 @@ def test_rainbow_donut_cost_bound():
     assert tree.cost == bcost
     assert tree.cost <= 14  # 2 cost <= c.x2 = 28
     assert 2 * tree.cost <= inst.point.cost_x2(inst.costs)
+
+
+def test_rainbow_rejects_a_selection_that_is_not_a_one_tree(monkeypatch):
+    """rainbow's own 1-tree check, fed two bad selections on donut k=3: none
+    at all (too few edges), and one of the right size that takes all four
+    edges of a square off node 0, a 4-cycle, and neither pick of another."""
+    inst = make_donut(3)
+    sp = square_point(inst.point, inst.costs)
+    ones = frozenset(e for e, k in enumerate(sp.keys) if sp.point.support[k] == 2)
+    good = treesel._cheapest_rainbow(sp, ones)
+    full = next(sq for sq in sp.squares if all(0 not in sp.keys[e] for e in sq))
+    other = next(sq for sq in sp.squares if sq != full)
+    closed = (good | frozenset(full)) - frozenset(other)
+    assert len(closed) == len(good)
+    for bad in (frozenset(), closed):
+        monkeypatch.setattr(treesel, "_cheapest_rainbow", lambda sp, ones, bad=bad: bad)
+        with pytest.raises(RuntimeError, match="^rainbow selection is not a 1-tree$"):
+            rainbow(sp)
 
 
 def test_rainbow_structure_and_brute_agreement():
