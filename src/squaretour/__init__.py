@@ -47,14 +47,12 @@ from .instances import (
 )
 from .kotzig import BitransitionSystem, Trail, blow_up, check_system, find_trail, verify_trail
 from .oracles import (
-    ExplicitDeltaMatroid,
     SizeCapError,
-    SquareDeltaMatroid,
     brute_cuts,
     brute_ham,
     brute_rainbow,
     brute_t_join,
-    greedy,
+    check_ham,
     held_karp,
 )
 from .tjoin import min_t_join, min_weight_perfect_matching
@@ -67,14 +65,12 @@ __all__ = [
     "BitransitionSystem",
     "DisjointSet",
     "DonutInstance",
-    "ExplicitDeltaMatroid",
     "HalfIntegerPoint",
     "HamCycle",
     "MultiGraph",
     "PointClass",
     "RainbowOneTree",
     "SizeCapError",
-    "SquareDeltaMatroid",
     "SquareGraph",
     "SquarePoint",
     "SubtourReport",
@@ -86,6 +82,7 @@ __all__ = [
     "brute_ham",
     "brute_rainbow",
     "brute_t_join",
+    "check_ham",
     "check_square_graph",
     "check_system",
     "compute_y",
@@ -95,7 +92,6 @@ __all__ = [
     "everywhere_instance",
     "find_trail",
     "global_min_cut",
-    "greedy",
     "ham_min_cost",
     "hamiltonian",
     "held_karp",

@@ -5,14 +5,14 @@ into a perfect matching M and a disjoint union of 4-cycles (squares).  Every
 Hamiltonian cycle containing M picks exactly one of the two perfect matchings
 of each square, and the traces H & R on a reference set R (one non-matching
 edge per square) form a delta-matroid.  That structure is what makes the
-greedy choices below optimal; the oracle form of that greedy is kept in
-oracles as a reference.
+greedy choices below optimal.  oracles.check_ham certifies a cycle of any
+size by one- and two-square exchanges, and oracles.brute_ham is the
+exhaustive reference on small graphs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .graphcore import DisjointSet, MultiGraph, hamiltonian_order, is_connected
@@ -39,27 +39,9 @@ class SquareGraph:
     matching: frozenset[int]
     squares: tuple[tuple[int, int, int, int], ...]
 
-    @cached_property
-    def reference(self) -> tuple[int, ...]:
-        """One canonical non-matching edge per square: its lowest edge id."""
-        return tuple(min(sq) for sq in self.squares)
-
-    @cached_property
-    def square_of(self) -> dict[int, int]:
-        return {e: si for si, sq in enumerate(self.squares) for e in sq}
-
     def square_matchings(self, si: int) -> tuple[frozenset[int], frozenset[int]]:
         sq = self.squares[si]
         return frozenset((sq[0], sq[2])), frozenset((sq[1], sq[3]))
-
-    def matching_with(self, r: int) -> frozenset[int]:
-        """The perfect matching of r's square that contains r."""
-        m1, m2 = self.square_matchings(self.square_of[r])
-        return m1 if r in m1 else m2
-
-    def matching_without(self, r: int) -> frozenset[int]:
-        m1, m2 = self.square_matchings(self.square_of[r])
-        return m2 if r in m1 else m1
 
 
 def check_square_graph(sg: SquareGraph) -> None:
@@ -222,13 +204,14 @@ def _ham_edges(sg: SquareGraph, cost: Sequence[int]) -> frozenset[int]:
 
 
 def verify_ham(sg: SquareGraph, hedges: frozenset[int]) -> bool:
-    """Check that hedges is a Hamiltonian cycle (hamiltonian_order) containing
-    M that uses exactly one perfect matching per square."""
-    if not sg.matching <= hedges or hamiltonian_order(sg.graph, hedges) is None:
-        return False
-    for si in range(len(sg.squares)):
-        m1, m2 = sg.square_matchings(si)
-        chosen = hedges & (m1 | m2)
-        if chosen != m1 and chosen != m2:
-            return False
-    return True
+    """Check that hedges is a Hamiltonian cycle (hamiltonian_order) of edge
+    ids containing M; sg is checked by check_square_graph.
+
+    Such a cycle uses exactly one perfect matching per square: every corner
+    meets its M edge and one more cycle edge, one of the two square edges at
+    it, so a square that keeps sq[0] drops sq[1] and sq[3] and keeps sq[2],
+    and one that drops sq[0] keeps sq[1] and sq[3].
+    """
+    check_square_graph(sg)
+    ids = frozenset(range(sg.graph.edge_count))
+    return sg.matching <= hedges <= ids and hamiltonian_order(sg.graph, hedges) is not None

@@ -1,21 +1,23 @@
-"""Independent exact oracles used to check the fast algorithms.
+"""Exact oracles used to check the fast algorithms.
 
-Everything here is deliberately brute force (or a textbook exponential DP,
-or the textbook delta-matroid greedy over an extendability oracle) and
-shares no code path with the algorithms under test, except dense_t_join,
-the plain T-join that pins min_t_join's edge set.  Hard size caps raise
-SizeCapError rather than grind forever.
+held_karp is a textbook exponential DP and the brute_* functions enumerate.
+dense_t_join is the plain T-join that pins min_t_join's edge set, and
+check_ham certifies a cheapest Hamiltonian cycle at any size, where
+brute_ham is the small-case reference.  They share primitives with the
+package: check_square_graph, verify_ham, square_point, connected_without,
+hamiltonian_order, DisjointSet, and for dense_t_join the searches and the
+matching.  Hard size caps raise SizeCapError rather than grind forever.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from operator import index
-from typing import Iterable, Protocol, Sequence
+from typing import Sequence
 
-from .deltamatroid import SquareGraph, check_square_graph
-from .graphcore import DisjointSet, WeightedGraph, connected_without, path_edges_to
-from .graphcore import shortest_paths_from
+from .deltamatroid import SquareGraph, check_square_graph, verify_ham
+from .graphcore import DisjointSet, WeightedGraph, connected_without, hamiltonian_order
+from .graphcore import path_edges_to, shortest_paths_from
 from .halfpoint import EdgeKey, HalfIntegerPoint, square_point
 from .tjoin import min_weight_perfect_matching
 
@@ -23,14 +25,11 @@ __all__ = [
     "SizeCapError",
     "held_karp",
     "brute_ham",
+    "check_ham",
     "brute_t_join",
     "dense_t_join",
     "brute_rainbow",
     "brute_cuts",
-    "DeltaMatroidOracle",
-    "ExplicitDeltaMatroid",
-    "SquareDeltaMatroid",
-    "greedy",
 ]
 
 HELD_KARP_CAP = 24
@@ -133,6 +132,33 @@ def brute_ham(sg: SquareGraph, cost: Sequence[int]) -> tuple[frozenset[int], int
     return frozenset(best[1]), best[0]
 
 
+def check_ham(sg: SquareGraph, cost: Sequence[int], hedges: frozenset[int]) -> bool:
+    """Whether hedges is a cheapest Hamiltonian cycle containing M, at any
+    size: verify_ham holds, and every exchange of one square's matching, or
+    of two squares' matchings, that lowers the cost breaks the cycle.
+
+    The traces H & R of these cycles on one edge per square form a
+    delta-matroid, and a linear cost on it is cheapest at a feasible set
+    exactly when no feasible set differing in one or two elements is cheaper
+    (Dress & Wenzel, Appl. Math. Lett. 4, 1991).
+    """
+    if not verify_ham(sg, hedges):
+        return False
+    flips = [frozenset(sq) for sq in sg.squares]
+    # what flipping a square to its other matching adds to the cost, ascending
+    gains = sorted(
+        (sum(cost[e] for e in flip - hedges) - sum(cost[e] for e in flip & hedges), si)
+        for si, flip in enumerate(flips)
+    )
+    for i, (gi, si) in enumerate(gains):
+        if gi >= 0:
+            break
+        partners = [frozenset()] + [flips[sj] for gj, sj in gains[i + 1:] if gi + gj < 0]
+        if any(hamiltonian_order(sg.graph, hedges ^ flips[si] ^ x) is not None for x in partners):
+            return False
+    return True
+
+
 def brute_t_join(wg: WeightedGraph, t_set) -> frozenset[int]:
     """Minimum T-join by scoring all 2^m edge subsets at once in numpy.
 
@@ -227,113 +253,3 @@ def brute_cuts(x: HalfIntegerPoint) -> tuple[int, frozenset[int]]:
             best_side = frozenset(v for v in range(x.n) if side >> v & 1)
     assert best_val is not None
     return best_val, best_side
-
-
-class DeltaMatroidOracle(Protocol):
-    """Extendability oracle for a delta-matroid over a finite ground set.
-
-    query(include, exclude) answers whether some member D of the family
-    satisfies D >= include and D & exclude == empty.
-    """
-
-    @property
-    def ground_set(self) -> tuple[int, ...]: ...
-
-    def query(self, include: Iterable[int], exclude: Iterable[int]) -> bool: ...
-
-
-class ExplicitDeltaMatroid:
-    """Oracle backed by an explicit set family; intended for tests."""
-
-    def __init__(self, ground: Iterable[int], family: Iterable[Iterable[int]]):
-        self._ground = tuple(sorted(ground))
-        gs = set(self._ground)
-        fam = []
-        for member in family:
-            member = frozenset(member)
-            if not member <= gs:
-                raise ValueError("family member outside ground set")
-            fam.append(member)
-        self.family = tuple(fam)
-
-    @property
-    def ground_set(self) -> tuple[int, ...]:
-        return self._ground
-
-    def query(self, include: Iterable[int], exclude: Iterable[int]) -> bool:
-        inc, exc = frozenset(include), frozenset(exclude)
-        return any(inc <= d and not (exc & d) for d in self.family)
-
-
-class SquareDeltaMatroid:
-    """Oracle for the family {H & R : H Hamiltonian cycle containing M}.
-
-    The feasibility test forces the matching containing r for r in include,
-    the matching avoiding r for r in exclude, checks connectivity with all
-    free squares left intact, and then settles the free squares one by one,
-    each time keeping a matching that preserves connectivity (one always
-    exists once the forced graph is connected).
-    """
-
-    def __init__(self, sg: SquareGraph):
-        check_square_graph(sg)
-        self.sg = sg
-
-    @property
-    def ground_set(self) -> tuple[int, ...]:
-        return self.sg.reference
-
-    def query(self, include: Iterable[int], exclude: Iterable[int]) -> bool:
-        sg = self.sg
-        inc, exc = frozenset(include), frozenset(exclude)
-        allowed = set(sg.reference)
-        if not (inc <= allowed and exc <= allowed):
-            raise ValueError("query outside the reference set")
-        if inc & exc:
-            return False
-        removed: set[int] = set()
-        forced: set[int] = set()
-        for r in inc:
-            removed |= sg.matching_without(r)
-            forced.add(sg.square_of[r])
-        for r in exc:
-            removed |= sg.matching_with(r)
-            forced.add(sg.square_of[r])
-        if not connected_without(sg.graph, frozenset(removed)):
-            return False
-        for si in range(len(sg.squares)):
-            if si in forced:
-                continue
-            m1, m2 = sg.square_matchings(si)
-            if connected_without(sg.graph, frozenset(removed | m2)):
-                removed |= m2
-            elif connected_without(sg.graph, frozenset(removed | m1)):
-                removed |= m1
-            else:  # pragma: no cover - contradicts the exchange structure
-                raise RuntimeError("no matching choice keeps the graph connected")
-        return True
-
-
-def greedy(oracle: DeltaMatroidOracle, cost: dict[int, int]) -> frozenset[int]:
-    """Minimum-cost member of a delta-matroid via extendability queries.
-
-    Elements are scanned by decreasing |cost| (ties by ascending element id).
-    A nonpositive element is taken if some member allows it, a positive one is
-    avoided if some member allows that; the final include set is optimal.
-    """
-    if not oracle.query((), ()):
-        raise ValueError("empty delta-matroid")
-    include: set[int] = set()
-    exclude: set[int] = set()
-    for e in sorted(oracle.ground_set, key=lambda e: (-abs(cost[e]), e)):
-        if cost[e] <= 0:
-            if oracle.query(include | {e}, exclude):
-                include.add(e)
-            else:
-                exclude.add(e)
-        else:
-            if oracle.query(include, exclude | {e}):
-                exclude.add(e)
-            else:
-                include.add(e)
-    return frozenset(include)

@@ -183,10 +183,10 @@ def _match(d: Sequence[Sequence[int]]) -> list[int]:
             return False
         while True:
             while queue:
+                # u's top blossom is outer: only outer leaves are queued, and
+                # within a phase an outer blossom stays outer or joins one
                 u = queue.pop()
                 bu = top_of[u]
-                if label[bu] == 1:
-                    continue
                 du, wu = dual[u], w[u]
                 done = set()  # blossoms whose least-slack edge from u is known
                 for v in range(p):

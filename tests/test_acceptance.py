@@ -234,7 +234,7 @@ def ham_family(sg):
     """All sets H & R over Hamiltonian cycles H containing the matching,
     with R the canonical reference edge of every square."""
     fam = set()
-    refs = frozenset(sg.reference)
+    refs = frozenset(min(sq) for sq in sg.squares)
     s = len(sg.squares)
     for bits in range(1 << s):
         hedges = set(sg.matching)

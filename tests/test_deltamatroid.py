@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +21,7 @@ from squaretour.instances import (
     random_square_graph,
     random_square_point,
 )
-from squaretour.oracles import ExplicitDeltaMatroid, SquareDeltaMatroid, brute_ham, greedy
+from squaretour.oracles import brute_ham, check_ham
 
 
 def k4_square_graph():
@@ -107,103 +107,7 @@ def test_connected_square_graphs_have_no_bridge():
 
 def test_square_matchings_pair_opposite_edges():
     sg = k4_square_graph()
-    m1, m2 = sg.square_matchings(0)
-    assert {m1, m2} == {frozenset({0, 2}), frozenset({1, 3})}
-    r = sg.reference[0]
-    assert r == 0
-    assert sg.matching_with(r) == frozenset({0, 2})
-    assert sg.matching_without(r) == frozenset({1, 3})
-
-
-def test_oracle_empty_query_yes():
-    for seed in range(10):
-        sg = random_square_graph(random.Random(seed).randint(1, 4), seed)
-        assert SquareDeltaMatroid(sg).query((), ())
-
-
-def test_oracle_k4_both_choices_extend():
-    sg = k4_square_graph()
-    oracle = SquareDeltaMatroid(sg)
-    r = sg.reference[0]
-    assert oracle.query((r,), ())
-    assert oracle.query((), (r,))
-    assert not oracle.query((r,), (r,))  # overlapping force
-
-
-def test_oracle_detects_disconnecting_choice():
-    sg, _ = contract(square_point(make_donut(2).point, make_donut(2).costs))
-    oracle = SquareDeltaMatroid(sg)
-    hams = enumerate_hams(sg)
-    refs = sg.reference
-    # the two all-same choices disconnect, the two mixed ones survive
-    assert len(hams) == 2
-    seen_no = 0
-    for inc0 in (True, False):
-        for inc1 in (True, False):
-            a = tuple(r for r, i in zip(refs, (inc0, inc1)) if i)
-            b = tuple(r for r, i in zip(refs, (inc0, inc1)) if not i)
-            want = any(set(a) <= h and not (set(b) & h) for h in hams)
-            assert oracle.query(a, b) == want
-            seen_no += 0 if want else 1
-    assert seen_no == 2
-
-
-def test_oracle_matches_brute_family():
-    for seed in range(60):
-        rng = random.Random(seed)
-        sg = random_square_graph(rng.randint(1, 4), seed)
-        oracle = SquareDeltaMatroid(sg)
-        family = {frozenset(h & set(sg.reference)) for h in enumerate_hams(sg)}
-        refs = list(sg.reference)
-        for a_size in range(len(refs) + 1):
-            for a in combinations(refs, a_size):
-                rest = [r for r in refs if r not in a]
-                for b_size in range(len(rest) + 1):
-                    for b in combinations(rest, b_size):
-                        want = any(
-                            set(a) <= d and not (set(b) & d) for d in family
-                        )
-                        assert oracle.query(a, b) == want, (seed, a, b)
-
-
-def test_explicit_delta_matroid_greedy():
-    dm = ExplicitDeltaMatroid((1, 2), [(), (1,), (2,), (1, 2)])
-    assert greedy(dm, {1: -3, 2: 5}) == frozenset({1})
-    assert greedy(dm, {1: 2, 2: 7}) == frozenset()
-    assert greedy(dm, {1: -1, 2: -1}) == frozenset({1, 2})
-
-
-def test_greedy_singleton_family():
-    dm = ExplicitDeltaMatroid((1, 2, 3), [(1, 3)])
-    for costs in ({1: 9, 2: 9, 3: 9}, {1: -9, 2: 0, 3: 4}):
-        assert greedy(dm, costs) == frozenset({1, 3})
-
-
-def test_greedy_empty_family_errors():
-    dm = ExplicitDeltaMatroid((1,), [])
-    with pytest.raises(ValueError, match="empty delta-matroid"):
-        greedy(dm, {1: 0})
-
-
-def test_greedy_matches_enumeration_on_explicit_families():
-    for seed in range(80):
-        rng = random.Random(seed)
-        ground = tuple(range(rng.randint(1, 5)))
-        members = set()
-        universe = list(range(1 << len(ground)))
-        rng.shuffle(universe)
-        for mask in universe[: rng.randint(1, 8)]:
-            members.add(frozenset(i for i in ground if mask >> i & 1))
-        # a random set family is not a delta-matroid in general, but GREEDY
-        # only relies on the oracle interface; check it against enumeration
-        # on families that do satisfy the exchange axiom
-        if not satisfies_exchange(ground, members):
-            continue
-        dm = ExplicitDeltaMatroid(ground, [tuple(m) for m in members])
-        costs = {e: rng.randint(-9, 9) for e in ground}
-        got = greedy(dm, costs)
-        want = min(sum(costs[e] for e in m) for m in members)
-        assert sum(costs[e] for e in got) == want, (seed, got)
+    assert sg.square_matchings(0) == (frozenset({0, 2}), frozenset({1, 3}))
 
 
 def satisfies_exchange(ground, family):
@@ -219,7 +123,7 @@ def test_square_family_satisfies_exchange_axiom():
     for seed in range(40):
         rng = random.Random(seed)
         sg = random_square_graph(rng.randint(1, 4), 500 + seed)
-        refs = set(sg.reference)
+        refs = {min(sq) for sq in sg.squares}
         family = {frozenset(h & refs) for h in enumerate_hams(sg)}
         assert family, seed  # never empty
         assert satisfies_exchange(tuple(refs), family), seed
@@ -276,24 +180,6 @@ def test_ham_matches_brute_force():
         assert ham.cost == bcost, seed
         assert verify_ham(sg, ham.edges), seed
         assert sum(cost[e] for e in ham.edges) == ham.cost, seed
-
-
-def test_ham_greedy_equivalence():
-    for seed in range(60):
-        rng = random.Random(seed)
-        sg = random_square_graph(rng.randint(1, 5), 3000 + seed)
-        cost = [rng.randint(-20, 40) for _ in range(sg.graph.edge_count)]
-        ham = ham_min_cost(sg, cost)
-        oracle = SquareDeltaMatroid(sg)
-        rel = {}
-        fixed = sum(cost[e] for e in sg.matching)
-        for si, r in enumerate(sg.reference):
-            with_r = sum(cost[e] for e in sg.matching_with(r))
-            without_r = sum(cost[e] for e in sg.matching_without(r))
-            rel[r] = with_r - without_r
-            fixed += without_r
-        chosen = greedy(oracle, rel)
-        assert fixed + sum(rel[r] for r in chosen) == ham.cost, seed
 
 
 def deletion_greedy(sg, cost):
@@ -427,3 +313,29 @@ def test_verify_ham_rejects_corrupted():
     assert not verify_ham(sg, ham.edges - {4})  # missing an M-edge
     assert not verify_ham(sg, frozenset(range(6)))  # both matchings at once
     assert not verify_ham(sg, ham.edges ^ {0, 1})  # wrong matching shape
+    assert not verify_ham(sg, ham.edges - {0} | {-6})  # edge 0 named out of range
+    with pytest.raises(ValueError, match="^not a square graph: squares do not partition"):
+        verify_ham(SquareGraph(sg.graph, sg.matching, ()), ham.edges)
+
+
+def test_check_ham_rejects_a_dearer_choice_and_corrupted_sets():
+    sg = k4_square_graph()
+    cost = [2, 1, 2, 1, 5, 5]  # the matching {1, 3} is cheaper than {0, 2}
+    cheap, dear = frozenset({1, 3, 4, 5}), frozenset({0, 2, 4, 5})
+    assert verify_ham(sg, cheap) and verify_ham(sg, dear)
+    assert check_ham(sg, cost, cheap)
+    assert not check_ham(sg, cost, dear)
+    for bad in (cheap - {4}, frozenset(range(6)), cheap ^ {0, 1}, cheap - {1} | {-5}):
+        assert not check_ham(sg, cost, bad)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 8), st.integers(0, 10**6), st.data())
+def test_check_ham_accepts_exactly_the_cheapest(s, seed, data):
+    # with single-square exchanges alone, some dearer cycles would pass
+    sg = random_square_graph(s, seed)
+    m = sg.graph.edge_count
+    cost = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    _, best = brute_ham(sg, cost)
+    for hedges in enumerate_hams(sg):
+        assert check_ham(sg, cost, hedges) == (sum(cost[e] for e in hedges) == best)

@@ -26,6 +26,7 @@ from squaretour.instances import (
     random_costs,
     random_square_point,
 )
+from squaretour.oracles import check_ham
 from squaretour.tour import compute_y, hamiltonian, run_tour
 from squaretour.treesel import RainbowOneTree, rainbow
 
@@ -124,21 +125,26 @@ HAM_DIGESTS = {
 }
 
 
+def ham_digest_points(s):
+    """The points and costs behind HAM_DIGESTS[s], in digest order."""
+    if s == "donut":
+        for k in range(2, 13):
+            inst = make_donut(k)
+            yield inst.point, inst.costs
+        return
+    for length in (1, 2, 3):
+        x = random_square_point(s, length, s + 100 * length)
+        for high in (100, 2):
+            yield x, random_costs(x, s + 100 * length, 0, high)
+
+
 def test_hamiltonian_cycles_unchanged_at_scale():
     # past brute_ham's cap: the cycles themselves are pinned, ties included
-    for s in (8, 16, 24, 32):
+    for s, want in HAM_DIGESTS.items():
         h = hashlib.sha256()
-        for length in (1, 2, 3):
-            x = random_square_point(s, length, s + 100 * length)
-            for high in (100, 2):
-                costs = random_costs(x, s + 100 * length, 0, high)
-                h.update(repr(hamiltonian(square_point(x, costs)).order).encode())
-        assert h.hexdigest() == HAM_DIGESTS[s], s
-    h = hashlib.sha256()
-    for k in range(2, 13):
-        inst = make_donut(k)
-        h.update(repr(hamiltonian(square_point(inst.point, inst.costs)).order).encode())
-    assert h.hexdigest() == HAM_DIGESTS["donut"]
+        for x, costs in ham_digest_points(s):
+            h.update(repr(hamiltonian(square_point(x, costs)).order).encode())
+        assert h.hexdigest() == want, s
 
 
 # the same, on ladder points with 1-paths of length 1 and s up to 256 squares
@@ -148,16 +154,39 @@ LADDER_HAM_DIGESTS = {
 }
 
 
+def ladder_points(s):
+    """The points and costs behind LADDER_HAM_DIGESTS[s], in digest order."""
+    for seed in range(3):
+        x = random_square_point(s, 1, seed)
+        for high in (2, 100):
+            yield x, random_costs(x, seed, 0, high)
+
+
 @pytest.mark.extended
 def test_hamiltonian_cycles_unchanged_on_large_ladder_points():
     for s, want in LADDER_HAM_DIGESTS.items():
         h = hashlib.sha256()
-        for seed in range(3):
-            x = random_square_point(s, 1, seed)
-            for high in (2, 100):
-                costs = random_costs(x, seed, 0, high)
-                h.update(repr(hamiltonian(square_point(x, costs)).order).encode())
+        for x, costs in ladder_points(s):
+            h.update(repr(hamiltonian(square_point(x, costs)).order).encode())
         assert h.hexdigest() == want, s
+
+
+def assert_ham_certified(points):
+    for x, costs in points:
+        sg, cost = contract(square_point(x, costs))
+        assert check_ham(sg, cost, ham_min_cost(sg, cost).edges)
+
+
+def test_check_ham_certifies_pinned_cycles():
+    # past brute_ham's cap, by one- and two-square exchanges
+    for s in HAM_DIGESTS:
+        assert_ham_certified(ham_digest_points(s))
+    assert_ham_certified(ladder_points(128))
+
+
+@pytest.mark.extended
+def test_check_ham_certifies_pinned_cycles_extended():
+    assert_ham_certified(ladder_points(256))
 
 
 def k4_point():
