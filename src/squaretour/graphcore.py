@@ -98,17 +98,27 @@ class WeightedGraph:
     def __post_init__(self):
         if len(self.weight) != self.graph.edge_count:
             raise ValueError("weight vector length must equal edge count")
-        weight = []
+        # the type test spares the slow isinstance call for a plain int
+        if not all((type(w) is int or isinstance(w, Integral)) and w >= 0 for w in self.weight):
+            raise ValueError("weights must be nonnegative integers")
+        self._fill(tuple(map(int, self.weight)))
+
+    @classmethod
+    def _checked(cls, graph: MultiGraph, weight: tuple[int, ...]) -> WeightedGraph:
+        """The WeightedGraph of graph and weight, weight being one nonnegative
+        Python int per edge id that the caller has checked: builds nbrs only."""
+        wg = object.__new__(cls)
+        object.__setattr__(wg, "graph", graph)
+        wg._fill(weight)
+        return wg
+
+    def _fill(self, weight: tuple[int, ...]) -> None:
         nbrs: list[list[tuple[int, int, int]]] = [[] for _ in range(self.graph.node_count)]
-        for e, ((u, v), w) in enumerate(zip(self.graph.edges, self.weight)):
-            # the type test spares the slow isinstance call for a plain int
-            if not (type(w) is int or isinstance(w, Integral)) or w < 0:
-                raise ValueError("weights must be nonnegative integers")
-            weight.append(int(w))
+        for e, ((u, v), w) in enumerate(zip(self.graph.edges, weight)):
             if u != v:
-                nbrs[u].append((v, weight[e], 2 * e + 1))
-                nbrs[v].append((u, weight[e], 2 * e))
-        object.__setattr__(self, "weight", tuple(weight))
+                nbrs[u].append((v, w, 2 * e + 1))
+                nbrs[v].append((u, w, 2 * e))
+        object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "nbrs", tuple(map(tuple, nbrs)))
 
 
@@ -302,7 +312,7 @@ def series_reduced(wg: WeightedGraph, keep: Iterable[int] = ()) -> Reduction:
                 edges.append((place[a], place[v]))
                 chains.append(tuple(chain))
                 weight.append(off)
-    reduced = WeightedGraph(MultiGraph(len(kept), edges), tuple(weight))
+    reduced = WeightedGraph._checked(MultiGraph(len(kept), edges), tuple(weight))
     return Reduction(kept, reduced, chains, place, chain_of)
 
 

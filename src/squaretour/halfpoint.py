@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import operator
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
@@ -96,8 +95,8 @@ class HalfIntegerPoint:
 
 def support_graph(x: HalfIntegerPoint) -> MultiGraph:
     """The support as a MultiGraph; edge id i is the i-th key in sorted
-    order, so g.edges lists the keys."""
-    return MultiGraph(x.n, sorted(x.support))
+    order, so g.edges lists the keys, as x.support stores them."""
+    return MultiGraph(x.n, x.support)
 
 
 @dataclass(frozen=True)
@@ -148,14 +147,17 @@ def validate_subtour(x: HalfIntegerPoint) -> SubtourReport:
     1/2-edges make up a whole cut, which cut_labels finds in linear time
     (Pritchard & Thurimella, ACM Trans. Algorithms 7(4), 2011).  No min cut
     runs here: the report cuts its support only when its witness is read."""
-    deg: Counter[int] = Counter()
-    for (u, v), x2 in x.support.items():
-        deg[u] += x2
-        deg[v] += x2
     # the support touches at most 2|support| nodes, so when n is larger an
     # untouched node, and thus the first failing one, lies below this bound
-    for v in range(min(x.n, 2 * len(x.support) + 1)):
-        if deg[v] != 4:
+    top = min(x.n, 2 * len(x.support) + 1)
+    deg = [0] * top
+    for (u, v), x2 in x.support.items():
+        if u < top:
+            deg[u] += x2
+        if v < top:
+            deg[v] += x2
+    for v, d in enumerate(deg):
+        if d != 4:
             return SubtourReport(False, "degree", node=v)
     g = support_graph(x)
     labels = cut_labels(g)
@@ -257,7 +259,8 @@ def square_point(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> SquarePoint:
         raise ValueError(f"not a feasible point: {report.witness()}")
     if cls not in SQUARE_CLASSES:
         raise ValueError("not a square point")
-    for e in x.support:
+    weight = []
+    for e in x.support:  # in key order, so weight[i] is edge id i's cost
         c = costs.get(e)
         if c is None:
             raise ValueError(f"missing cost for edge {e}")
@@ -265,8 +268,9 @@ def square_point(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> SquarePoint:
             raise ValueError(f"cost on edge {e} must be an integer")
         if c < 0:
             raise ValueError(f"negative cost on edge {e}")
+        weight.append(int(c))
     g = report.support
-    weighted = WeightedGraph(g, tuple(costs[k] for k in g.edges))
+    weighted = WeightedGraph._checked(g, tuple(weight))
     red = series_reduced(weighted, () if half else (0,))
     return SquarePoint(x, g, red, tuple(tuple(edges) for edges, _ in half), weighted)
 

@@ -101,9 +101,8 @@ def _price(sp: SquarePoint, cycle: list[int]) -> int:
         r, off = red.place[v]
         return r, ((ends[r][0], off), (ends[r][1], length[r] - off))
 
-    total = 0
-    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
-        (r, eu), (s, ev) = exits(u), exits(v)
+    total, ex = 0, [exits(v) for v in cycle]
+    for (r, eu), (s, ev) in zip(ex, ex[1:] + ex[:1]):
         if r < 0:  # the node inside a chain first, if either is one
             (r, eu), (s, ev) = (s, ev), (r, eu)
         if r >= 0 and s == r:

@@ -13,6 +13,7 @@ only the returned tree names its edges by key.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .graphcore import DisjointSet
@@ -38,7 +39,7 @@ def rainbow(sp: SquarePoint) -> RainbowOneTree:
     """
     x, ends, cost = sp.point, sp.graph.edges, sp.weighted.weight
     ones = frozenset(e for e, k in enumerate(sp.keys) if x.support[k] == 2)
-    chosen = _cheapest_rainbow(sp, ones)
+    chosen = _cheapest_rainbow(sp)
     if chosen is None:  # pragma: no cover - impossible for feasible square points
         raise RuntimeError("square point admits no rainbow 1-tree")
     ids = ones | chosen
@@ -52,9 +53,25 @@ def rainbow(sp: SquarePoint) -> RainbowOneTree:
     return RainbowOneTree(frozenset(sp.keys[e] for e in ids), sum(cost[e] for e in ids))
 
 
-def _cheapest_rainbow(sp: SquarePoint, ones: frozenset[int]) -> frozenset[int] | None:
+def _parts(sp: SquarePoint) -> tuple[dict[int, int], int]:
+    """Labels below m of the parts that the 1-edges off node 0 split node 0
+    and the kept nodes of sp.reduction into: each 1-path is one chain, which
+    joins its two ends unless node 0 is inside it or one of its ends."""
+    red, x, keys = sp.reduction, sp.point, sp.keys
+    inner = red.place[0][0] if type(red.place[0]) is tuple else -1
+    comp, m = {}, 1
+    for r, (i, j) in enumerate(red.weighted.graph.edges):
+        if x.support[keys[red.chains[r][0]]] == 2:
+            a, b = red.kept[i], red.kept[j]
+            comp[a], comp[b] = m, m + (r == inner)  # node 0 inside splits the chain
+            m = comp[b] + 1
+    comp[0] = 0  # node 0 is a part of its own, even at the end of a chain
+    return comp, m
+
+
+def _cheapest_rainbow(sp: SquarePoint) -> frozenset[int] | None:
     """Cheapest set of one edge per matching pair of sp that, with the
-    1-edges ones, is independent in the 1-tree matroid; None if there is
+    point's 1-edges, is independent in the 1-tree matroid; None if there is
     none.  Edges are support edge ids.
 
     Weighted augmentation: the current set, cheapest for its size, grows
@@ -65,7 +82,8 @@ def _cheapest_rainbow(sp: SquarePoint, ones: frozenset[int]) -> frozenset[int] |
     Cornuejols & Glover, Math. Prog. 36, 1986).  The 1-edges off node 0 are
     in every round's forest, so they are contracted once: the forest of a
     round holds only the current edges off node 0, on the labels of the
-    components the 1-edges span, and each round roots it once and reads off:
+    components the 1-edges span, which _parts reads off the 1-paths' chains
+    in sp.reduction, and each round roots it once and reads off:
 
     - an edge at node 0 is a source if fewer than two chosen or 1-edges meet
       node 0, and otherwise gets an arc from each current edge at node 0;
@@ -79,7 +97,10 @@ def _cheapest_rainbow(sp: SquarePoint, ones: frozenset[int]) -> frozenset[int] |
     in sorted order; ids ascend with the keys, but repr order is not key
     order: "(3, 10)" < "(3, 4)".  Each Bellman-Ford sweep relaxes, in edge
     order, only the edges whose distance changed since they were last
-    relaxed; the others cannot improve any distance.
+    relaxed; the others cannot improve any distance.  A sweep pops them from
+    a heap of the dirty edges ahead of its position and sets aside those
+    made dirty at or behind it, the next sweep's heap, so it never scans a
+    clean edge and relaxes the same edges in the same order as a scan.
 
     Warm start: every rainbow set of k edges costs at least the k cheapest
     pair minima.  While the edges taken are the cheapest pair minima and the
@@ -88,18 +109,12 @@ def _cheapest_rainbow(sp: SquarePoint, ones: frozenset[int]) -> frozenset[int] |
     beats, so the round would take it; the greedy takes such edges without
     rounds and stops at the first dependent one.
     """
-    n, ends, cost, pairs = sp.point.n, sp.graph.edges, sp.weighted.weight, sp.pair_partition
+    ends, cost, pairs = sp.graph.edges, sp.weighted.weight, sp.pair_partition
     ground = sorted(e for p in pairs for e in p)
     pair_of = {e: i for i, p in enumerate(pairs) for e in p}
     rank = {e: i for i, e in enumerate(sorted(ground, key=lambda e: repr(ends[e])))}
-    ds = DisjointSet(n)
-    for e in ones:
-        if ends[e][0] != 0:
-            ds.union(*ends[e])
-    label: dict[int, int] = {}
-    comp = [label.setdefault(ds.find(v), len(label)) for v in range(n)]
-    m = len(label)
-    ones_at_zero = sum(1 for e in ones if ends[e][0] == 0)
+    comp, m = _parts(sp)
+    ones_at_zero = sum(sp.point.support[sp.keys[d >> 1]] == 2 for d in sp.graph.darts_at(0))
     current: set[int] = set()
     taken: set[int] = set()
     zero, warm = ones_at_zero, DisjointSet(m)
@@ -166,27 +181,36 @@ def _cheapest_rainbow(sp: SquarePoint, ones: frozenset[int]) -> frozenset[int] |
         step = list(cost)
         for e in current:
             step[e] = -cost[e]
-        dist = {e: (cost[e], 0) for e in sources}
-        parent: dict[int, int | None] = dict.fromkeys(sources)
-        dirty = set(sources)
+        dist: list[tuple[int, int] | None] = [None] * len(cost)
+        parent: list[int | None] = [None] * len(cost)
+        dirty = [False] * len(cost)
+        for e in sources:
+            dist[e], dirty[e] = (cost[e], 0), True
+        ahead = sources  # ascending, so already a heap
         for _ in range(len(ground) + 2):
-            if not dirty:
+            if not ahead:
                 break
-            for u in ground:
-                if u not in dirty:
-                    continue
-                dirty.remove(u)
+            behind: list[int] = []
+            while ahead:
+                u = heapq.heappop(ahead)
+                dirty[u] = False
                 du, hu = dist[u]
                 for v in arcs[u]:
                     cand = (du + step[v], hu + 1)
-                    if v not in dist or cand < dist[v]:
-                        dist[v] = cand
-                        parent[v] = u
-                        dirty.add(v)
+                    if dist[v] is None or cand < dist[v]:
+                        dist[v], parent[v] = cand, u
+                        if not dirty[v]:
+                            dirty[v] = True
+                            if v > u:
+                                heapq.heappush(ahead, v)
+                            else:
+                                behind.append(v)
+            heapq.heapify(behind)
+            ahead = behind
         else:  # pragma: no cover - would indicate a non-extreme set
             raise RuntimeError("negative cycle in exchange graph")
 
-        reachable = [t for t in sinks if t in dist]
+        reachable = [t for t in sinks if dist[t] is not None]
         if not reachable:
             return None
         node = min(reachable, key=lambda t: (*dist[t], rank[t]))

@@ -116,6 +116,15 @@ def test_validate_degree_violation():
     assert "degree" in rep.witness()
 
 
+def test_validate_degree_on_a_huge_n():
+    # the first failing node lies below 2|support| + 1, so no list of n
+    # entries is made; an untouched node fails, and so does a node of degree 2
+    far = HalfIntegerPoint(10**12, {(0, 1): 2, (1, 2): 2, (0, 2): 2})
+    assert (validate_subtour(far).reason, validate_subtour(far).node) == ("degree", 3)
+    wide = HalfIntegerPoint(10**12, {(0, 10**11): 2, (0, 1): 2})
+    assert (validate_subtour(wide).reason, validate_subtour(wide).node) == ("degree", 1)
+
+
 def test_validate_disconnected():
     rep = validate_subtour(HalfIntegerPoint(4, {(0, 1): 2, (2, 3): 2}))
     assert not rep

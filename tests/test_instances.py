@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squaretour import halfpoint
+from squaretour import halfpoint, instances
 from squaretour.graphcore import MultiGraph, is_connected
 from squaretour.halfpoint import (
     HalfIntegerPoint,
@@ -74,6 +74,14 @@ def test_donut_layout():
 def test_donut_rejects_small_k():
     with pytest.raises(ValueError, match="k must be at least 2"):
         make_donut(1)
+
+
+def test_generators_give_up_after_their_attempts(monkeypatch):
+    monkeypatch.setattr(instances, "GENERATION_ATTEMPTS", 0)
+    with pytest.raises(ValueError, match="^generation failed$"):
+        random_four_regular(3, 0)
+    with pytest.raises(ValueError, match="^generation failed$"):
+        random_square_point(2, 1, 0)
 
 
 def test_random_four_regular_shape():

@@ -62,6 +62,12 @@ def test_matching_empty_and_odd():
         min_weight_perfect_matching([[0, 1], [1]])
 
 
+def test_matching_raises_when_the_engine_leaves_a_point_unmatched(monkeypatch):
+    monkeypatch.setattr(tjoin, "_match", lambda d: [-1] * len(d))
+    with pytest.raises(RuntimeError, match="^matching is not perfect$"):
+        min_weight_perfect_matching([[0, 1], [1, 0]])
+
+
 def test_matching_rejects_non_integer_distances():
     # truncating 0.9 and 0.1 to 0 would make every matching tie at weight 0
     d = [[0, .9, .1, .9], [.9, 0, .9, .1], [.1, .9, 0, .9], [.9, .1, .9, 0]]

@@ -651,6 +651,30 @@ def test_run_tour_builds_the_support_once(monkeypatch):
         assert sorted(calls) == ["series_reduced", "support_graph"]
 
 
+def test_run_tour_checks_costs_once_and_labels_no_node_twice(monkeypatch):
+    # square_point checks the costs, so no WeightedGraph checks them again,
+    # and the rainbow labels its parts off the reduction: the one union-find
+    # over all n nodes left is rainbow's final 1-tree check
+    sizes, checks = [], []
+    init, post_init = graphcore.DisjointSet.__init__, graphcore.WeightedGraph.__post_init__
+
+    def counting_init(self, n):
+        sizes.append(n)
+        init(self, n)
+
+    def counting_post_init(self):
+        checks.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(graphcore.DisjointSet, "__init__", counting_init)
+    monkeypatch.setattr(graphcore.WeightedGraph, "__post_init__", counting_post_init)
+    inst = make_donut(12)
+    run_tour(inst.point, inst.costs)
+    assert inst.point.n == 312
+    assert sizes.count(312) == 1
+    assert checks == []
+
+
 def test_run_tour_rejects_bad_inputs():
     x = prism_point()
     with pytest.raises(ValueError, match="not a square point"):

@@ -70,14 +70,13 @@ def test_rainbow_rejects_a_selection_that_is_not_a_one_tree(monkeypatch):
     edges of a square off node 0, a 4-cycle, and neither pick of another."""
     inst = make_donut(3)
     sp = square_point(inst.point, inst.costs)
-    ones = frozenset(e for e, k in enumerate(sp.keys) if sp.point.support[k] == 2)
-    good = treesel._cheapest_rainbow(sp, ones)
+    good = treesel._cheapest_rainbow(sp)
     full = next(sq for sq in sp.squares if all(0 not in sp.keys[e] for e in sq))
     other = next(sq for sq in sp.squares if sq != full)
     closed = (good | frozenset(full)) - frozenset(other)
     assert len(closed) == len(good)
     for bad in (frozenset(), closed):
-        monkeypatch.setattr(treesel, "_cheapest_rainbow", lambda sp, ones, bad=bad: bad)
+        monkeypatch.setattr(treesel, "_cheapest_rainbow", lambda sp, bad=bad: bad)
         with pytest.raises(RuntimeError, match="^rainbow selection is not a 1-tree$"):
             rainbow(sp)
 
@@ -153,6 +152,18 @@ def test_rainbow_trees_unchanged_on_many_ties():
     assert h.hexdigest() == "95bd4f4072cd37a9c0a0f624a7adaec89e43f2aa95463d7cbde35bf6696015b4"
 
 
+def test_rainbow_trees_unchanged_on_large_donuts():
+    # past the workloads' k <= 12, where the rainbow's rounds run long: these
+    # 36 trees take 22090 Bellman-Ford sweeps, which set 40190 edges aside
+    # for the next sweep; canonical costs, then many ties
+    h = hashlib.sha256()
+    for k in range(13, 31):
+        inst = make_donut(k)
+        for costs in (inst.costs, random_costs(inst.point, k, 0, 2)):
+            tree = rainbow(square_point(inst.point, costs))
+            h.update(repr(sorted(tree.edges)).encode())
+    assert h.hexdigest() == "db562d21f8559307d436b4017eb0b62f891491d1034f5654ed7dcb4f6dda1023"
+
 
 def relabelled(x, perm):
     """x with node v renamed perm[v]."""
@@ -215,6 +226,48 @@ def test_rainbow_matches_brute_on_relabelled_ties(case):
     for pair in sp.pair_partition:
         assert len(tree.edges & {sp.keys[e] for e in pair}) == 1
     assert one_tree_ok(x, tree.edges)
+
+
+@st.composite
+def relabelled_points(draw):
+    """A random square point, an integral cycle or a donut, its nodes
+    permuted, in half the square points and donuts with a node inside a
+    1-path moved to node 0."""
+    kind = draw(st.sampled_from(["square", "integral", "donut"]))
+    if kind == "square":
+        x = random_square_point(draw(st.integers(1, 6)), draw(st.integers(1, 4)),
+                                draw(st.integers(0, 10**6)))
+    elif kind == "integral":
+        n = draw(st.integers(3, 12))
+        x = HalfIntegerPoint(n, {edge_key(i, (i + 1) % n): 2 for i in range(n)})
+    else:
+        x = make_donut(draw(st.integers(2, 6))).point
+    perm = draw(st.permutations(range(x.n)))
+    inner = [v for v in range(x.n) if inside_one_path(x, v)]
+    if kind != "integral" and inner and draw(st.booleans()):
+        v = draw(st.sampled_from(inner))
+        j = perm.index(0)
+        perm[j], perm[v] = perm[v], 0
+    return relabelled(x, perm)
+
+
+@settings(max_examples=150)
+@given(relabelled_points())
+def test_parts_split_the_corners_as_the_one_edges_do(x):
+    # the labels read off the reduction's chains against a union-find over
+    # every 1-edge off node 0, on node 0 and every kept node
+    sp = square_point(x, dict.fromkeys(x.support, 1))
+    comp, m = treesel._parts(sp)
+    ds = DisjointSet(x.n)
+    for u, v in x.one_edges():
+        if u != 0:
+            ds.union(u, v)
+    nodes = sorted({0, *sp.reduction.kept})
+    assert sorted(comp) == nodes
+    assert all(0 <= comp[v] < m for v in nodes)
+    for a, b in combinations(nodes, 2):
+        assert (comp[a] == comp[b]) == (ds.find(a) == ds.find(b)), (a, b)
+
 
 def four_half_edge_cuts(sp):
     """Cuts made of two matching pair classes of a checked square point:
