@@ -95,7 +95,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         # some node meets no edge; checked before any n-sized structure
         raise ValueError("disconnected graph")
     g = support_graph(x)
-    wg = WeightedGraph(g, tuple(costs[k] for k in g.edges))
+    wg = WeightedGraph._checked(g, tuple(costs[k] for k in g.edges))  # parse_point checked them
     if not is_connected(g):
         raise ValueError("disconnected graph")
     if x.n > HELD_KARP_CAP:  # held_karp's own cap, checked before n searches

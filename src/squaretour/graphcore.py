@@ -331,22 +331,20 @@ def shortest_paths_from(
     n = len(nbrs)
     dist = [-1] * n
     parent = [-1] * n
-    seen = [False] * n
     pending = None if targets is None else set(targets)
     pq: list[tuple[int, int]] = [(0, source)]
     dist[source] = 0
     while pq:
         dv, v = heapq.heappop(pq)
-        if seen[v]:
+        if dv > dist[v]:  # stale: each push lowers its node's key
             continue
-        seen[v] = True
         if pending is not None:
             pending.discard(v)
             if not pending:
                 break
         for w, c, back in nbrs[v]:
             nd = dv + c
-            if not seen[w] and (dist[w] == -1 or nd < dist[w]):
+            if dist[w] == -1 or nd < dist[w]:  # never a settled w: weights are >= 0
                 dist[w] = nd
                 parent[w] = back
                 heapq.heappush(pq, (nd, w))

@@ -165,7 +165,7 @@ def validate_subtour(x: HalfIntegerPoint) -> SubtourReport:
         return SubtourReport(False, "disconnected")
     halves = [a for a, k in zip(labels, g.edges) if x.support[k] == 1]
     if 0 in labels or len(set(halves)) < len(halves):
-        weighted = WeightedGraph(g, tuple(x.support[k] for k in g.edges))
+        weighted = WeightedGraph._checked(g, tuple(x.support.values()))  # x2 by edge id
         return SubtourReport(False, "cut", weighted=weighted)
     return SubtourReport(True, support=g)
 

@@ -216,9 +216,7 @@ def brute_rainbow(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> tuple[froze
     pair_lists = [[sp.keys[e] for e in sorted(p)] for p in sp.pair_partition]
     best: tuple[int, tuple[EdgeKey, ...]] | None = None
     for choice in product(*pair_lists) if pair_lists else [()]:
-        edges = list(ones) + list(choice)
-        if len(edges) != x.n:
-            continue
+        edges = list(ones) + list(choice)  # x sums to n: 1-edges + 2 per square
         at_zero = [e for e in edges if e[0] == 0]
         if len(at_zero) != 2:
             continue

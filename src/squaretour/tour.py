@@ -142,12 +142,9 @@ def run_tour(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> TourReport:
     c_x2 = x.cost_x2(costs)
 
     f_star = rainbow(sp)
-    deg = [0] * x.n
-    for u, v in f_star.edges:
-        deg[u] += 1
-        deg[v] += 1
-    # T is kept by sp.reduction: F* holds both 1-edges at a degree-2 node
-    t_set = [v for v in range(x.n) if deg[v] % 2]
+    # T = odd(F*) is on the kept nodes: F* has both edges of a degree-2 node
+    t_set = [v for v in sp.reduction.kept
+             if sum(sp.keys[d >> 1] in f_star.edges for d in sp.graph.darts_at(v)) % 2]
     join = _t_join(sp.weighted, sp.reduction, t_set)
     j_star = {e: 1 for e in f_star.edges}
     for eid in join:

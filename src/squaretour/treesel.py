@@ -39,10 +39,7 @@ def rainbow(sp: SquarePoint) -> RainbowOneTree:
     """
     x, ends, cost = sp.point, sp.graph.edges, sp.weighted.weight
     ones = frozenset(e for e, k in enumerate(sp.keys) if x.support[k] == 2)
-    chosen = _cheapest_rainbow(sp)
-    if chosen is None:  # pragma: no cover - impossible for feasible square points
-        raise RuntimeError("square point admits no rainbow 1-tree")
-    ids = ones | chosen
+    ids = ones | _cheapest_rainbow(sp)
     ds = DisjointSet(x.n)
     if (
         len(ids) != x.n
@@ -69,10 +66,10 @@ def _parts(sp: SquarePoint) -> tuple[dict[int, int], int]:
     return comp, m
 
 
-def _cheapest_rainbow(sp: SquarePoint) -> frozenset[int] | None:
+def _cheapest_rainbow(sp: SquarePoint) -> frozenset[int]:
     """Cheapest set of one edge per matching pair of sp that, with the
-    point's 1-edges, is independent in the 1-tree matroid; None if there is
-    none.  Edges are support edge ids.
+    point's 1-edges, is independent in the 1-tree matroid; one exists by
+    lemma L1, so every round reaches a sink.  Edges are support edge ids.
 
     Weighted augmentation: the current set, cheapest for its size, grows
     along a shortest source-sink path of the exchange graph, where path
@@ -211,8 +208,8 @@ def _cheapest_rainbow(sp: SquarePoint) -> frozenset[int] | None:
             raise RuntimeError("negative cycle in exchange graph")
 
         reachable = [t for t in sinks if dist[t] is not None]
-        if not reachable:
-            return None
+        if not reachable:  # pragma: no cover - impossible for feasible square points
+            raise RuntimeError("square point admits no rainbow 1-tree")
         node = min(reachable, key=lambda t: (*dist[t], rank[t]))
         while node is not None:
             current ^= {node}

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import squaretour
 from squaretour import cli, tour
 from squaretour.cli import main
+from squaretour.graphcore import MultiGraph, WeightedGraph
 from squaretour.halfpoint import square_point
 from squaretour.instances import (
     make_donut,
@@ -159,6 +160,40 @@ def test_oracle_opt_and_size_cap(capsys, monkeypatch):
     code, out, err = run(["oracle", "opt"], capsys, monkeypatch, stdin=donut_text(12))
     assert (code, out, err) == (3, "", "error: instance too large for exact oracle\n")
     assert closures == []
+
+
+# square 0-1-2-3 with 1-paths joining adjacent corners: the cut around
+# one 1-path and its square edge has x2 = 2
+CUT_BAD = """POINT 6
+E 0 1 1 3
+E 1 2 1 3
+E 2 3 1 3
+E 0 3 1 3
+E 0 4 2 1
+E 1 4 2 1
+E 2 5 2 1
+E 3 5 2 1
+END
+"""
+
+
+def test_checked_weights_are_not_checked_again(capsys, monkeypatch):
+    # a cut report's x2 values and oracle opt's parsed costs are checked
+    # already, so neither builds its WeightedGraph by the checking constructor
+    calls = []
+
+    def counting(wg, _fn=WeightedGraph.__post_init__):
+        calls.append(wg.graph.node_count)
+        _fn(wg)
+
+    monkeypatch.setattr(WeightedGraph, "__post_init__", counting)
+    assert run(["validate"], capsys, monkeypatch, stdin=CUT_BAD) == (
+        2, "INVALID cut S={2,3,5} x2=2\n", "")
+    assert run(["oracle", "opt"], capsys, monkeypatch, stdin=CUT_BAD) == (0, "OPT=10\n", "")
+    assert run(["oracle", "opt"], capsys, monkeypatch, stdin=donut_text(2)) == (0, "OPT=14\n", "")
+    assert calls == []
+    WeightedGraph(MultiGraph(2, [(0, 1)]), (1,))  # the public constructor still checks
+    assert calls == [2]
 
 
 @pytest.mark.extended

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import random
 from itertools import combinations
 
@@ -301,6 +302,52 @@ def test_shortest_path_unreachable():
     assert parent[2] == -1
     with pytest.raises(ValueError):
         metric_closure(WeightedGraph(g, (5,)))
+
+
+def seen_list_dijkstra(wg, source, targets=None):
+    """shortest_paths_from as it was with a settled list: a popped node is
+    skipped once settled, and a settled node is never relaxed."""
+    n = wg.graph.node_count
+    dist, parent, seen = [-1] * n, [-1] * n, [False] * n
+    pending = None if targets is None else set(targets)
+    pq = [(0, source)]
+    dist[source] = 0
+    while pq:
+        dv, v = heapq.heappop(pq)
+        if seen[v]:
+            continue
+        seen[v] = True
+        if pending is not None:
+            pending.discard(v)
+            if not pending:
+                break
+        for w, c, back in wg.nbrs[v]:
+            nd = dv + c
+            if not seen[w] and (dist[w] == -1 or nd < dist[w]):
+                dist[w], parent[w] = nd, back
+                heapq.heappush(pq, (nd, w))
+    return dist, parent
+
+
+@st.composite
+def weighted_multigraphs_with_targets(draw):
+    """multigraphs_with_removed_edges' free edges with weights 0..3, so ties,
+    zero cycles and unreachable nodes all occur, and a target set per node."""
+    g, _ = draw(multigraphs_with_removed_edges())
+    weights = draw(st.lists(st.integers(0, 3), min_size=g.edge_count, max_size=g.edge_count))
+    node_sets = st.frozensets(st.integers(0, g.node_count - 1))
+    return WeightedGraph(g, weights), draw(st.lists(node_sets, min_size=g.node_count,
+                                                    max_size=g.node_count))
+
+
+@given(weighted_multigraphs_with_targets())
+def test_dijkstra_needs_no_settled_list(case):
+    # nonnegative weights: a settled node is never relaxed and only its one
+    # entry at its distance is not stale, so the same (dist, parent) result
+    wg, target_sets = case
+    for source, targets in enumerate(target_sets):
+        assert shortest_paths_from(wg, source) == seen_list_dijkstra(wg, source)
+        assert shortest_paths_from(wg, source, targets) == seen_list_dijkstra(wg, source, targets)
 
 
 def test_eulerian_circuit_canonical():

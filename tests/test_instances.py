@@ -213,6 +213,9 @@ def test_everywhere_instance_rejects_bad_graphs():
 
 
 def test_everywhere_instance_rejects_disconnected_and_bridged_graphs():
+    # no node, so vacuously cubic, but no cut to check
+    with pytest.raises(ValueError, match="^min cut needs at least 2 nodes$"):
+        everywhere_instance(MultiGraph(0, []), [])
     two_k4 = MultiGraph(8, [*k4_graph().edges, *((u + 4, v + 4) for u, v in k4_graph().edges)])
     with pytest.raises(ValueError, match="^disconnected graph$"):
         everywhere_instance(two_k4, range(8))

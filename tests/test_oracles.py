@@ -81,6 +81,8 @@ def test_held_karp_asymmetric():
 
 
 def test_held_karp_input_checks():
+    with pytest.raises(ValueError, match="^empty instance$"):
+        held_karp([])
     with pytest.raises(ValueError, match="square"):
         held_karp([[0, 1], [1]])
     with pytest.raises(ValueError, match="nonnegative"):
@@ -110,6 +112,10 @@ def test_brute_t_join_against_definition():
     assert sum(wg.weight[e] for e in join) == 1  # the chord
     with pytest.raises(ValueError, match="even"):
         brute_t_join(wg, {0})
+    # two components, one T node in each: no edge set has odd degree at both
+    split = MultiGraph(4, [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="^no T-join exists$"):
+        brute_t_join(WeightedGraph(split, [1, 1]), {0, 2})
     wide = MultiGraph(2, [(0, 1)] * (BRUTE_T_JOIN_CAP + 1))
     with pytest.raises(SizeCapError, match="brute_t_join capped"):
         brute_t_join(WeightedGraph(wide, [1] * wide.edge_count), {0, 1})
@@ -150,3 +156,5 @@ def test_brute_cuts_cap_and_small_inputs():
     )
     with pytest.raises(SizeCapError, match="brute_cuts capped"):
         brute_cuts(big)
+    with pytest.raises(ValueError, match="^need at least 2 nodes$"):
+        brute_cuts(HalfIntegerPoint(1, {}))

@@ -304,6 +304,53 @@ def test_run_tour_structural_invariants():
         assert 6 * join_cost <= sum(costs[e] * v for e, v in y.items()), seed
 
 
+@st.composite
+def relabelled_points(draw):
+    """A random square point (1-6 squares, 1-paths of length 1-4), an
+    integral cycle or a donut, its nodes relabelled by a random permutation,
+    in some draws one that puts node 0 inside a 1-path, and costs in 0..2 or
+    0..100."""
+    kind = draw(st.sampled_from(("square", "cycle", "donut")))
+    if kind == "square":
+        x = random_square_point(draw(st.integers(1, 6)), draw(st.integers(1, 4)),
+                                draw(st.integers(0, 10**6)))
+    elif kind == "cycle":
+        x = integral_cycle(draw(st.integers(3, 12)))
+    else:
+        x = make_donut(draw(st.integers(2, 4))).point
+    perm = draw(st.permutations(range(x.n)))
+    inner = [v for v in range(x.n) if inside_one_path(x, v)]
+    if inner and draw(st.booleans()):  # an inner node takes label 0
+        a, b = perm.index(0), draw(st.sampled_from(inner))
+        perm[a], perm[b] = perm[b], 0
+    x = HalfIntegerPoint(x.n, {edge_key(perm[u], perm[v]): x2 for (u, v), x2 in x.support.items()})
+    high = draw(st.sampled_from((2, 100)))
+    keys = sorted(x.support)
+    return x, dict(zip(keys, draw(st.lists(st.integers(0, high), min_size=len(keys),
+                                           max_size=len(keys)))))
+
+
+@settings(max_examples=100)
+@given(relabelled_points())
+def test_t_is_odd_f_star_and_on_the_kept_nodes(case):
+    # every non-kept node has two 1-edges, both in F*, so run_tour reads
+    # T = odd(F*) off the kept nodes alone; counted here over all n nodes
+    x, costs = case
+    sp = square_point(x, costs)
+    seen = []
+
+    def recording(wg, red, t_nodes, _fn=tour._t_join):
+        seen.append(list(t_nodes))
+        return _fn(wg, red, t_nodes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tour, "_t_join", recording)
+        run_tour(x, costs)
+    degree = Counter(v for e in rainbow(sp).edges for v in e)
+    assert seen == [[v for v in range(x.n) if degree[v] % 2]]
+    assert set(seen[0]) <= set(sp.reduction.kept)
+
+
 def assert_bound_lemmas(x, costs):
     """The lemmas the 10/7 bound rests on, and their sum: L1, 2 c(F*) <=
     c_x2, as x is a convex combination of rainbow 1-trees; L2, 6 c(join) +
