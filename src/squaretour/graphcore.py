@@ -319,7 +319,7 @@ def series_reduced(wg: WeightedGraph, keep: Iterable[int] = ()) -> Reduction:
 def shortest_paths_from(
     wg: WeightedGraph, source: int, targets: Iterable[int] | None = None
 ) -> tuple[list[int], list[int]]:
-    """Dijkstra from source.  Returns (dist, parent dart) per node.
+    """Dijkstra from source, a node.  Returns (dist, parent dart) per node.
 
     parent[v] is the dart of the edge used to enter v (-1 at the source and
     for unreachable nodes); dist is -1 for unreachable nodes.  With targets,
@@ -329,6 +329,8 @@ def shortest_paths_from(
     """
     nbrs = wg.nbrs
     n = len(nbrs)
+    if not 0 <= source < n:
+        raise ValueError(f"source node {source} out of range")
     dist = [-1] * n
     parent = [-1] * n
     pending = None if targets is None else set(targets)
@@ -378,9 +380,11 @@ def metric_closure(wg: WeightedGraph) -> list[list[int]]:
 def eulerian_circuit(g: MultiGraph, start: int = 0) -> list[int]:
     """Closed Eulerian walk as a node sequence (first == last).
 
-    Requires every degree even and all edges in one component.  The walk is
-    canonical: Hierholzer taking the lowest unused dart at every step.
+    Requires a node start, even degrees and all edges in one component.  The
+    walk is canonical: Hierholzer taking the lowest unused dart at each step.
     """
+    if not 0 <= start < g.node_count:
+        raise ValueError(f"start node {start} out of range")
     m = g.edge_count
     if m == 0:
         return [start]
@@ -412,12 +416,15 @@ def eulerian_circuit(g: MultiGraph, start: int = 0) -> list[int]:
 
 def cycles(g: MultiGraph, ids: Iterable[int]) -> list[tuple[list[int], list[int]]] | None:
     """The cycles the edge ids form, each as its edge ids in walk order and,
-    for each, the node it is left from; or None unless every node meets 0 or
-    2 of the ids (a loop meets its node twice).  The cycles come in order of
-    their lowest node, each walked from that node along its lower-id edge,
-    then out of every node along the id it was not entered by."""
+    for each, the node it is left from; or None unless every id names an
+    edge and every node meets 0 or 2 of them (a loop meets its node twice).
+    The cycles come by lowest node, each walked from it along its lower-id
+    edge, then out of every node along the id it was not entered by."""
+    ids = sorted(set(ids))
+    if ids and (ids[0] < 0 or ids[-1] >= g.edge_count):
+        return None
     at: list[list[int]] = [[] for _ in range(g.node_count)]  # each node's ids, ascending
-    for e in sorted(set(ids)):
+    for e in ids:
         for v in g.edges[e]:
             at[v].append(e)
     if not {len(pair) for pair in at} <= {0, 2}:

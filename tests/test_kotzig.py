@@ -1,4 +1,3 @@
-import hashlib
 import random
 from itertools import product
 
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import enumerate_hams, spy
 from squaretour import kotzig
 from squaretour.graphcore import DisjointSet, MultiGraph, connected_without
 from squaretour.instances import parse_bts, random_bitransition_system, serialize_bts
@@ -57,12 +57,7 @@ def test_a_bad_system_cannot_be_built():
 
 def test_a_system_is_checked_once_when_built(monkeypatch):
     calls = []
-
-    def counting(sys, _fn=kotzig.check_system):
-        calls.append(sys)
-        _fn(sys)
-
-    monkeypatch.setattr(kotzig, "check_system", counting)
+    spy(monkeypatch, [kotzig], "check_system", calls.append)
     sys = random_bitransition_system(50, 1)
     assert calls == [sys]
     find_trail(sys)
@@ -136,25 +131,6 @@ def test_find_trail_deterministic():
     assert find_trail(sys).darts == find_trail(sys).darts
 
 
-# sha256 over repr(find_trail(random_bitransition_system(n, n + 100*j)).darts),
-# j = 0..2, taken from the blow-up search that the splitting greedy replaced
-TRAIL_DIGESTS = {
-    50: "b281a14762fa7f9482400efd4e60eb8ccf6626ca99d4b9c06fbefadd35610d8d",
-    300: "01288814c51160a9a4345ba4021c4e3f637576d823b6302183984de493222fdb",
-    600: "8fcf7c79ae5b97e112260a6af5c7dc986577e78780aa479a2ebb0a1796cd2b15",
-    1200: "97d3c47ba52344ccf39a11219348907e0887f31db104f633a1d50c207a5795cf",
-    2400: "e4cc5adf0a89f854d7e8f9e246f48fd81b001631e2d9b7ebabacf20cff7cff80",
-}
-
-
-def test_trails_unchanged_at_scale():
-    for n, want in TRAIL_DIGESTS.items():
-        h = hashlib.sha256()
-        for j in range(3):
-            h.update(repr(find_trail(random_bitransition_system(n, n + 100 * j)).darts).encode())
-        assert h.hexdigest() == want, n
-
-
 def test_split_greedy_sweeps_once_per_second_pairing(monkeypatch):
     """Each sweep starts from a copy of the prefix's union-find: one per node
     that takes its second pairing, plus one unless the last node takes it.
@@ -184,16 +160,21 @@ def test_split_greedy_sweeps_once_per_second_pairing(monkeypatch):
     assert sweeps == [3, 2, 3, 3, 5, 2, 5, 3, 3, 3, 3]
 
 
+def blown_up(sys):
+    """The square graph of sys, each forbidden pairing on opposite corners."""
+    position = {}
+    for (a, b), (c, d) in sys.forbidden:
+        position.update({a: 0, b: 2, c: 1, d: 3})
+    return blow_up(sys.graph, position)
+
+
 def blow_up_trail(sys):
     """The trail of the minimum-cost HAM greedy on the blown-up square graph
     at unit costs: squares in index order, each keeping its (0, 2) matching
     while the whole graph stays connected, and the Hamiltonian cycle walked
     from dart 0's corner along edge 0."""
     g = sys.graph
-    position = {}
-    for (a, b), (c, d) in sys.forbidden:
-        position.update({a: 0, b: 2, c: 1, d: 3})
-    sg, corner = blow_up(g, position)
+    sg, corner = blown_up(sys)
     removed = set()
     for si in range(len(sg.squares)):
         m1, m2 = sg.square_matchings(si)
@@ -298,33 +279,12 @@ def trail_count_by_transitions(sys):
     return count
 
 
-def ham_count_in_blow_up(sys):
-    g = sys.graph
-    position = {}
-    for v in range(g.node_count):
-        (a, b), (c, d) = sys.forbidden[v]
-        position[a] = 0
-        position[b] = 2
-        position[c] = 1
-        position[d] = 3
-    sg, _ = blow_up(g, position)
-    count = 0
-    for choice in product((0, 1), repeat=len(sg.squares)):
-        removed = set()
-        for si, pick in enumerate(choice):
-            m1, m2 = sg.square_matchings(si)
-            removed |= m2 if pick == 0 else m1
-        if connected_without(sg.graph, frozenset(removed)):
-            count += 1
-    return count
-
-
 def test_blow_up_bijection_with_admissible_trails():
     for seed in range(50):
         rng = random.Random(seed)
         n = rng.randint(1, 5)
         sys = random_bitransition_system(n, 7000 + seed)
         a = trail_count_by_transitions(sys)
-        b = ham_count_in_blow_up(sys)
+        b = len(enumerate_hams(blown_up(sys)[0]))
         assert a == b, (seed, n, a, b)
         assert a >= 1, seed  # an admissible trail always exists

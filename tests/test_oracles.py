@@ -3,9 +3,10 @@ from itertools import permutations
 
 import pytest
 
+from helpers import integral_cycle
 from squaretour import SizeCapError
 from squaretour.graphcore import MultiGraph, WeightedGraph, global_min_cut
-from squaretour.halfpoint import HalfIntegerPoint, contract, edge_key, square_point
+from squaretour.halfpoint import HalfIntegerPoint, contract, square_point
 from squaretour.instances import make_donut, random_square_graph, random_square_point
 from squaretour.oracles import (
     BRUTE_CUTS_CAP,
@@ -149,12 +150,7 @@ def test_brute_cuts_matches_stoer_wagner():
 
 
 def test_brute_cuts_cap_and_small_inputs():
-    big = HalfIntegerPoint(
-        BRUTE_CUTS_CAP + 2,
-        {edge_key(i, (i + 1) % (BRUTE_CUTS_CAP + 2)): 2
-         for i in range(BRUTE_CUTS_CAP + 2)},
-    )
     with pytest.raises(SizeCapError, match="brute_cuts capped"):
-        brute_cuts(big)
+        brute_cuts(integral_cycle(BRUTE_CUTS_CAP + 2))
     with pytest.raises(ValueError, match="^need at least 2 nodes$"):
         brute_cuts(HalfIntegerPoint(1, {}))

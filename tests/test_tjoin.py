@@ -1,8 +1,6 @@
-import hashlib
 import inspect
 import random
 import sys
-from collections import Counter
 from itertools import combinations
 
 import networkx as nx
@@ -10,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_chained_multigraph, spy
 from squaretour import tjoin
-from squaretour.graphcore import MultiGraph, WeightedGraph, series_reduced, shortest_paths_from
-from squaretour.halfpoint import square_point
-from squaretour.instances import make_donut, random_costs, random_square_point
+from squaretour.graphcore import MultiGraph, WeightedGraph, series_reduced
+from squaretour.instances import make_donut
 from squaretour.oracles import brute_t_join, dense_t_join
 from squaretour.tjoin import _t_join, min_t_join, min_weight_perfect_matching
 from squaretour.tour import run_tour
-from squaretour.treesel import rainbow
 
 
 def random_connected_weighted(rng, n, extra, hi=9):
@@ -129,47 +126,6 @@ def test_matching_stays_perfect_when_nested_edges_tie():
          [4, 5, 1, 0, 4, 2, 4, 3], [2, 1, 3, 4, 0, 2, 0, 3], [4, 3, 1, 2, 2, 0, 2, 5],
          [2, 1, 3, 4, 0, 2, 0, 3], [1, 2, 4, 3, 3, 5, 3, 0]]
     assert checked_matching_weight(d) == brute_matching_weight(d) == 5
-
-
-def tie_matrices(seeds):
-    """Tie-heavy costs 0..2 on up to 16 points, every tenth matrix on up to 64."""
-    for seed in seeds:
-        rng = random.Random(seed)
-        p = 2 * rng.randint(1, 32 if seed % 10 == 0 else 8)
-        yield [[rng.randint(0, 2) for _ in range(p)] for _ in range(p)]
-
-
-def t_distance_matrix(x, costs):
-    """The distances between the T nodes that run_tour matches on x: the
-    odd-degree nodes of its rainbow 1-tree."""
-    sp = square_point(x, costs)
-    deg = Counter(v for e in rainbow(sp).edges for v in e)
-    t = sorted(v for v in deg if deg[v] % 2)
-    rows = [shortest_paths_from(sp.weighted, a, t)[0] for a in t]
-    return [[row[b] for b in t] for row in rows]
-
-
-def mates_digest(matrices):
-    """sha256 over _match's mates, not only the weight, on each matrix."""
-    h = hashlib.sha256()
-    for d in matrices:
-        h.update(repr(tjoin._match(d)).encode())
-    return h.hexdigest()
-
-
-def test_matching_mates_are_pinned():
-    # ties; d(i, j) = i + j, whose blossoms nest; and the T-distance
-    # matrices of ladder points at s=64 and s=128, as the blossom walks
-    # chose their mates
-    ladder = [random_square_point(s, 1, 0) for s in (64, 128)]
-    matrices = [*tie_matrices(range(2000)), [[i + j for j in range(64)] for i in range(64)],
-                *(t_distance_matrix(x, random_costs(x, 0)) for x in ladder)]
-    assert mates_digest(matrices) == "f3cd3453ec47fce360e0f225eb446eaac3b5bba1ee3631a12050b5858f531c71"
-
-
-@pytest.mark.extended
-def test_matching_mates_are_pinned_extended():
-    assert mates_digest(tie_matrices(range(2000, 12000))) == "28bae4dfbfe97b754139b36a922b67910043bb5caec3a3db88c0d16364a8f10c"
 
 
 def test_matching_nests_deeper_than_the_recursion_limit():
@@ -289,43 +245,6 @@ def test_t_join_matches_brute_force():
         assert join_weight(wg, join) == join_weight(wg, brute), seed
 
 
-def random_chained_multigraph(rng):
-    """A connected multigraph whose core (a random tree plus random extra
-    edges, loops and parallel edges among them) has every edge subdivided
-    into a chain of 1..4 edges, with weights 0..5, shuffled node labels and
-    edge order, and an even T drawn from all nodes, chain interiors
-    (degree 2) included."""
-    core = rng.randint(1, 6)
-    pairs = [(rng.randrange(v), v) for v in range(1, core)]
-    pairs += [(rng.randrange(core), rng.randrange(core)) for _ in range(rng.randint(0, 6))]
-    n = core
-    edges = []
-    for u, v in pairs:
-        length = rng.randint(1, 4)
-        nodes = [u, *range(n, n + length - 1), v]
-        n += length - 1
-        edges += zip(nodes, nodes[1:])
-    label = list(range(n))
-    rng.shuffle(label)
-    edges = [(label[u], label[v]) for u, v in edges]
-    rng.shuffle(edges)
-    wg = WeightedGraph(MultiGraph(n, edges), [rng.randint(0, 5) for _ in edges])
-    return wg, rng.sample(range(n), 2 * rng.randint(0, n // 2))
-
-
-def t_join_digest(seeds):
-    h = hashlib.sha256()
-    for seed in seeds:
-        wg, t_nodes = random_chained_multigraph(random.Random(seed))
-        h.update(f"{sorted(min_t_join(wg, t_nodes))}\n".encode())
-    return h.hexdigest()
-
-
-def test_t_join_edge_sets_are_pinned():
-    # the edge sets, not only their weights: with weights 0..5 ties abound
-    assert t_join_digest(range(1000)) == "0878140dabf10bed5408253b4b83fee05d45899874cb5923426347d354b42d7d"
-
-
 @pytest.mark.extended
 def test_t_join_on_a_star_of_2200_leaves():
     # every leaf is a T node, so the join is every edge; d(i, j) = i + j
@@ -334,11 +253,6 @@ def test_t_join_on_a_star_of_2200_leaves():
     join = min_t_join(wg, range(1, 2201))
     assert join == frozenset(range(2200))
     assert sum(wg.weight[e] for e in join) == sum(range(2200))
-
-
-@pytest.mark.extended
-def test_t_join_edge_sets_are_pinned_extended():
-    assert t_join_digest(range(1000, 6000)) == "902b81ccb48865af6a546ddca859382f5c153af6f34a704c7b63a6125367f90e"
 
 
 @settings(max_examples=100)
@@ -362,11 +276,10 @@ def test_donut_t_join_searches_the_reduction(monkeypatch):
     # k=12: 312 support nodes, 48 square corners, |T| = 24
     searches = []
 
-    def recording(wg, source, targets=None, _fn=tjoin.shortest_paths_from):
+    def record(wg, source, targets=None):
         searches.append((wg.graph.node_count, None if targets is None else len(targets)))
-        return _fn(wg, source, targets)
 
-    monkeypatch.setattr(tjoin, "shortest_paths_from", recording)
+    spy(monkeypatch, [tjoin], "shortest_paths_from", record)
     inst = make_donut(12)
     run_tour(inst.point, inst.costs)
     assert sorted(searches) == [(48, t) for t in range(1, 24)] + [(312, 1)] * 12

@@ -1,7 +1,5 @@
-import hashlib
 import random
 from collections import Counter
-from itertools import combinations
 
 import networkx as nx
 import numpy as np
@@ -9,10 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import (
+    four_half_edge_cuts,
+    ham_digest_points,
+    inside_one_path,
+    integral_cycle,
+    k4_graph,
+    ladder_points,
+    prism_graph,
+    relabelled,
+    single_square_point,
+    single_square_point_adjacent_paths,
+    spy,
+    tour_report_cases,
+)
 from squaretour import deltamatroid, graphcore, halfpoint, tjoin, tour
 from squaretour.deltamatroid import HamCycle, ham_min_cost
 from squaretour.graphcore import (
-    DisjointSet,
     MultiGraph,
     WeightedGraph,
     hamiltonian_order,
@@ -31,28 +42,8 @@ from squaretour.tour import compute_y, hamiltonian, run_tour
 from squaretour.treesel import RainbowOneTree, rainbow
 
 
-def integral_cycle(n):
-    return HalfIntegerPoint(n, {edge_key(i, (i + 1) % n): 2 for i in range(n)})
-
-
-def single_square_point():
-    support = {
-        (0, 1): 1,
-        (1, 2): 1,
-        (2, 3): 1,
-        (0, 3): 1,
-        (0, 4): 2,
-        (2, 4): 2,
-        (1, 5): 2,
-        (3, 5): 2,
-    }
-    return HalfIntegerPoint(6, support)
-
-
 def prism_point():
-    g = MultiGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
-                       (0, 3), (1, 4), (2, 5)])
-    return everywhere_instance(g, {0, 7, 3, 5, 8, 2})
+    return everywhere_instance(prism_graph(), {0, 7, 3, 5, 8, 2})
 
 
 ONE_EDGES = frozenset({(0, 4), (2, 4), (1, 5), (3, 5)})
@@ -113,64 +104,6 @@ def test_ham_rejects_bad_inputs():
         hamiltonian(square_point(x, costs))
 
 
-# sha256 of the HAM orders below, taken by running the same code at a commit
-# whose cycles are trusted: per square count over path lengths 1..3 and costs
-# in 0..100 and in 0..2 (many equal matching costs), and over donuts k=2..12
-HAM_DIGESTS = {
-    8: "2d06232aed0f918eb58c90fd55e00e3d944d3036ea3045738531163cf7794551",
-    16: "b77da03d53e60b1d04f7bbd03af7430c52543abc9394448705fcce9ed0d05d00",
-    24: "fffde3a43c9eb478364c7ecb06ccbcbd5bcab5f06a59a911ae237b10925c198f",
-    32: "e4af4bee2f34bbbb51490aff4d3729a539433414ea92ed1ef9e4a5764aab156e",
-    "donut": "e99edb258d2ce03d1407f284bbd31f5d53878910d6a4354df6b080c7f8512ed0",
-}
-
-
-def ham_digest_points(s):
-    """The points and costs behind HAM_DIGESTS[s], in digest order."""
-    if s == "donut":
-        for k in range(2, 13):
-            inst = make_donut(k)
-            yield inst.point, inst.costs
-        return
-    for length in (1, 2, 3):
-        x = random_square_point(s, length, s + 100 * length)
-        for high in (100, 2):
-            yield x, random_costs(x, s + 100 * length, 0, high)
-
-
-def test_hamiltonian_cycles_unchanged_at_scale():
-    # past brute_ham's cap: the cycles themselves are pinned, ties included
-    for s, want in HAM_DIGESTS.items():
-        h = hashlib.sha256()
-        for x, costs in ham_digest_points(s):
-            h.update(repr(hamiltonian(square_point(x, costs)).order).encode())
-        assert h.hexdigest() == want, s
-
-
-# the same, on ladder points with 1-paths of length 1 and s up to 256 squares
-LADDER_HAM_DIGESTS = {
-    128: "ee3d47c734ad7781977ed9209d7681c90ca7541cfbe281788323db02d95676aa",
-    256: "b3253868b3cb61e8eefacdd3a62e70b8eaa0be4735d28ba61077868bdc5518d0",
-}
-
-
-def ladder_points(s):
-    """The points and costs behind LADDER_HAM_DIGESTS[s], in digest order."""
-    for seed in range(3):
-        x = random_square_point(s, 1, seed)
-        for high in (2, 100):
-            yield x, random_costs(x, seed, 0, high)
-
-
-@pytest.mark.extended
-def test_hamiltonian_cycles_unchanged_on_large_ladder_points():
-    for s, want in LADDER_HAM_DIGESTS.items():
-        h = hashlib.sha256()
-        for x, costs in ladder_points(s):
-            h.update(repr(hamiltonian(square_point(x, costs)).order).encode())
-        assert h.hexdigest() == want, s
-
-
 def assert_ham_certified(points):
     for x, costs in points:
         sg, cost = contract(square_point(x, costs))
@@ -179,7 +112,7 @@ def assert_ham_certified(points):
 
 def test_check_ham_certifies_pinned_cycles():
     # past brute_ham's cap, by one- and two-square exchanges
-    for s in HAM_DIGESTS:
+    for s in (8, 16, 24, 32, "donut"):
         assert_ham_certified(ham_digest_points(s))
     assert_ham_certified(ladder_points(128))
 
@@ -190,8 +123,7 @@ def test_check_ham_certifies_pinned_cycles_extended():
 
 
 def k4_point():
-    g = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)])
-    return everywhere_instance(g, {0, 1, 2, 3})
+    return everywhere_instance(k4_graph(), {0, 1, 2, 3})
 
 
 def test_compute_y_covers_all_four_values():
@@ -305,7 +237,7 @@ def test_run_tour_structural_invariants():
 
 
 @st.composite
-def relabelled_points(draw):
+def relabelled_points_with_costs(draw):
     """A random square point (1-6 squares, 1-paths of length 1-4), an
     integral cycle or a donut, its nodes relabelled by a random permutation,
     in some draws one that puts node 0 inside a 1-path, and costs in 0..2 or
@@ -323,7 +255,7 @@ def relabelled_points(draw):
     if inner and draw(st.booleans()):  # an inner node takes label 0
         a, b = perm.index(0), draw(st.sampled_from(inner))
         perm[a], perm[b] = perm[b], 0
-    x = HalfIntegerPoint(x.n, {edge_key(perm[u], perm[v]): x2 for (u, v), x2 in x.support.items()})
+    x = relabelled(x, perm)
     high = draw(st.sampled_from((2, 100)))
     keys = sorted(x.support)
     return x, dict(zip(keys, draw(st.lists(st.integers(0, high), min_size=len(keys),
@@ -331,20 +263,15 @@ def relabelled_points(draw):
 
 
 @settings(max_examples=100)
-@given(relabelled_points())
+@given(relabelled_points_with_costs())
 def test_t_is_odd_f_star_and_on_the_kept_nodes(case):
     # every non-kept node has two 1-edges, both in F*, so run_tour reads
     # T = odd(F*) off the kept nodes alone; counted here over all n nodes
     x, costs = case
     sp = square_point(x, costs)
     seen = []
-
-    def recording(wg, red, t_nodes, _fn=tour._t_join):
-        seen.append(list(t_nodes))
-        return _fn(wg, red, t_nodes)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tour, "_t_join", recording)
+        spy(mp, [tour], "_t_join", lambda wg, red, t_nodes: seen.append(list(t_nodes)))
         run_tour(x, costs)
     degree = Counter(v for e in rainbow(sp).edges for v in e)
     assert seen == [[v for v in range(x.n) if degree[v] % 2]]
@@ -459,11 +386,6 @@ def closure_price(sp, order):
     return sum(dist[u][v] for u, v in zip(order, order[1:] + order[:1]))
 
 
-def inside_one_path(x, v):
-    """Whether v lies inside a 1-path: both of its support edges are 1-edges."""
-    return sum(1 for e in x.one_edges() if v in e) == 2
-
-
 @st.composite
 def priced_orders(draw):
     """A random square point with 1-6 squares and 1-paths of length 1-5, in
@@ -534,12 +456,7 @@ def test_integral_point_prices_the_shorter_arc():
 
 def test_shortcut_searches_only_the_reduction(monkeypatch):
     calls = []
-
-    def recording(wg, *args, _fn=tour.shortest_paths_from):
-        calls.append(wg.graph.node_count)
-        return _fn(wg, *args)
-
-    monkeypatch.setattr(tour, "shortest_paths_from", recording)
+    spy(monkeypatch, [tour], "shortest_paths_from", lambda wg, *args: calls.append(wg.graph.node_count))
     inst = make_donut(12)
     run_tour(inst.point, inst.costs)
     # the 48 square corners; the 264 nodes inside 1-paths are priced by
@@ -582,11 +499,8 @@ def test_run_tour_invariant_under_cost_scaling(s, length, seed, high, k):
 def test_run_tour_validates_once(monkeypatch):
     calls = []
     for name in ("cut_labels", "global_min_cut"):
-        def recording(g, _name=name, _fn=getattr(halfpoint, name)):
-            calls.append((_name, getattr(g, "graph", g).node_count))
-            return _fn(g)
-
-        monkeypatch.setattr(halfpoint, name, recording)
+        spy(monkeypatch, [halfpoint], name,
+            lambda g, name=name: calls.append((name, getattr(g, "graph", g).node_count)))
     inst = make_donut(3)
     x = random_square_point(3, 2, 11)
     for point, costs in ((inst.point, inst.costs), (x, random_costs(x, 11))):
@@ -595,8 +509,7 @@ def test_run_tour_validates_once(monkeypatch):
         assert calls == [("cut_labels", point.n)]
     # square 0-1-2-3 with 1-paths joining adjacent corners: a cut of x2 = 2,
     # cut once on the full support for the witness
-    y = HalfIntegerPoint(6, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1,
-                             (0, 4): 2, (1, 4): 2, (2, 5): 2, (3, 5): 2})
+    y = single_square_point_adjacent_paths()
     calls.clear()
     with pytest.raises(ValueError, match="not a feasible point: cut"):
         run_tour(y, dict.fromkeys(y.support, 1))
@@ -607,12 +520,7 @@ def test_run_tour_skips_the_square_graph_check(monkeypatch):
     # contract builds the square graph from a checked point, so it is not
     # checked again; test_contract_builds_square_graphs backs that up
     calls = []
-
-    def recording(sg, _fn=deltamatroid.check_square_graph):
-        calls.append(sg)
-        return _fn(sg)
-
-    monkeypatch.setattr(deltamatroid, "check_square_graph", recording)
+    spy(monkeypatch, [deltamatroid], "check_square_graph", calls.append)
     inst = make_donut(3)
     x = random_square_point(5, 2, 3)
     for point, costs in ((inst.point, inst.costs), (x, random_costs(x, 3))):
@@ -683,13 +591,8 @@ def test_hamiltonian_and_ham_min_cost_return_one_ham_cycle_type():
 def test_run_tour_builds_the_support_once(monkeypatch):
     # the T-join reuses the point's series reduction instead of its own
     calls = []
-    for module, name in ((halfpoint, "support_graph"), (halfpoint, "series_reduced"),
-                         (tjoin, "series_reduced")):
-        def counting(*args, _name=name, _fn=getattr(module, name)):
-            calls.append(_name)
-            return _fn(*args)
-
-        monkeypatch.setattr(module, name, counting)
+    for owners, name in (([halfpoint], "support_graph"), ([halfpoint, tjoin], "series_reduced")):
+        spy(monkeypatch, owners, name, lambda *args, name=name: calls.append(name))
     inst = make_donut(12)
     x = random_square_point(16, 1, 16)
     for point, costs in ((inst.point, inst.costs), (x, random_costs(x, 16))):
@@ -703,23 +606,32 @@ def test_run_tour_checks_costs_once_and_labels_no_node_twice(monkeypatch):
     # and the rainbow labels its parts off the reduction: the one union-find
     # over all n nodes left is rainbow's final 1-tree check
     sizes, checks = [], []
-    init, post_init = graphcore.DisjointSet.__init__, graphcore.WeightedGraph.__post_init__
-
-    def counting_init(self, n):
-        sizes.append(n)
-        init(self, n)
-
-    def counting_post_init(self):
-        checks.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(graphcore.DisjointSet, "__init__", counting_init)
-    monkeypatch.setattr(graphcore.WeightedGraph, "__post_init__", counting_post_init)
+    spy(monkeypatch, [graphcore.DisjointSet], "__init__", lambda self, n: sizes.append(n))
+    spy(monkeypatch, [graphcore.WeightedGraph], "__post_init__", checks.append)
     inst = make_donut(12)
     run_tour(inst.point, inst.costs)
     assert inst.point.n == 312
     assert sizes.count(312) == 1
     assert checks == []
+
+
+def test_run_tour_reads_each_cost_once():
+    # square_point checks each cost and keeps it as an int, and c_x2 is
+    # summed from those, not read again from the caller's dict
+    reads = []
+
+    class Counted(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+        def __getitem__(self, key):
+            reads.append(key)
+            return super().__getitem__(key)
+
+    inst = make_donut(3)
+    assert run_tour(inst.point, Counted(inst.costs)) == run_tour(inst.point, inst.costs)
+    assert sorted(reads) == sorted(inst.costs) and len(reads) == 30
 
 
 def test_run_tour_rejects_bad_inputs():
@@ -787,79 +699,12 @@ def test_claim_case_two_on_pair_class_cuts():
         sp = square_point(x, costs)
         ham = hamiltonian(sp)
         f_star = rainbow(sp)
-        for pa, pb in combinations(sp.pair_partition, 2):
-            union = {sp.keys[e] for e in pa | pb}
-            ds = DisjointSet(x.n)
-            for u, v in x.support:
-                if (u, v) not in union:
-                    ds.union(u, v)
-            if len({ds.find(v) for v in range(x.n)}) != 2:
-                continue
-            if any(ds.find(u) == ds.find(v) for u, v in union):
-                continue
+        for union in four_half_edge_cuts(sp):
             # a genuine four-half-edge cut: x(C) = 2, so Case 2 needs parity
             if len(ham.edges & union) == 4:
                 case_two_seen += 1
                 assert len(f_star.edges & union) % 2 == 0, seed
     assert case_two_seen > 0
-
-
-def tour_report_cases(square_seeds):
-    """Donuts k=2..12 with their own costs and with costs 0..2, and random
-    square points with 1-12 squares, 1-paths of length 1-5 and costs 0..2."""
-    cases = []
-    for k in range(2, 13):
-        inst = make_donut(k)
-        cases += [(inst.point, inst.costs), (inst.point, random_costs(inst.point, k, 0, 2))]
-    for seed in square_seeds:
-        rng = random.Random(seed)
-        x = random_square_point(rng.randint(1, 12), rng.randint(1, 5), rng)
-        cases.append((x, random_costs(x, rng, 0, 2)))
-    return cases
-
-
-def tour_reports_digest(square_seeds):
-    """sha256 over run_tour's j_star, final_cycle and final_cost on the
-    tour_report_cases."""
-    h = hashlib.sha256()
-    for x, costs in tour_report_cases(square_seeds):
-        r = run_tour(x, costs)
-        h.update(f"{sorted(r.j_star.items())} {r.final_cycle} {r.final_cost}\n".encode())
-    return h.hexdigest()
-
-
-def test_tour_reports_are_pinned():
-    # ties among equal T-joins, 1-trees and shortcuts abound at costs 0..2
-    assert tour_reports_digest(range(150)) == "8e20df12c6f74e7726bde4087af7a3255a4d7ea72740ccedfb210fb6f36710d3"
-
-
-@pytest.mark.extended
-def test_tour_reports_are_pinned_extended():
-    assert tour_reports_digest(range(150, 900)) == "262af1155ed667a1dd5c8888542342ab7226df5c05a3ed526aed0453b8a07193"
-
-
-def scale_reports_digest(cases):
-    """sha256 over run_tour's j_star, final_cycle, final_cost and HAM order
-    on random_square_point(s, 1, seed) with costs 0..high."""
-    h = hashlib.sha256()
-    for s, seed, high in cases:
-        x = random_square_point(s, 1, seed)
-        r = run_tour(x, random_costs(x, seed, 0, high))
-        h.update(f"{sorted(r.j_star.items())} {r.final_cycle} {r.final_cost} {r.hamiltonian.order}\n".encode())
-    return h.hexdigest()
-
-
-def test_tour_reports_are_pinned_at_scale():
-    # the sizes where the matching and the rainbow take most of the time,
-    # with the ties of costs 0..2 among them
-    cases = [(64, 0, 100), (64, 1, 100), (64, 0, 2), (64, 1, 2), (128, 0, 2)]
-    assert scale_reports_digest(cases) == "61996636bdbae69a3df4892ea16d4c59f37a06b6bf8930fc6c36a684d05c0841"
-
-
-@pytest.mark.extended
-def test_tour_reports_are_pinned_at_scale_extended():
-    cases = [(256, 0, 100), (256, 1, 100), (256, 0, 2), (256, 1, 2)]
-    assert scale_reports_digest(cases) == "bff5d3d774626c2d09f80b3581381320da221d001344d33ed979a257a6519328"
 
 
 def test_final_cycle_is_the_ham_order_when_h_is_chosen():
