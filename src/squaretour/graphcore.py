@@ -334,6 +334,9 @@ def shortest_paths_from(
     dist = [-1] * n
     parent = [-1] * n
     pending = None if targets is None else set(targets)
+    for t in (min(pending), max(pending)) if pending else ():
+        if not 0 <= t < n:
+            raise ValueError(f"target node {t} out of range")
     pq: list[tuple[int, int]] = [(0, source)]
     dist[source] = 0
     while pq:
@@ -355,6 +358,8 @@ def shortest_paths_from(
 
 def path_edges_to(parent: list[int], g: MultiGraph, target: int) -> list[int]:
     """Edge ids of the shortest path tree branch ending at target."""
+    if not 0 <= target < len(parent):
+        raise ValueError(f"target node {target} out of range")
     out = []
     v = target
     while parent[v] != -1:

@@ -163,7 +163,7 @@ def validate_subtour(x: HalfIntegerPoint) -> SubtourReport:
     labels = cut_labels(g)
     if labels is None:
         return SubtourReport(False, "disconnected")
-    halves = [a for a, k in zip(labels, g.edges) if x.support[k] == 1]
+    halves = [a for a, x2 in zip(labels, x.support.values()) if x2 == 1]
     if 0 in labels or len(set(halves)) < len(halves):
         weighted = WeightedGraph._checked(g, tuple(x.support.values()))  # x2 by edge id
         return SubtourReport(False, "cut", weighted=weighted)
@@ -193,7 +193,7 @@ def _checked(x: HalfIntegerPoint) -> tuple[SubtourReport, PointClass | None, lis
     if not report:
         return report, None, None
     g = report.support
-    half = cycles(g, [e for e, k in enumerate(g.edges) if x.support[k] == 1])
+    half = cycles(g, [e for e, x2 in enumerate(x.support.values()) if x2 == 1])
     cls = PointClass.OTHER_HALF_INTEGER
     if half is not None:
         if all(len(edges) == 4 for edges, _ in half):

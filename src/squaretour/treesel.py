@@ -38,7 +38,7 @@ def rainbow(sp: SquarePoint) -> RainbowOneTree:
     integral point has none, and its tree is its 1-edge cycle.
     """
     x, ends, cost = sp.point, sp.graph.edges, sp.weighted.weight
-    ones = frozenset(e for e, k in enumerate(sp.keys) if x.support[k] == 2)
+    ones = frozenset(e for e, x2 in enumerate(x.support.values()) if x2 == 2)
     ids = ones | _cheapest_rainbow(sp)
     ds = DisjointSet(x.n)
     if (

@@ -24,6 +24,7 @@ from squaretour.graphcore import (
 )
 from squaretour.halfpoint import HalfIntegerPoint, edge_key, square_point
 from squaretour.instances import make_donut, random_costs, random_four_regular, random_square_point
+from squaretour.instances import serialize_point
 from squaretour.treesel import rainbow
 
 # square 0-1-2-3 with 1-paths joining adjacent corners: the cut around one
@@ -75,6 +76,11 @@ def prism_graph():
 
 def k33_graph():
     return MultiGraph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+
+
+def donut_text(k):
+    inst = make_donut(k)
+    return serialize_point(inst.point, inst.costs)
 
 
 def relabelled(x, perm):

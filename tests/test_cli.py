@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squaretour
-from helpers import CUT_BAD, run_cli, spy
+from helpers import donut_text, run_cli
 from squaretour import cli, tour
 from squaretour.cli import main
-from squaretour.graphcore import MultiGraph, WeightedGraph
 from squaretour.halfpoint import square_point
 from squaretour.instances import (
     make_donut,
@@ -62,11 +61,6 @@ E 1 0 0
 F 0 0.0 0.1 1.0 1.1
 END
 """
-
-
-def donut_text(k):
-    inst = make_donut(k)
-    return serialize_point(inst.point, inst.costs)
 
 
 def test_donut_then_tour_pipe():
@@ -152,19 +146,6 @@ def test_oracle_opt_and_size_cap(monkeypatch):
     code, out, err = run_cli(["oracle", "opt"], donut_text(12))
     assert (code, out, err) == (3, "", "error: instance too large for exact oracle\n")
     assert closures == []
-
-
-def test_checked_weights_are_not_checked_again(monkeypatch):
-    # a cut report's x2 values and oracle opt's parsed costs are checked
-    # already, so neither builds its WeightedGraph by the checking constructor
-    calls = []
-    spy(monkeypatch, [WeightedGraph], "__post_init__", lambda wg: calls.append(wg.graph.node_count))
-    assert run_cli(["validate"], CUT_BAD) == (2, "INVALID cut S={2,3,5} x2=2\n", "")
-    assert run_cli(["oracle", "opt"], CUT_BAD) == (0, "OPT=10\n", "")
-    assert run_cli(["oracle", "opt"], donut_text(2)) == (0, "OPT=14\n", "")
-    assert calls == []
-    WeightedGraph(MultiGraph(2, [(0, 1)]), (1,))  # the public constructor still checks
-    assert calls == [2]
 
 
 @pytest.mark.extended

@@ -360,11 +360,18 @@ def test_walkers_refuse_ids_out_of_range():
     g = MultiGraph(3, [(0, 1), (1, 2), (0, 2)])
     for ids in ([0, 1, -1], [0, 1, 3], [-1], [3]):
         assert cycles(g, ids) is None and hamiltonian_order(g, ids) is None, ids
+    wg = WeightedGraph(g, (1, 1, 1))
     for bad in (-1, 3):
         with pytest.raises(ValueError, match=f"^start node {bad} out of range$"):
             eulerian_circuit(g, bad)
         with pytest.raises(ValueError, match=f"^source node {bad} out of range$"):
-            shortest_paths_from(WeightedGraph(g, (1, 1, 1)), bad)
+            shortest_paths_from(wg, bad)
+        with pytest.raises(ValueError, match=f"^target node {bad} out of range$"):
+            path_edges_to(shortest_paths_from(wg, 0)[1], g, bad)
+    # a target out of range is never settled, so the search would run in full
+    for targets, bad in (([5], 5), ([-1], -1), ([1, 3], 3), ([-1, 2], -1)):
+        with pytest.raises(ValueError, match=f"^target node {bad} out of range$"):
+            shortest_paths_from(wg, 0, targets)
     with pytest.raises(ValueError, match="^start node 3 out of range$"):
         eulerian_circuit(MultiGraph(3, []), 3)  # before the empty walk
 

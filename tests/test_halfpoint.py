@@ -10,11 +10,9 @@ from helpers import (
     integral_cycle,
     single_square_point,
     single_square_point_adjacent_paths,
-    spy,
     swap_pairs,
     unit_square_point,
 )
-from squaretour import graphcore, halfpoint
 from squaretour.graphcore import (
     DisjointSet,
     WeightedGraph,
@@ -141,36 +139,6 @@ def test_min_cut_brute_equality_on_invalid_point():
     assert val == rep.cut_value_x2 == 2
 
 
-def test_min_cut_runs_only_for_witnesses(monkeypatch):
-    sizes = []
-    spy(monkeypatch, [halfpoint], "global_min_cut", lambda wg: sizes.append(wg.graph.node_count))
-    # cut labels alone decide a feasible point, with or without 1-paths
-    assert validate_subtour(make_donut(12).point)
-    assert validate_subtour(random_square_point(3, 1, 5))
-    assert sizes == []
-    # a violated cut is cut once, on the full support, when its witness is read
-    rep = validate_subtour(single_square_point_adjacent_paths())
-    assert not rep and sizes == []
-    assert rep.witness() == rep.witness() and sizes == [6]
-
-
-def test_validate_walks_the_support_once(monkeypatch):
-    # cut_labels' spanning tree also decides connectivity, so neither
-    # is_connected nor connected_without, which it searches through, runs
-    calls = []
-    for owners, name in (([halfpoint], "cut_labels"), ([graphcore, halfpoint], "is_connected"),
-                         ([graphcore], "connected_without")):
-        spy(monkeypatch, owners, name, lambda *args, name=name: calls.append(name))
-    triangles = {(0, 1): 2, (1, 2): 2, (0, 2): 2, (3, 4): 2, (4, 5): 2, (3, 5): 2}
-    for x in (make_donut(3).point, random_square_point(3, 2, 11), integral_cycle(5)):
-        calls.clear()
-        assert validate_subtour(x)
-        assert calls == ["cut_labels"]
-    calls.clear()
-    assert validate_subtour(HalfIntegerPoint(6, triangles)).witness() == "support disconnected"
-    assert calls == ["cut_labels"]
-
-
 @st.composite
 def perturbed_square_points(draw):
     """A small random square point, then one to three edge swaps."""
@@ -295,16 +263,7 @@ def test_validate_decides_like_the_full_min_cut():
 @settings(max_examples=150)
 @given(perturbed_square_points())
 def test_validate_agrees_with_brute_cuts_on_perturbed_points(x):
-    val, _ = brute_cuts(x)
-    rep = validate_subtour(x)
-    assert bool(rep) == (val >= 4)
-    if rep.reason == "cut":
-        assert rep.cut_value_x2 == val
-        side = rep.cut_side
-        crossing = sum(x2 for (u, v), x2 in x.support.items() if (u in side) != (v in side))
-        assert crossing == rep.cut_value_x2
-    elif not rep:
-        assert (rep.reason, val) == ("disconnected", 0)
+    assert_agrees_with_brute_cuts(x)
 
 
 def test_donut_min_cut_is_two():

@@ -44,6 +44,7 @@ from squaretour.kotzig import find_trail
 from squaretour.tjoin import min_t_join
 from squaretour.tour import hamiltonian, run_tour
 from squaretour.treesel import rainbow
+from test_budgets import COUNTERS
 
 
 def min_cut_witnesses():
@@ -302,3 +303,19 @@ def test_each_builder_and_pin_lives_in_one_place():
                 where[node.name] = path.name
         if path.name != "test_identity.py":
             assert not re.search(r"\b[0-9a-f]{64}\b", text), path.name
+
+
+def test_each_work_pin_is_a_budget_row():
+    # a spy or patch on a function that COUNTERS counts belongs in
+    # test_budgets.py's table; the name must be a literal to be read here
+    counted = {fn for _, fn, _ in COUNTERS.values()}
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        if path.name == "test_budgets.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if callee in ("spy", "setattr") and len(node.args) >= 3:
+                    name = node.args[2 if callee == "spy" else 1]
+                    assert isinstance(name, ast.Constant), (path.name, node.lineno)
+                    assert name.value not in counted, (path.name, node.lineno, name.value)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import k4_graph, k33_graph, prism_graph, spy
-from squaretour import halfpoint, instances
+from helpers import k4_graph, k33_graph, prism_graph
+from squaretour import instances
 from squaretour.graphcore import MultiGraph, is_connected
 from squaretour.halfpoint import (
     HalfIntegerPoint,
@@ -122,17 +122,6 @@ def test_random_square_graph_is_checked_shape():
         assert all(g.degree(v) == 3 for v in range(g.node_count))
         assert len(sg.matching) == g.node_count // 2
         assert len(sg.squares) * 4 + len(sg.matching) == g.edge_count
-
-
-def test_drawing_square_points_runs_no_min_cut(monkeypatch):
-    # a draw is rejected on its report's truth value, so no rejected draw pays
-    # Stoer-Wagner for a witness; these are the benchmark pool's 500 draws at
-    # seed 0, which reject 384 draws on a violated cut
-    calls = []
-    spy(monkeypatch, [halfpoint], "global_min_cut", lambda wg: calls.append(wg.graph.node_count))
-    for i in range(500):
-        random_square_point(1 + i % 5, 1 + i // 5 % 3, random.Random(31000 + i))
-    assert calls == []
 
 
 def test_random_square_point_contract():

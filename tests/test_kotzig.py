@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import enumerate_hams, spy
+from helpers import enumerate_hams
 from squaretour import kotzig
-from squaretour.graphcore import DisjointSet, MultiGraph, connected_without
+from squaretour.graphcore import MultiGraph, connected_without
 from squaretour.instances import parse_bts, random_bitransition_system, serialize_bts
 from squaretour.kotzig import (
     BitransitionSystem,
@@ -53,18 +53,6 @@ def test_a_bad_system_cannot_be_built():
     g = MultiGraph(2, [(0, 1)] * 4)
     with pytest.raises(ValueError, match="does not cover"):
         BitransitionSystem(g, (((0, 2), (4, 5)), ((1, 3), (5, 7))))
-
-
-def test_a_system_is_checked_once_when_built(monkeypatch):
-    calls = []
-    spy(monkeypatch, [kotzig], "check_system", calls.append)
-    sys = random_bitransition_system(50, 1)
-    assert calls == [sys]
-    find_trail(sys)
-    assert calls == [sys]
-    calls.clear()
-    parse_bts(serialize_bts(sys))
-    assert len(calls) == 1
 
 
 def test_parsed_systems_compare_by_value():
@@ -129,35 +117,6 @@ def test_find_trail_random_systems():
 def test_find_trail_deterministic():
     sys = random_bitransition_system(8, 42)
     assert find_trail(sys).darts == find_trail(sys).darts
-
-
-def test_split_greedy_sweeps_once_per_second_pairing(monkeypatch):
-    """Each sweep starts from a copy of the prefix's union-find: one per node
-    that takes its second pairing, plus one unless the last node takes it.
-    Pinned on the kotzig benchmark's seed-0 systems."""
-    copies, took_second = [0], []
-    copy, split = DisjointSet.copy, kotzig._split_greedy
-
-    def counted_copy(self):
-        copies[0] += 1
-        return copy(self)
-
-    def recorded_split(darts, choices):
-        pair = split(darts, choices)
-        took_second.append([pair[first[0][0]] != first[0] for first, _ in choices])
-        return pair
-
-    monkeypatch.setattr(DisjointSet, "copy", counted_copy)
-    monkeypatch.setattr(kotzig, "_split_greedy", recorded_split)
-    sweeps = []
-    for n in range(50, 301, 25):
-        system = random_bitransition_system(n, n)
-        copies[0] = 0
-        find_trail(system)
-        second = took_second.pop()
-        assert copies[0] == sum(second) + (not second[-1]), n
-        sweeps.append(copies[0])
-    assert sweeps == [3, 2, 3, 3, 5, 2, 5, 3, 3, 3, 3]
 
 
 def blown_up(sys):

@@ -8,13 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_chained_multigraph, spy
+from helpers import random_chained_multigraph
 from squaretour import tjoin
 from squaretour.graphcore import MultiGraph, WeightedGraph, series_reduced
-from squaretour.instances import make_donut
 from squaretour.oracles import brute_t_join, dense_t_join
 from squaretour.tjoin import _t_join, min_t_join, min_weight_perfect_matching
-from squaretour.tour import run_tour
 
 
 def random_connected_weighted(rng, n, extra, hi=9):
@@ -76,21 +74,20 @@ def test_matching_rejects_non_integer_distances():
     assert min_weight_perfect_matching(d) == ([(0, 2), (1, 3)], 2)
 
 
+def all_matchings(points):
+    """Every perfect matching of the ascending points, as (i, j) pairs with i < j."""
+    if not points:
+        yield []
+        return
+    i = points[0]
+    for j in points[1:]:
+        rest = tuple(v for v in points if v not in (i, j))
+        for m in all_matchings(rest):
+            yield [(i, j)] + m
+
+
 def brute_matching_weight(d):
-    p = len(d)
-    best = None
-    def rec(left):
-        if not left:
-            return 0
-        i = left[0]
-        best_here = None
-        for j in left[1:]:
-            rest = tuple(x for x in left if x not in (i, j))
-            c = d[i][j] + rec(rest)
-            if best_here is None or c < best_here:
-                best_here = c
-        return best_here
-    return rec(tuple(range(p)))
+    return min(sum(d[i][j] for i, j in m) for m in all_matchings(tuple(range(len(d)))))
 
 
 def test_matching_engines_agree_with_enumeration():
@@ -111,11 +108,9 @@ def test_matching_six_random_vs_fifteen_matchings():
         d = [[0] * 6 for _ in range(6)]
         for i, j in combinations(range(6), 2):
             d[i][j] = d[j][i] = rng.randint(1, 30)
-        matchings = list(all_matchings(tuple(range(6))))
-        assert len(matchings) == 15
-        want = min(sum(d[i][j] for i, j in m) for m in matchings)
+        assert len(list(all_matchings(tuple(range(6))))) == 15
         _, w = min_weight_perfect_matching(d)
-        assert w == want
+        assert w == brute_matching_weight(d)
 
 
 def test_matching_stays_perfect_when_nested_edges_tie():
@@ -139,17 +134,6 @@ def test_matching_nests_deeper_than_the_recursion_limit():
         sys.setrecursionlimit(old)
     assert w == 79800 == sum(range(400))
     assert sorted(v for ij in pairs for v in ij) == list(range(400))
-
-
-def all_matchings(points):
-    if not points:
-        yield []
-        return
-    i = points[0]
-    for j in points[1:]:
-        rest = tuple(v for v in points if v not in (i, j))
-        for m in all_matchings(rest):
-            yield [(i, j)] + m
 
 
 @st.composite
@@ -270,16 +254,3 @@ def test_t_join_needs_every_t_node_kept():
     with pytest.raises(RuntimeError, match="^T node not kept by the reduction$"):
         _t_join(wg, red, [0, 1])
     assert _t_join(wg, series_reduced(wg, [1]), [0, 1]) == frozenset({0})
-
-
-def test_donut_t_join_searches_the_reduction(monkeypatch):
-    # k=12: 312 support nodes, 48 square corners, |T| = 24
-    searches = []
-
-    def record(wg, source, targets=None):
-        searches.append((wg.graph.node_count, None if targets is None else len(targets)))
-
-    spy(monkeypatch, [tjoin], "shortest_paths_from", record)
-    inst = make_donut(12)
-    run_tour(inst.point, inst.costs)
-    assert sorted(searches) == [(48, t) for t in range(1, 24)] + [(312, 1)] * 12

@@ -17,11 +17,10 @@ from helpers import (
     prism_graph,
     relabelled,
     single_square_point,
-    single_square_point_adjacent_paths,
     spy,
     tour_report_cases,
 )
-from squaretour import deltamatroid, graphcore, halfpoint, tjoin, tour
+from squaretour import deltamatroid, tjoin, tour
 from squaretour.deltamatroid import HamCycle, ham_min_cost
 from squaretour.graphcore import (
     MultiGraph,
@@ -454,30 +453,6 @@ def test_integral_point_prices_the_shorter_arc():
     assert rep.final_cost == sum(min(c, total - c) for c in costs.values()) < rep.c_h
 
 
-def test_shortcut_searches_only_the_reduction(monkeypatch):
-    calls = []
-    spy(monkeypatch, [tour], "shortest_paths_from", lambda wg, *args: calls.append(wg.graph.node_count))
-    inst = make_donut(12)
-    run_tour(inst.point, inst.costs)
-    # the 48 square corners; the 264 nodes inside 1-paths are priced by
-    # offsets, and a step to the end of a node's own 1-path runs no search
-    assert 0 < len(calls) <= 24 and set(calls) == {48}
-    calls.clear()
-    # no node of degree 2: one search per tour node, as on the full support
-    x = random_square_point(8, 1, 0)
-    run_tour(x, random_costs(x, 0))
-    assert calls == [x.n] * x.n
-    calls.clear()
-    # an integral point is one loop chain at node 0: with no edge heavier
-    # than half the cycle, every step is priced by offsets, node 0's too
-    for n in (7, 20):
-        x = integral_cycle(n)
-        costs = {e: 1 + i % 3 for i, e in enumerate(sorted(x.support))}
-        assert 2 * max(costs.values()) <= sum(costs.values())
-        assert run_tour(x, costs).final_cost == sum(costs.values())
-    assert calls == []
-
-
 @settings(max_examples=100)
 @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 10**6),
        st.sampled_from((2, 100)), st.integers(1, 80))
@@ -494,38 +469,6 @@ def test_run_tour_invariant_under_cost_scaling(s, length, seed, high, k):
     assert big.j_star == base.j_star
     assert big.final_cycle == base.final_cycle
     assert big.final_cost <= min(big.c_h, big.c_j)
-
-
-def test_run_tour_validates_once(monkeypatch):
-    calls = []
-    for name in ("cut_labels", "global_min_cut"):
-        spy(monkeypatch, [halfpoint], name,
-            lambda g, name=name: calls.append((name, getattr(g, "graph", g).node_count)))
-    inst = make_donut(3)
-    x = random_square_point(3, 2, 11)
-    for point, costs in ((inst.point, inst.costs), (x, random_costs(x, 11))):
-        calls.clear()
-        run_tour(point, costs)
-        assert calls == [("cut_labels", point.n)]
-    # square 0-1-2-3 with 1-paths joining adjacent corners: a cut of x2 = 2,
-    # cut once on the full support for the witness
-    y = single_square_point_adjacent_paths()
-    calls.clear()
-    with pytest.raises(ValueError, match="not a feasible point: cut"):
-        run_tour(y, dict.fromkeys(y.support, 1))
-    assert calls == [("cut_labels", 6), ("global_min_cut", 6)]
-
-
-def test_run_tour_skips_the_square_graph_check(monkeypatch):
-    # contract builds the square graph from a checked point, so it is not
-    # checked again; test_contract_builds_square_graphs backs that up
-    calls = []
-    spy(monkeypatch, [deltamatroid], "check_square_graph", calls.append)
-    inst = make_donut(3)
-    x = random_square_point(5, 2, 3)
-    for point, costs in ((inst.point, inst.costs), (x, random_costs(x, 3))):
-        run_tour(point, costs)
-    assert calls == []
 
 
 def test_a_ham_of_two_cycles_raises(monkeypatch):
@@ -552,27 +495,6 @@ def test_run_tour_exact_on_numpy_integer_costs():
     assert all(type(c) is int for c in (rep.c_h, rep.c_j, rep.c_x2, rep.final_cost))
 
 
-def test_run_tour_walks_the_hamiltonian_cycle_once(monkeypatch):
-    # the HAM stage walks its cycle on the support, not on the square graph;
-    # the other walks are the squares
-    walks = []
-
-    def recording(g, ids, _fn=graphcore.cycles):
-        found = _fn(g, ids)
-        walks.extend((g, len(nodes)) for _, nodes in found or ())
-        return found
-
-    monkeypatch.setattr(graphcore, "cycles", recording)
-    monkeypatch.setattr(halfpoint, "cycles", recording)  # imported by name
-    inst = make_donut(3)
-    x = random_square_point(5, 2, 3)
-    for point, costs in ((inst.point, inst.costs), (x, random_costs(x, 3))):
-        walks.clear()
-        run_tour(point, costs)
-        assert all(g == support_graph(point) for g, _ in walks)
-        assert [size for _, size in walks].count(point.n) == 1
-
-
 def test_hamiltonian_and_ham_min_cost_return_one_ham_cycle_type():
     # ham_min_cost names the edges by square-graph id, hamiltonian by support key
     inst = make_donut(3)
@@ -586,52 +508,6 @@ def test_hamiltonian_and_ham_min_cost_return_one_ham_cycle_type():
         ham = ham_min_cost(sg, cost)
         assert type(ham) is HamCycle
         assert list(ham.order) == hamiltonian_order(sg.graph, ham.edges)
-
-
-def test_run_tour_builds_the_support_once(monkeypatch):
-    # the T-join reuses the point's series reduction instead of its own
-    calls = []
-    for owners, name in (([halfpoint], "support_graph"), ([halfpoint, tjoin], "series_reduced")):
-        spy(monkeypatch, owners, name, lambda *args, name=name: calls.append(name))
-    inst = make_donut(12)
-    x = random_square_point(16, 1, 16)
-    for point, costs in ((inst.point, inst.costs), (x, random_costs(x, 16))):
-        calls.clear()
-        run_tour(point, costs)
-        assert sorted(calls) == ["series_reduced", "support_graph"]
-
-
-def test_run_tour_checks_costs_once_and_labels_no_node_twice(monkeypatch):
-    # square_point checks the costs, so no WeightedGraph checks them again,
-    # and the rainbow labels its parts off the reduction: the one union-find
-    # over all n nodes left is rainbow's final 1-tree check
-    sizes, checks = [], []
-    spy(monkeypatch, [graphcore.DisjointSet], "__init__", lambda self, n: sizes.append(n))
-    spy(monkeypatch, [graphcore.WeightedGraph], "__post_init__", checks.append)
-    inst = make_donut(12)
-    run_tour(inst.point, inst.costs)
-    assert inst.point.n == 312
-    assert sizes.count(312) == 1
-    assert checks == []
-
-
-def test_run_tour_reads_each_cost_once():
-    # square_point checks each cost and keeps it as an int, and c_x2 is
-    # summed from those, not read again from the caller's dict
-    reads = []
-
-    class Counted(dict):
-        def get(self, key, default=None):
-            reads.append(key)
-            return super().get(key, default)
-
-        def __getitem__(self, key):
-            reads.append(key)
-            return super().__getitem__(key)
-
-    inst = make_donut(3)
-    assert run_tour(inst.point, Counted(inst.costs)) == run_tour(inst.point, inst.costs)
-    assert sorted(reads) == sorted(inst.costs) and len(reads) == 30
 
 
 def test_run_tour_rejects_bad_inputs():
