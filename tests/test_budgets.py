@@ -6,11 +6,13 @@ helpers.spy that records a few values per call.  Per counter a row pins the
 records in call order or, as an int, the number of calls; a counter it
 leaves out must record none.  It may also pin the output and check it.  A
 change that does less work lowers a row, which then fails at its parent.
-Run every row with
+A test elsewhere that asserts a stage's work reads a row's records with
+measured(name), which runs each row once per session.  Run every row with
 
     python3 -m pytest tests/test_budgets.py -m 'extended or not extended'
 """
 
+import functools
 import random
 
 import pytest
@@ -179,15 +181,28 @@ ROWS = [
 ]
 
 
-@pytest.mark.parametrize("build, op, counts, out, check", ROWS)
-def test_pinned_work_is_unchanged(build, op, counts, out, check):
+ROW = {row.id: row.values for row in ROWS}
+
+
+@functools.cache
+def measured(name):
+    """The input, output and records of the row called name, run once under
+    every counter and shared by its row and any test that reads its work."""
+    build, op = ROW[name][:2]
     inp = build()
-    seen = {name: [] for name in COUNTERS}
+    seen = {counter: [] for counter in COUNTERS}
     with pytest.MonkeyPatch.context() as mp:
-        for name, (owners, fn, record) in COUNTERS.items():
-            calls = seen[name]
+        for counter, (owners, fn, record) in COUNTERS.items():
+            calls = seen[counter]
             spy(mp, owners, fn, lambda *a, record=record, calls=calls, **kw: calls.append(record(*a, **kw)))
         result = op(inp)
+    return inp, result, seen
+
+
+@pytest.mark.parametrize("name", [pytest.param(row.id, id=row.id, marks=row.marks) for row in ROWS])
+def test_pinned_work_is_unchanged(name):
+    counts, out, check = ROW[name][2:]
+    inp, result, seen = measured(name)
     pinned = {name: counts.get(name, []) for name in COUNTERS}
     assert {name: len(seen[name]) if type(n) is int else seen[name] for name, n in pinned.items()} == pinned
     assert out is None or result == out

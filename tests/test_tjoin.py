@@ -13,6 +13,7 @@ from squaretour import tjoin
 from squaretour.graphcore import MultiGraph, WeightedGraph, series_reduced
 from squaretour.oracles import brute_t_join, dense_t_join
 from squaretour.tjoin import _t_join, min_t_join, min_weight_perfect_matching
+from test_budgets import measured
 
 
 def random_connected_weighted(rng, n, extra, hi=9):
@@ -254,3 +255,9 @@ def test_t_join_needs_every_t_node_kept():
     with pytest.raises(RuntimeError, match="^T node not kept by the reduction$"):
         _t_join(wg, red, [0, 1])
     assert _t_join(wg, series_reduced(wg, [1]), [0, 1]) == frozenset({0})
+
+
+def test_donut_t_join_searches_the_reduction():
+    # k=12: 312 support nodes, 48 square corners, |T| = 24
+    searches = measured("tour-donut-12")[2]["t-join"]
+    assert sorted(searches) == [(48, t) for t in range(1, 24)] + [(312, 1)] * 12

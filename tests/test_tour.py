@@ -39,6 +39,7 @@ from squaretour.instances import (
 from squaretour.oracles import check_ham
 from squaretour.tour import compute_y, hamiltonian, run_tour
 from squaretour.treesel import RainbowOneTree, rainbow
+from test_budgets import measured
 
 
 def prism_point():
@@ -453,6 +454,23 @@ def test_integral_point_prices_the_shorter_arc():
     assert rep.final_cost == sum(min(c, total - c) for c in costs.values()) < rep.c_h
 
 
+def test_shortcut_searches_only_the_reduction():
+    calls = measured("tour-donut-12")[2]["price"]
+    # the 48 square corners; the 264 nodes inside 1-paths are priced by
+    # offsets, and a step to the end of a node's own 1-path runs no search
+    assert 0 < len(calls) <= 24 and set(calls) == {48}
+    # no node of degree 2: one search per tour node, as on the full support
+    (x, _), _, seen = measured("tour-square-8-1-0")
+    assert seen["price"] == [x.n] * x.n
+    # an integral point is one loop chain at node 0: with no edge heavier
+    # than half the cycle, every step is priced by offsets, node 0's too
+    for n in (7, 20):
+        (x, costs), final_cost, seen = measured(f"tour-integral-{n}")
+        assert 2 * max(costs.values()) <= sum(costs.values())
+        assert final_cost == sum(costs.values())
+        assert seen["price"] == []
+
+
 @settings(max_examples=100)
 @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 10**6),
        st.sampled_from((2, 100)), st.integers(1, 80))
@@ -469,6 +487,24 @@ def test_run_tour_invariant_under_cost_scaling(s, length, seed, high, k):
     assert big.j_star == base.j_star
     assert big.final_cycle == base.final_cycle
     assert big.final_cost <= min(big.c_h, big.c_j)
+
+
+def test_run_tour_validates_once():
+    for name in ("tour-donut-3", "tour-square-3-2-11"):
+        (point, _), _, seen = measured(name)
+        assert (seen["cut labels"], seen["min cut"]) == ([point.n], [])
+    # square 0-1-2-3 with 1-paths joining adjacent corners: a cut of x2 = 2,
+    # cut once on the full support for the witness
+    _, (kind, message), seen = measured("tour-cut-2")
+    assert kind == "ValueError" and "not a feasible point: cut" in message
+    assert (seen["cut labels"], seen["min cut"]) == ([6], [6])
+
+
+def test_run_tour_skips_the_square_graph_check():
+    # contract builds the square graph from a checked point, so it is not
+    # checked again; test_contract_builds_square_graphs backs that up
+    for name in ("tour-donut-3", "tour-square-5-2-3"):
+        assert measured(name)[2]["square check"] == []
 
 
 def test_a_ham_of_two_cycles_raises(monkeypatch):
@@ -495,6 +531,17 @@ def test_run_tour_exact_on_numpy_integer_costs():
     assert all(type(c) is int for c in (rep.c_h, rep.c_j, rep.c_x2, rep.final_cost))
 
 
+def test_run_tour_walks_the_hamiltonian_cycle_once():
+    # the HAM stage walks its cycle on the support, not on the square graph;
+    # the other walks are the squares
+    for name in ("tour-donut-3", "tour-square-5-2-3"):
+        (point, _), rep, seen = measured(name)
+        g = support_graph(point)
+        assert all((nodes, edges) == (g.node_count, g.edge_count) for nodes, edges, _ in seen["cycles"])
+        assert [ids for _, _, ids in seen["cycles"]].count(point.n) == 1
+        assert len(rep.hamiltonian.order) == point.n
+
+
 def test_hamiltonian_and_ham_min_cost_return_one_ham_cycle_type():
     # ham_min_cost names the edges by square-graph id, hamiltonian by support key
     inst = make_donut(3)
@@ -508,6 +555,25 @@ def test_hamiltonian_and_ham_min_cost_return_one_ham_cycle_type():
         ham = ham_min_cost(sg, cost)
         assert type(ham) is HamCycle
         assert list(ham.order) == hamiltonian_order(sg.graph, ham.edges)
+
+
+def test_run_tour_checks_costs_once_and_labels_no_node_twice():
+    # square_point checks the costs, so no WeightedGraph checks them again,
+    # and the rainbow labels its parts off the reduction: the one union-find
+    # over all n nodes left is rainbow's final 1-tree check
+    (point, _), _, seen = measured("tour-donut-12")
+    assert point.n == 312
+    assert seen["union-find"].count(312) == 1
+    assert seen["weight check"] == []
+
+
+def test_run_tour_reads_each_cost_once():
+    # square_point checks each cost and keeps it as an int, and c_x2 is
+    # summed from those, not read again from the caller's dict
+    (point, costs), rep, seen = measured("tour-donut-3")
+    reads = seen["cost get"] + seen["cost item"]
+    assert rep == run_tour(point, dict(costs))
+    assert sorted(reads) == sorted(costs) and len(reads) == 30
 
 
 def test_run_tour_rejects_bad_inputs():
